@@ -25,13 +25,16 @@ from .quantum import (
     DensityMatrix,
     KrausChannel,
     apply,
+    average_entropies,
     average_entropy,
     average_pure_state_fidelity,
     binary_entropy,
     block_distortion,
+    block_distortions,
     choi_entanglement_fidelity,
     coherent_information,
     distortion,
+    eigenvalue_entropy,
     entanglement_fidelity,
     entropy_exchange,
     marginal_channel,

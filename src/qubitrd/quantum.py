@@ -6,11 +6,14 @@ A quantum operation is a set of elements {A_i} acting as
 entropy, entanglement fidelity, the induced distortion ``1 - F_e``, entropy
 exchange, coherent information, the average conditional output entropy, and
 the machinery (marginal channels, Choi matrices) needed to score multi-qubit
-operations one qubit at a time.
+operations one qubit at a time. ``average_entropies`` and
+``block_distortions`` score a whole (N, k, dim, dim) stack of Kraus sets in
+one call; the one-channel forms remain as their references.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +68,18 @@ class DensityMatrix:
         return self.dim.bit_length() - 1
 
 
+def _require_complete(kraus: np.ndarray) -> None:
+    """Raise unless every set in a (N, k, dim, dim) stack has sum A_i† A_i = I."""
+    total = np.einsum("nkji,nkjl->nil", kraus.conj(), kraus)
+    gaps = np.abs(total - np.eye(kraus.shape[-1])).max(axis=(1, 2))
+    bad = np.flatnonzero(gaps > COMPLETENESS_TOL)
+    if bad.size:
+        where = f" in set {bad[0]}" if len(kraus) > 1 else ""
+        raise ContractViolationError(
+            f"sum A_i† A_i deviates from identity by {gaps[bad[0]]:.3e}{where}"
+        )
+
+
 @dataclass(frozen=True)
 class KrausChannel:
     """Quantum operation defined by an ordered set of operation elements."""
@@ -80,12 +95,7 @@ class KrausChannel:
         if any(m.shape[0] != dim for m in mats):
             raise DimensionMismatchError("all elements must share one dimension")
         if self.trace_preserving:
-            total = sum(m.conj().T @ m for m in mats)
-            gap = np.max(np.abs(total - np.eye(dim)))
-            if gap > COMPLETENESS_TOL:
-                raise ContractViolationError(
-                    f"sum A_i† A_i deviates from identity by {gap:.3e}"
-                )
+            _require_complete(np.stack(mats)[np.newaxis])
         object.__setattr__(self, "elements", mats)
 
     @property
@@ -145,13 +155,21 @@ def apply(ch: KrausChannel, rho) -> tuple[np.ndarray, float]:
     return out, weight
 
 
+def eigenvalue_entropy(eigs) -> np.ndarray:
+    """Entropy in bits of the probability vectors along the last axis.
+
+    Entries at or below ``EIGENVALUE_FLOOR`` are eigensolver dust and count
+    as 0, so 0·log 0 is 0. Any leading axes are kept: a stack of spectra
+    gives a stack of entropies, one spectrum a 0-d array.
+    """
+    eigs = np.asarray(eigs, dtype=float)
+    eigs = np.where(eigs > EIGENVALUE_FLOOR, eigs, 1.0)  # 1 log 1 = 0
+    return -np.sum(eigs * np.log2(eigs), axis=-1)
+
+
 def _entropy_of_psd(mat: np.ndarray) -> float:
     """Entropy in bits of a unit-trace PSD matrix, tolerant of eigenvalue dust."""
-    eigs = np.linalg.eigvalsh(mat).real
-    eigs = eigs[eigs > EIGENVALUE_FLOOR]
-    if eigs.size == 0:
-        return 0.0
-    return float(-np.sum(eigs * np.log2(eigs)))
+    return float(eigenvalue_entropy(np.linalg.eigvalsh(mat)))
 
 
 def von_neumann_entropy(rho) -> float:
@@ -162,8 +180,7 @@ def von_neumann_entropy(rho) -> float:
     eigs = np.linalg.eigvalsh(m)
     if eigs[0] < -1e-8 or abs(np.sum(eigs) - 1.0) > 1e-8:
         raise ContractViolationError("state must be PSD with unit trace within 1e-8")
-    eigs = eigs[eigs > EIGENVALUE_FLOOR]
-    return float(-np.sum(eigs * np.log2(eigs)))
+    return float(eigenvalue_entropy(eigs))
 
 
 def binary_entropy(p: float) -> float:
@@ -249,6 +266,21 @@ def average_entropy(ch: KrausChannel, rho) -> float:
             continue
         total += lam * _entropy_of_psd(cond / lam)
     return total
+
+
+def average_entropies(kraus, state) -> np.ndarray:
+    """``average_entropy`` of every Kraus set in a (N, k, dim, dim) stack.
+
+    Sets with fewer elements are padded with zero elements; like any element
+    of weight at most ``WEIGHT_FLOOR`` they add nothing. Completeness is not
+    checked here: ``block_distortions`` checks it on the same stack.
+    """
+    kraus = np.asarray(kraus, dtype=complex)
+    cond = kraus @ _state_matrix(state) @ kraus.conj().swapaxes(-1, -2)
+    lam = np.einsum("nkii->nk", cond).real
+    live = lam > WEIGHT_FLOOR
+    eigs = np.linalg.eigvalsh(cond / np.where(live, lam, 1.0)[..., None, None])
+    return np.sum(np.where(live, lam * eigenvalue_entropy(eigs), 0.0), axis=1)
 
 
 def average_pure_state_fidelity(ensemble, ch: KrausChannel) -> float:
@@ -343,14 +375,57 @@ def choi_entanglement_fidelity(choi: ChoiMatrix, rho: DensityMatrix) -> float:
     return float(np.real(numerator) / weight)
 
 
-def block_distortion(ch: KrausChannel, rho: DensityMatrix) -> float:
-    """Average over qubits of 1 - F_e(rho, marginal map on that qubit)."""
-    n = ch.dim.bit_length() - 1
-    total = 0.0
-    for alpha in range(1, n + 1):
-        choi = marginal_channel(ch, rho, alpha)
-        total += 1.0 - choi_entanglement_fidelity(choi, rho)
+def block_distortions(kraus, rho: DensityMatrix) -> np.ndarray:
+    """Per-qubit block distortion of every Kraus set in a (N, k, 2^n, 2^n) stack.
+
+    Entry m is the average over the n <= 3 qubits of 1 - F_e(rho, marginal
+    map of set m on that qubit): the quantity that ``marginal_channel`` and
+    ``choi_entanglement_fidelity`` give one qubit and one channel at a time.
+    Sets with fewer elements are padded with zero elements, which change
+    nothing. Every set must be complete within ``COMPLETENESS_TOL``.
+
+    In the eigenbasis {|e_i>} of rho (eigenvalues l_i) the other qubits sit
+    in the diagonal state with weights q_c = prod l, so the marginal map on
+    qubit alpha has the elements sqrt(q_c) <r|A|c> for the other qubits'
+    basis rows r and columns c. Its F_e is the sum of
+    q_c |sum_i l_i <i r|A|i c>|^2 over them, divided by tr E(rho^{⊗n}).
+    """
+    kraus = np.asarray(kraus, dtype=complex)
+    if kraus.ndim != 4 or kraus.shape[-1] != kraus.shape[-2]:
+        raise ShapeError(f"expected a (N, k, dim, dim) stack, got shape {kraus.shape}")
+    dim = kraus.shape[-1]
+    n = dim.bit_length() - 1
+    if 2**n != dim:
+        raise ShapeError(f"channel dimension {dim} is not a power of 2")
+    if not 1 <= n <= 3:
+        raise DomainError(f"block distortions are supported for n <= 3, got n={n}")
+    if rho.dim != 2:
+        raise DimensionMismatchError("rho must be a single-qubit state")
+    _require_complete(kraus)
+    eigvals, eigvecs = np.linalg.eigh(rho.mat)
+    eigvals = np.clip(eigvals, 0.0, None)
+    basis = functools.reduce(np.kron, [eigvecs] * n)
+    rotated = basis.conj().T @ kraus @ basis
+    weight = np.einsum(
+        "nkrc,c->n", np.abs(rotated) ** 2, functools.reduce(np.kron, [eigvals] * n)
+    )
+    others = functools.reduce(np.kron, [eigvals] * (n - 1), np.ones(1))
+    tensor = rotated.reshape(kraus.shape[:2] + (2,) * (2 * n))
+    total = np.zeros(len(kraus))
+    for alpha in range(n):
+        # sum_i l_i <i|.|i> on qubit alpha leaves the (row, column) blocks
+        traced = np.diagonal(tensor, axis1=2 + alpha, axis2=2 + n + alpha) @ eigvals
+        blocks = traced.reshape(kraus.shape[:2] + (dim // 2, dim // 2))
+        total += 1.0 - np.einsum("nkrc,c->n", np.abs(blocks) ** 2, others) / weight
     return total / n
+
+
+def block_distortion(ch: KrausChannel, rho: DensityMatrix) -> float:
+    """Average over qubits of 1 - F_e(rho, marginal map on that qubit).
+
+    ``block_distortions`` of the one channel, which must be trace preserving.
+    """
+    return float(block_distortions(np.stack(ch.elements)[np.newaxis], rho)[0])
 
 
 def stinespring_kraus(

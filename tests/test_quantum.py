@@ -358,6 +358,65 @@ def test_block_distortion_two_qubit_dephasing():
     assert quantum.block_distortion(ch, RHO_73) == pytest.approx(0.42, abs=1e-12)
 
 
+def _padded_random_stack(rng, dim, ks):
+    stack = np.zeros((len(ks), 4, dim, dim), dtype=complex)
+    for m, k in enumerate(ks):
+        stack[m, :k] = quantum.stinespring_kraus(rng, 1, dim, k)[0]
+    return stack
+
+
+@pytest.mark.parametrize("rho", [RHO_73, MIXED], ids=["diag-0.7-0.3", "mixed"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_block_distortions_match_marginal_loop(n, rho):
+    # the stacked kernel against the reference route, one channel and one
+    # qubit at a time: marginal_channel, then choi_entanglement_fidelity
+    ks = [1, 2, 3, 4, 3, 1, 4, 2]
+    stack = _padded_random_stack(np.random.default_rng(40 + n), 2**n, ks)
+    got = quantum.block_distortions(stack, rho)
+    assert got.shape == (len(ks),)
+    for m, k in enumerate(ks):
+        ch = KrausChannel(tuple(stack[m, :k]), trace_preserving=True)
+        reference = np.mean(
+            [
+                1.0 - quantum.choi_entanglement_fidelity(
+                    quantum.marginal_channel(ch, rho, alpha), rho
+                )
+                for alpha in range(1, n + 1)
+            ]
+        )
+        assert abs(got[m] - reference) <= 1e-14
+        assert abs(quantum.block_distortion(ch, rho) - reference) <= 1e-14
+
+
+def test_block_distortions_reject_incomplete_set():
+    stack = _padded_random_stack(np.random.default_rng(3), 4, [2, 3, 1])
+    quantum.block_distortions(stack, RHO_73)
+    stack[1, 2] *= 1.0 + 1e-6
+    with pytest.raises(ContractViolationError, match="in set 1"):
+        quantum.block_distortions(stack, RHO_73)
+
+
+def test_average_entropies_match_per_channel_loop():
+    rng = np.random.default_rng(8)
+    rho2 = np.kron(RHO_73.mat, MIXED.mat)
+    ks = [1, 2, 3, 4, 2, 4]
+    stack = _padded_random_stack(rng, 4, ks)
+    got = quantum.average_entropies(stack, rho2)
+    for m, k in enumerate(ks):
+        ch = KrausChannel(tuple(stack[m, :k]), trace_preserving=True)
+        assert abs(got[m] - quantum.average_entropy(ch, rho2)) <= 1e-14
+
+
+def test_eigenvalue_entropy_clamps_dust_on_stacks():
+    spectra = np.array([[0.5, 0.5], [1.0, 1e-15], [1.0, -1e-15], [0.3, 0.7]])
+    got = quantum.eigenvalue_entropy(spectra)
+    assert got.shape == (4,)
+    assert got[0] == 1.0
+    assert got[1] == 0.0 and got[2] == 0.0
+    assert got[3] == pytest.approx(H2_03, abs=1e-15)
+    assert float(quantum.eigenvalue_entropy([0.25] * 4)) == 2.0
+
+
 def test_random_channel_is_trace_preserving():
     for seed in range(10):
         ch = quantum.random_channel(4, 3, seed)

@@ -359,6 +359,77 @@ def test_isotropic_suite(n_qubits):
     assert report.passed and report.n_violations == 0
 
 
+# Reports recorded from the per-trial implementation of the block suites
+# (one KrausChannel, one marginal map per qubit and one interpolant call per
+# trial). The stacked suites must draw every trial's k and elements in the
+# same order, so they replay the same trials, whatever the chunk size. A
+# k = 1 trial of the blocks suite is the identity, whose excess is minus the
+# interpolation error bound; seed 63 draws none in its 12 trials, so that
+# the worst violation there depends on the trials drawn. Columns: suite,
+# argument, trials, seed, and the recorded n_violations, passed, failure
+# trials and worst_violation.
+RECORDED_BLOCK_REPORTS = [
+    ("blocks", 0.5, 12, 63, 0, True, [], -0.007159397170275583),
+    ("blocks", 0.7, 12, 63, 0, True, [], -0.00848935691326147),
+    ("isotropic", 2, 600, 29, 0, True, [], -0.5984486334741006),
+    ("isotropic", 3, 300, 29, 0, True, [], -0.7717819371682889),
+]
+
+
+@pytest.mark.parametrize("chunk", [verify.BLOCK_CHUNK, 5])
+@pytest.mark.parametrize(
+    "suite,arg,trials,seed,violations,passed,failed_trials,worst",
+    RECORDED_BLOCK_REPORTS,
+    ids=[f"{r[0]}-{r[1]}" for r in RECORDED_BLOCK_REPORTS],
+)
+def test_block_suites_replay_recorded_reports(
+    monkeypatch, suite, arg, trials, seed, violations, passed, failed_trials, worst,
+    chunk,
+):
+    monkeypatch.setattr(verify, "BLOCK_CHUNK", chunk)
+    if suite == "blocks":
+        report = verify.check_theorem2_blocks(SourceSpec(arg), trials, seed)
+    else:
+        report = verify.check_theorem3_isotropic(arg, trials, seed)
+    assert report.n_trials == trials
+    assert report.n_violations == violations
+    assert report.passed is passed
+    assert [f["trial"] for f in report.failures] == failed_trials
+    assert abs(report.worst_violation - worst) <= 1e-12
+
+
+# Growth of the phase-0 perturbation per (delta, |x|) in criterion 10's
+# report, recorded from the per-channel implementation of the suite. The
+# growths of the 8 phases of one (delta, |x|) agree to 3e-9 relative.
+RECORDED_PHASE0_GROWTHS = [
+    1.857652778824992e-06, 3.6702672509880685e-05,
+    4.962377595507661e-07, 8.323222133843622e-06,
+    2.4151405686456684e-07, 3.94487026722512e-06,
+    1.5164528621713913e-07, 2.4544416786786982e-06,
+    1.1013232714685017e-07, 1.7750480622025222e-06,
+    8.7953033467425e-08, 1.414350488226912e-06,
+    7.518769995495944e-08, 1.2074316950161368e-06,
+    6.792044698888944e-08, 1.0897903112982998e-06,
+    6.494139392909659e-08, 1.0414237001932225e-06,
+    6.811418540308978e-08, 1.0920214298382191e-06,
+]
+
+
+def test_perturbation_replays_recorded_growths():
+    deltas = np.linspace(0.15, math.pi / 2 - 0.15, 10)
+    report = verify.check_perturbation(deltas, (0.01, 0.02), SRC7, seed=42)
+    assert (report.n_trials, report.n_violations, report.passed) == (160, 0, True)
+    assert report.failures == ()
+    assert report.worst_violation == pytest.approx(-6.494139392909659e-08, rel=1e-6)
+    growths = report.params["growths"]
+    assert [(g["delta"], g["magnitude"]) for g in growths[::8]] == [
+        (float(d), m) for d in deltas for m in (0.01, 0.02)
+    ]
+    for i, g in enumerate(growths):
+        recorded = RECORDED_PHASE0_GROWTHS[i // 8]
+        assert abs(g["growth"] - recorded) <= 1e-6 * recorded
+
+
 def test_isotropic_rejects_bad_block_size():
     with pytest.raises(DomainError):
         verify.check_theorem3_isotropic(4, 10, seed=0)
