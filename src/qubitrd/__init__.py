@@ -14,7 +14,6 @@ from .errors import (
     DimensionMismatchError,
     DomainError,
     EndpointSingularityError,
-    FeasibilityError,
     InternalNumericError,
     RootNotFoundError,
     ShapeError,

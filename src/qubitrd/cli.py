@@ -1,7 +1,7 @@
 """Command-line front end: curve sweeps, verification suites, stream simulation.
 
 Subcommands:
-  curve {s1,r1,alpha,classical}   write one curve sweep as CSV or JSON
+  curve {s1,r1}                   write one curve sweep as CSV or JSON
   verify {lemma1,lemma2,theorem1,perturbation,search,blocks,isotropic,all}
                                   run verification suites; exit 1 on any failure
   simulate                        Monte Carlo ancilla-outcome stream at one delta
@@ -35,13 +35,16 @@ from .quantum import binary_entropy
 from .ratedistortion import SourceSpec, s1_curve_point, sweep_curve
 from .records import record_to_text
 
-CURVE_KINDS = ("s1", "r1", "alpha", "classical")
+CURVE_KINDS = ("s1", "r1")
 VERIFY_SUITES = verify.SUITE_NAMES + ("all",)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated flag set shared by all subcommands."""
+    """Validated flag set shared by all subcommands.
+
+    ``p0`` is validated where it is used, by ``SourceSpec``.
+    """
 
     command: str
     p0: float
@@ -54,8 +57,6 @@ class RunConfig:
     format: str
 
     def __post_init__(self):
-        if not 0.5 <= self.p0 < 1.0:
-            raise DomainError(f"--p0 must lie in [0.5, 1), got {self.p0}")
         if self.points < 2:
             raise DomainError(f"--points must be at least 2, got {self.points}")
         if not 0.0 < self.tol <= 1e-3:
@@ -98,7 +99,6 @@ def run_curve(cfg: RunConfig, which: str) -> int:
             d, entropy = s1_curve_point(float(theta), src)
             rows.append([float(theta), d, entropy])
     else:
-        # r1, alpha, and classical are columns of the same sweep.
         header = ["delta", "alpha", "d", "R", "r", "lambda1"]
         points = sweep_curve(src, cfg.points, cfg.tol)
         rows = [[p.delta, p.alpha, p.d, p.R, p.r, p.lambda1] for p in points]

@@ -46,9 +46,5 @@ class RootNotFoundError(ToolkitError, RuntimeError):
         self.values = values
 
 
-class FeasibilityError(ToolkitError, RuntimeError):
-    """A constraint system has no real solution for the requested inputs."""
-
-
 class InternalNumericError(ToolkitError, RuntimeError):
     """A computed quantity failed an internal consistency check."""

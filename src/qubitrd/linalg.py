@@ -33,13 +33,6 @@ def as_matrix(a: np.ndarray) -> np.ndarray:
     return m
 
 
-def identity(dim: int) -> np.ndarray:
-    """Identity matrix of the given dimension."""
-    if not 1 <= dim <= MAX_DIM:
-        raise CapacityError(f"dimension {dim} outside 1..{MAX_DIM}")
-    return np.eye(dim, dtype=complex)
-
-
 def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product ``a @ b``."""
     ma, mb = as_matrix(a), as_matrix(b)
@@ -58,15 +51,6 @@ def adjoint(a: np.ndarray) -> np.ndarray:
 def trace(a: np.ndarray) -> complex:
     """Sum of diagonal entries."""
     return complex(np.trace(as_matrix(a)))
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; the result dimension must not exceed 16."""
-    ma, mb = as_matrix(a), as_matrix(b)
-    out_dim = ma.shape[0] * mb.shape[0]
-    if out_dim > MAX_DIM:
-        raise CapacityError(f"kron result dimension {out_dim} exceeds {MAX_DIM}")
-    return np.kron(ma, mb)
 
 
 def _qubit_count(dim: int) -> int:
@@ -122,32 +106,3 @@ def polar_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = as_matrix(a)
     u, s, vh = np.linalg.svd(m)
     return u @ vh, (vh.conj().T * s) @ vh
-
-
-def singular_triplet(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decompose ``a = U diag(s) V`` with unitary U, V and s descending."""
-    m = as_matrix(a)
-    u, s, vh = np.linalg.svd(m)
-    return u, s, vh
-
-
-def haar_unitaries(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    """Stack of ``count`` Haar-distributed unitaries of the given dimension.
-
-    Ginibre draw followed by QR with the R-diagonal phase correction, so the
-    distribution is left- and right-invariant.
-    """
-    z = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal(
-        (count, dim, dim)
-    )
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[:, np.newaxis, :]
-
-
-def random_unitary(dim: int, seed: int) -> np.ndarray:
-    """Haar-distributed unitary, deterministic for a fixed seed."""
-    if not 1 <= dim <= MAX_DIM:
-        raise CapacityError(f"dimension {dim} outside 1..{MAX_DIM}")
-    rng = np.random.default_rng(seed)
-    return haar_unitaries(rng, 1, dim)[0]

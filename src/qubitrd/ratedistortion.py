@@ -13,7 +13,12 @@ The source emits qubits in the state ``rho = diag(p0, p1)`` with
 
 The minimizing angle solves a stationarity equation (the derivative of the
 average entropy with respect to ``a``); it is located by bracketing on a
-grid followed by bisection.
+grid followed by bisection. Every other quantity of a curve point is closed
+form in (a, D): the distortion above, the average entropy
+``lambda1 h2(p0 cos^2 a / lambda1) + lambda2 h2(p0 sin^2 a / lambda2)`` and
+the type-1 weight ``lambda1 = p0 cos^2 a + p1 cos^2(a + D)``, with
+``lambda2 = 1 - lambda1``. The channel functionals of ``quantum`` give the
+same numbers and serve the tests as a cross-check.
 """
 
 from __future__ import annotations
@@ -24,12 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from . import quantum
 from .errors import (
     ContractViolationError,
     DomainError,
     EndpointSingularityError,
-    InternalNumericError,
     RootNotFoundError,
 )
 from .quantum import DensityMatrix, KrausChannel, binary_entropy
@@ -246,56 +249,34 @@ def solve_alpha(delta: float, src: SourceSpec, tol: float = 1e-12) -> float:
 
 
 def r1_curve_point(delta: float, src: SourceSpec, tol: float = 1e-12) -> CurvePoint:
-    """Rate-distortion sample at one delta.
+    """Rate-distortion sample at one delta, in closed form.
 
-    Interior points solve for the optimal mixing angle and evaluate the pair
-    through the channel functionals. The degenerate endpoints take their
-    rate and distortion analytically; the angle and the classical rate are
-    limits evaluated at small offsets inside the interval.
+    Solves for the optimal mixing angle, then takes the distortion
+    2 p0 p1 (1 - cos delta), the average output entropy of the pair and its
+    type-1 weight lambda1 from their closed forms. The degenerate endpoints
+    keep their exact distortion and rate, (0, h2(p0)) and (d_max, 0); their
+    angle and lambda1 are limits solved at a small offset inside the
+    interval.
     """
     if not -1e-12 <= delta <= HALF_PI + 1e-12:
         raise DomainError(f"delta must lie in [0, pi/2], got {delta}")
     p0, p1 = src.p0, src.p1
-
     if delta <= ENDPOINT_CUTOFF:
-        alpha = solve_alpha(ZERO_LIMIT_OFFSET, src, tol)
-        lam1 = (
-            p0 * math.cos(alpha) ** 2
-            + p1 * math.cos(alpha + ZERO_LIMIT_OFFSET) ** 2
-        )
-        return CurvePoint(
-            delta=0.0,
-            alpha=alpha,
-            d=0.0,
-            R=binary_entropy(p0),
-            r=binary_entropy(lam1),
-            lambda1=lam1,
-        )
-    if delta >= HALF_PI - ENDPOINT_CUTOFF:
-        offset = HALF_PI - MAX_LIMIT_OFFSET
-        alpha = solve_alpha(offset, src, tol)
-        lam1 = p0 * math.cos(alpha) ** 2 + p1 * math.cos(alpha + offset) ** 2
-        return CurvePoint(
-            delta=HALF_PI,
-            alpha=alpha,
-            d=src.d_max,
-            R=0.0,
-            r=binary_entropy(lam1),
-            lambda1=lam1,
-        )
+        delta, solve_at = 0.0, ZERO_LIMIT_OFFSET
+    elif delta >= HALF_PI - ENDPOINT_CUTOFF:
+        delta, solve_at = HALF_PI, HALF_PI - MAX_LIMIT_OFFSET
+    else:
+        solve_at = delta
 
-    alpha = solve_alpha(delta, src, tol)
-    pair = KrausPair.from_angles(alpha, delta)
-    channel = pair.channel()
-    rho = src.density()
-    d = quantum.distortion(rho, channel)
-    d_closed = 2.0 * p0 * p1 * (1.0 - math.cos(delta))
-    if abs(d - d_closed) > 1e-10:
-        raise InternalNumericError(
-            f"pair distortion {d!r} violates 2 p0 p1 (1 - cos delta) = {d_closed!r}"
-        )
-    rate = quantum.average_entropy(channel, rho)
-    lam1 = float(np.trace(pair.a1 @ rho.mat @ pair.a1.conj().T).real)
+    alpha = solve_alpha(solve_at, src, tol)
+    lam1 = float(_pair_weights(alpha, solve_at, p0)[4])
+    if delta == 0.0:
+        d, rate = 0.0, binary_entropy(p0)
+    elif delta == HALF_PI:
+        d, rate = src.d_max, 0.0
+    else:
+        d = 2.0 * p0 * p1 * (1.0 - math.cos(delta))
+        rate = float(_average_entropy_arr(alpha, delta, p0))
     return CurvePoint(
         delta=delta, alpha=alpha, d=d, R=rate, r=binary_entropy(lam1), lambda1=lam1
     )

@@ -31,14 +31,12 @@ from scipy.interpolate import PchipInterpolator
 
 from . import quantum
 from .errors import DomainError
-from .linalg import haar_unitaries
 from .quantum import DensityMatrix, stinespring_kraus
 from .ratedistortion import (
     HALF_PI,
     SourceSpec,
     KrausPair,
     _h2_arr,
-    r1_curve_point,
     solve_alpha,
     sweep_curve,
 )
@@ -118,28 +116,22 @@ def _report(
 class RateCurveInterpolator:
     """Monotone cubic interpolant of R1(d) with a measured error bound.
 
-    The bound is the worst gap between the interpolant and directly computed
-    curve points at the midpoints of the construction grid. ``reference``
-    returns the interpolant lowered by that bound, which is what dominance
-    checks compare against. Beyond d_max the curve is identically zero.
+    One sweep at ``2 n_points - 1`` deltas supplies both: its even points are
+    the interpolation nodes, and the bound is the worst gap between the
+    interpolant and the odd points, the delta midpoints of the nodes.
+    ``reference`` returns the interpolant lowered by that bound, which is
+    what dominance checks compare against. Beyond d_max the curve is
+    identically zero.
     """
 
     def __init__(self, src: SourceSpec, n_points: int = 512, tol: float = 1e-12):
-        points = sweep_curve(src, n_points, tol)
+        points = sweep_curve(src, 2 * n_points - 1, tol)
         self.src = src
         self.d_max = src.d_max
         d = np.array([p.d for p in points])
         rate = np.array([p.R for p in points])
-        self._pchip = PchipInterpolator(d, rate, extrapolate=False)
-        mid_deltas = 0.5 * (
-            np.array([p.delta for p in points[:-1]])
-            + np.array([p.delta for p in points[1:]])
-        )
-        gaps = []
-        for delta in mid_deltas:
-            point = r1_curve_point(float(delta), src, tol)
-            gaps.append(abs(float(self._pchip(point.d)) - point.R))
-        self.error_bound = float(max(gaps))
+        self._pchip = PchipInterpolator(d[::2], rate[::2], extrapolate=False)
+        self.error_bound = float(np.max(np.abs(self._pchip(d[1::2]) - rate[1::2])))
 
     def __call__(self, d):
         d = np.clip(np.asarray(d, dtype=float), 0.0, self.d_max)
@@ -159,13 +151,13 @@ def check_lemma1(n_trials: int, dim: int, seed: int) -> VerificationReport:
     """Trace bound |tr(U D V L)| <= tr(D L) for ordered positive diagonals.
 
     D and L are random positive diagonal matrices with descending entries;
-    U, V are independent Haar unitaries.
+    U, V are independent Haar unitaries (one-element Stinespring draws).
     """
     if not 2 <= dim <= 8:
         raise DomainError(f"dim must lie in 2..8, got {dim}")
     rng = np.random.default_rng(seed)
-    u = haar_unitaries(rng, n_trials, dim)
-    v = haar_unitaries(rng, n_trials, dim)
+    u = stinespring_kraus(rng, n_trials, dim, 1)[:, 0]
+    v = stinespring_kraus(rng, n_trials, dim, 1)[:, 0]
     dvals = np.sort(rng.uniform(0.05, 2.0, (n_trials, dim)), axis=1)[:, ::-1]
     lvals = np.sort(rng.uniform(0.05, 2.0, (n_trials, dim)), axis=1)[:, ::-1]
     lhs = np.abs(np.einsum("nij,nj,nji,ni->n", u, dvals, v, lvals))
@@ -523,6 +515,14 @@ def check_theorem2_blocks(
     them into a trace-preserving set, and compares the per-qubit average
     output entropy against the interpolated curve at the per-qubit block
     distortion.
+
+    A k = 1 draw normalizes to the identity, which sits on the curve at
+    d = 0: its excess is minus the interpolation error bound. Other trials
+    have had larger margins in every run examined, so a run that draws a
+    k = 1 trial (all but (3/4)^n of n-trial runs) reports
+    ``worst_violation`` = -``interpolation_error_bound``, which says nothing
+    about its other draws; the violation count and the recorded failures
+    do.
     """
     interp = rate_curve_interpolator(src)
     rho1 = src.density()

@@ -242,7 +242,7 @@ def test_criterion_11_realization_consistency():
         for outcome in (0, 1):
             proj = np.zeros((2, 2), dtype=complex)
             proj[outcome, outcome] = 1.0
-            proj4 = linalg.kron(proj, np.eye(2, dtype=complex))
+            proj4 = np.kron(proj, np.eye(2, dtype=complex))
             reconstructed += linalg.partial_trace(proj4 @ joint @ proj4, {2})
         direct, _ = quantum.apply(circ.kraus_pair.channel(), src.density())
         worst_gap = max(worst_gap, float(np.max(np.abs(reconstructed - direct))))

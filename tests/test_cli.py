@@ -37,7 +37,8 @@ def test_curve_r1_biased_endpoint(capsys):
 
 
 def test_curve_classical_isotropic_rate_column(capsys):
-    code, out = _run(capsys, ["curve", "classical", "--p0", "0.5", "--points", "51"])
+    # the classical side-information rate is the r column of `curve r1`
+    code, out = _run(capsys, ["curve", "r1", "--p0", "0.5", "--points", "51"])
     assert code == 0
     _, rows = _csv_rows(out)
     assert all(abs(row["r"] - 1.0) <= 1e-9 for row in rows)

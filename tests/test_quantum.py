@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qubitrd import linalg, quantum
+from qubitrd import quantum
 from qubitrd.errors import (
     AnnihilationError,
     ContractViolationError,
@@ -154,7 +154,7 @@ def test_entropy_exchange_dephasing_on_mixed():
 
 def test_entropy_exchange_unitary_channel_is_zero():
     for seed in range(20):
-        u = linalg.random_unitary(2, seed)
+        u = quantum.stinespring_kraus(np.random.default_rng(seed), 1, 2, 1)[0, 0]
         ch = KrausChannel((u,), trace_preserving=True)
         rho = quantum.random_density(2, seed)
         assert quantum.entropy_exchange(rho, ch) <= 1e-10

@@ -218,13 +218,19 @@ def test_classical_hamming_baseline():
 
 
 def test_r1_matches_average_entropy_of_pair():
-    for delta in (0.3, 0.9, 1.4):
-        pt = rd.r1_curve_point(delta, SRC7)
-        pair = KrausPair.from_angles(pt.alpha, delta)
-        assert quantum.average_entropy(
-            pair.channel(), SRC7.density()
-        ) == pytest.approx(pt.R, abs=1e-12)
-        lam1 = float(
-            np.trace(pair.a1 @ SRC7.density().mat @ pair.a1.conj().T).real
-        )
-        assert pt.lambda1 == pytest.approx(lam1, abs=1e-12)
+    # The closed-form curve points against the channel functionals of the
+    # pair they describe, at every interior point of a sweep.
+    for p0 in (0.5, 0.7, 0.9, 0.99):
+        src = SourceSpec(p0)
+        rho = src.density()
+        for pt in rd.sweep_curve(src, 64)[1:-1]:
+            pair = KrausPair.from_angles(pt.alpha, pt.delta)
+            channel = pair.channel()
+            assert quantum.average_entropy(channel, rho) == pytest.approx(
+                pt.R, abs=1e-12
+            )
+            assert quantum.distortion(rho, channel) == pytest.approx(
+                pt.d, abs=1e-10
+            )
+            lam1 = float(np.trace(pair.a1 @ rho.mat @ pair.a1.conj().T).real)
+            assert pt.lambda1 == pytest.approx(lam1, abs=1e-12)

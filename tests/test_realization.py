@@ -62,7 +62,7 @@ def test_induced_channel_matches_pair():
         for outcome in (0, 1):
             proj = np.zeros((2, 2), dtype=complex)
             proj[outcome, outcome] = 1.0
-            proj4 = linalg.kron(proj, np.eye(2, dtype=complex))
+            proj4 = np.kron(proj, np.eye(2, dtype=complex))
             reduced = linalg.partial_trace(proj4 @ joint @ proj4, {2})
             reconstructed += reduced
         direct, _ = quantum.apply(circ.kraus_pair.channel(), src.density())

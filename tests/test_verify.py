@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from qubitrd import linalg, quantum, verify
 from qubitrd.errors import DomainError
@@ -14,6 +15,7 @@ from qubitrd.ratedistortion import (
     r1_curve_point,
     solve_alpha,
     stationarity_residual,
+    sweep_curve,
 )
 
 SRC5 = SourceSpec(0.5)
@@ -54,7 +56,7 @@ def test_lemma2_projector_case():
 
 
 def test_lemma2_unitary_case():
-    u = linalg.random_unitary(4, seed=5)
+    u = quantum.stinespring_kraus(np.random.default_rng(5), 1, 4, 1)[0, 0]
     assert abs(np.trace(u)) ** 2 <= 16 + 1e-9
 
 
@@ -67,7 +69,7 @@ def test_lemma2_suite(dim, k):
 def _theorem1_construction(a, src):
     rho = src.density().mat
     sqrt_rho = np.diag([math.sqrt(src.p0), math.sqrt(src.p1)])
-    _, svals, _ = linalg.singular_triplet(a @ sqrt_rho)
+    svals = np.linalg.svd(a @ sqrt_rho, compute_uv=False)
     return np.diag(svals) @ np.diag([1 / math.sqrt(src.p0), 1 / math.sqrt(src.p1)])
 
 
@@ -82,7 +84,7 @@ def test_theorem1_unitary_factor_removed():
     rng = np.random.default_rng(13)
     rho = SRC7.density()
     for _ in range(50):
-        u = linalg.haar_unitaries(rng, 1, 2)[0]
+        u = quantum.stinespring_kraus(rng, 1, 2, 1)[0, 0]
         pos = np.diag(rng.uniform(0.2, 2.0, 2)).astype(complex)
         a = u @ pos
         d = _theorem1_construction(a, SRC7)
@@ -232,6 +234,16 @@ def test_perturbation_growth_matches_mpmath_oracle(delta):
 def test_interpolator_membership_and_bounds():
     interp = verify.rate_curve_interpolator(SRC7)
     assert interp.error_bound < 1e-5
+    # reference: 512 swept nodes checked at 511 separately solved delta
+    # midpoints
+    nodes = sweep_curve(SRC7, 512)
+    pchip = PchipInterpolator([p.d for p in nodes], [p.R for p in nodes])
+    mids = [
+        r1_curve_point(0.5 * (a.delta + b.delta), SRC7)
+        for a, b in zip(nodes, nodes[1:])
+    ]
+    bound = max(abs(float(pchip(pt.d)) - pt.R) for pt in mids)
+    assert interp.error_bound == pytest.approx(bound, abs=1e-15)
     for delta in (0.3, 0.7, 1.1):
         pt = r1_curve_point(delta, SRC7)
         assert abs(float(interp(pt.d)) - pt.R) <= interp.error_bound + 1e-12
@@ -255,7 +267,7 @@ def test_search_unitary_channel_above_curve():
     interp = verify.rate_curve_interpolator(SRC7)
     rho = SRC7.density()
     for seed in range(20):
-        u = linalg.random_unitary(2, seed)
+        u = quantum.stinespring_kraus(np.random.default_rng(seed), 1, 2, 1)[0, 0]
         ch = KrausChannel((u, np.zeros((2, 2), dtype=complex)))
         d = 1 - abs(np.trace(u @ rho.mat)) ** 2
         sbar = quantum.von_neumann_entropy(u @ rho.mat @ u.conj().T)
