@@ -46,10 +46,8 @@ class RunConfig:
     ``p0`` is validated where it is used, by ``SourceSpec``.
     """
 
-    command: str
     p0: float
     points: int
-    tol: float
     seed: int
     trials: int
     samples: int
@@ -59,8 +57,6 @@ class RunConfig:
     def __post_init__(self):
         if self.points < 2:
             raise DomainError(f"--points must be at least 2, got {self.points}")
-        if not 0.0 < self.tol <= 1e-3:
-            raise DomainError(f"--tol must lie in (0, 1e-3], got {self.tol}")
         if self.trials < 1:
             raise DomainError(f"--trials must be at least 1, got {self.trials}")
         if self.samples < 1:
@@ -100,7 +96,7 @@ def run_curve(cfg: RunConfig, which: str) -> int:
             rows.append([float(theta), d, entropy])
     else:
         header = ["delta", "alpha", "d", "R", "r", "lambda1"]
-        points = sweep_curve(src, cfg.points, cfg.tol)
+        points = sweep_curve(src, cfg.points)
         rows = [[p.delta, p.alpha, p.d, p.R, p.r, p.lambda1] for p in points]
     text = _csv(header, rows) if cfg.format == "csv" else _json_rows(header, rows)
     _emit(cfg, text)
@@ -122,7 +118,7 @@ def run_simulate(cfg: RunConfig, delta: float) -> int:
     if not 0.0 < delta < math.pi / 2:
         raise DomainError(f"--delta must lie in (0, pi/2), got {delta}")
     src = SourceSpec(cfg.p0)
-    circuit = realization.build_circuit(delta, src, cfg.tol)
+    circuit = realization.build_circuit(delta, src)
     stream = realization.simulate_stream(circuit, src, cfg.samples, cfg.seed)
     lambda1, _, _ = realization.measure_ancilla(circuit, src)
     record = {
@@ -146,7 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--p0", type=float, default=0.5, help="source bias in [0.5, 1)")
     common.add_argument("--points", type=int, default=101, help="grid points per sweep")
-    common.add_argument("--tol", type=float, default=1e-12, help="solver tolerance")
     common.add_argument("--seed", type=int, default=0, help="random seed")
     common.add_argument("--trials", type=int, default=1000, help="trials per suite")
     common.add_argument("--samples", type=int, default=100000, help="stream samples")
@@ -171,10 +166,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = RunConfig(
-            command=args.command,
             p0=args.p0,
             points=args.points,
-            tol=args.tol,
             seed=args.seed,
             trials=args.trials,
             samples=args.samples,

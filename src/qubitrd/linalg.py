@@ -43,16 +43,6 @@ def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ma @ mb
 
 
-def adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
-
-
-def trace(a: np.ndarray) -> complex:
-    """Sum of diagonal entries."""
-    return complex(np.trace(as_matrix(a)))
-
-
 def _qubit_count(dim: int) -> int:
     n = dim.bit_length() - 1
     if 2**n != dim:

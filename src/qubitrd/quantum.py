@@ -112,7 +112,6 @@ class ChoiMatrix:
     """Single-qubit map T stored blockwise: block (i, j) holds T(|i><j|)."""
 
     mat: np.ndarray
-    normalization: str = "basis-blocks"
 
     def __post_init__(self):
         m = linalg.as_matrix(self.mat)
@@ -160,11 +159,12 @@ def eigenvalue_entropy(eigs) -> np.ndarray:
 
     Entries at or below ``EIGENVALUE_FLOOR`` are eigensolver dust and count
     as 0, so 0·log 0 is 0. Any leading axes are kept: a stack of spectra
-    gives a stack of entropies, one spectrum a 0-d array.
+    gives a stack of entropies, one spectrum a 0-d array. A pure spectrum
+    gives +0.0, not -0.0.
     """
     eigs = np.asarray(eigs, dtype=float)
     eigs = np.where(eigs > EIGENVALUE_FLOOR, eigs, 1.0)  # 1 log 1 = 0
-    return -np.sum(eigs * np.log2(eigs), axis=-1)
+    return 0.0 - np.sum(eigs * np.log2(eigs), axis=-1)
 
 
 def _entropy_of_psd(mat: np.ndarray) -> float:

@@ -50,6 +50,8 @@ ZERO_LIMIT_OFFSET = 1e-3
 MAX_LIMIT_OFFSET = 1e-6
 ALPHA_GRID_SIZE = 512
 MAX_BISECTED_BRACKETS = 8
+# Width to which each bracket of the mixing angle is bisected.
+BISECTION_WIDTH = 1e-12
 PAIR_COMPLETENESS_TOL = 1e-12
 
 
@@ -192,19 +194,18 @@ def stationarity_residual(alpha: float, delta: float, src: SourceSpec) -> float:
     return float(_residual_arr(alpha, delta, src.p0))
 
 
-def solve_alpha(delta: float, src: SourceSpec, tol: float = 1e-12) -> float:
+def solve_alpha(delta: float, src: SourceSpec) -> float:
     """Mixing angle minimizing the average output entropy at fixed delta.
 
     Scans a 512-point grid of the feasible interval for sign changes of the
-    stationarity residual, refines each bracket by bisection to width
-    ``tol``, and returns the root with the smallest average entropy. When
-    noise produces many brackets (the landscape flattens as delta -> 0),
-    only the most promising few are refined.
+    stationarity residual, refines each bracket by bisection to the fixed
+    width ``BISECTION_WIDTH`` (1e-12), and returns the root with the
+    smallest average entropy. When noise produces many brackets (the
+    landscape flattens as delta -> 0), only the most promising few are
+    refined.
     """
     if not 0.0 < delta < HALF_PI:
         raise DomainError(f"delta must lie in (0, pi/2), got {delta}")
-    if tol < 1e-12:
-        raise DomainError(f"tol must be at least 1e-12, got {tol}")
     p0 = src.p0
     hi = HALF_PI - delta
     inset = hi * 1e-6
@@ -221,7 +222,7 @@ def solve_alpha(delta: float, src: SourceSpec, tol: float = 1e-12) -> float:
     for i in brackets:
         lo_a, hi_a = float(grid[i]), float(grid[i + 1])
         f_lo = float(values[i])
-        while hi_a - lo_a > tol:
+        while hi_a - lo_a > BISECTION_WIDTH:
             mid = 0.5 * (lo_a + hi_a)
             f_mid = float(_residual_arr(mid, delta, p0))
             if f_mid == 0.0:
@@ -248,10 +249,11 @@ def solve_alpha(delta: float, src: SourceSpec, tol: float = 1e-12) -> float:
     return min(zip(entropies, roots))[1]
 
 
-def r1_curve_point(delta: float, src: SourceSpec, tol: float = 1e-12) -> CurvePoint:
+def r1_curve_point(delta: float, src: SourceSpec) -> CurvePoint:
     """Rate-distortion sample at one delta, in closed form.
 
-    Solves for the optimal mixing angle, then takes the distortion
+    Solves for the optimal mixing angle (``solve_alpha``, bisected to a
+    fixed width of 1e-12), then takes the distortion
     2 p0 p1 (1 - cos delta), the average output entropy of the pair and its
     type-1 weight lambda1 from their closed forms. The degenerate endpoints
     keep their exact distortion and rate, (0, h2(p0)) and (d_max, 0); their
@@ -268,7 +270,7 @@ def r1_curve_point(delta: float, src: SourceSpec, tol: float = 1e-12) -> CurvePo
     else:
         solve_at = delta
 
-    alpha = solve_alpha(solve_at, src, tol)
+    alpha = solve_alpha(solve_at, src)
     lam1 = float(_pair_weights(alpha, solve_at, p0)[4])
     if delta == 0.0:
         d, rate = 0.0, binary_entropy(p0)
@@ -282,9 +284,7 @@ def r1_curve_point(delta: float, src: SourceSpec, tol: float = 1e-12) -> CurvePo
     )
 
 
-def sweep_curve(
-    src: SourceSpec, n_points: int, tol: float = 1e-12
-) -> list[CurvePoint]:
+def sweep_curve(src: SourceSpec, n_points: int) -> list[CurvePoint]:
     """Rate-distortion curve on a uniform delta grid, endpoints included.
 
     Points come back ordered by ascending distortion; the rate is
@@ -294,7 +294,7 @@ def sweep_curve(
         raise DomainError(f"n_points must be at least 2, got {n_points}")
     deltas = np.linspace(0.0, HALF_PI, n_points)
     deltas[1:-1] = np.clip(deltas[1:-1], DELTA_EPS, HALF_PI - DELTA_EPS)
-    return [r1_curve_point(float(d), src, tol) for d in deltas]
+    return [r1_curve_point(float(d), src) for d in deltas]
 
 
 def classical_hamming_baseline(src: SourceSpec, d: float) -> float:

@@ -26,6 +26,9 @@ from .ratedistortion import HALF_PI, KrausPair, SourceSpec, solve_alpha
 from .records import record_to_text
 
 OUTCOME_FLOOR = 1e-14
+# Outcomes are drawn and counted in chunks of this many samples, so the
+# memory a stream takes does not grow with its length.
+SAMPLE_CHUNK = 2**20
 
 
 @dataclass(frozen=True)
@@ -68,7 +71,7 @@ class StreamResult:
         return record_to_text(list(self.to_dict().items()))
 
 
-def build_circuit(delta: float, src: SourceSpec, tol: float = 1e-12) -> RealizationCircuit:
+def build_circuit(delta: float, src: SourceSpec) -> RealizationCircuit:
     """Assemble the entangling unitary at the solved mixing angle.
 
     The unitary rotates within the two even/odd parity planes by alpha and
@@ -77,7 +80,7 @@ def build_circuit(delta: float, src: SourceSpec, tol: float = 1e-12) -> Realizat
     """
     if not 0.0 < delta < HALF_PI:
         raise DomainError(f"delta must lie in (0, pi/2), got {delta}")
-    alpha = solve_alpha(delta, src, tol)
+    alpha = solve_alpha(delta, src)
     c1, c2 = math.cos(alpha), math.cos(alpha + delta)
     s1, s2 = math.sin(alpha), math.sin(alpha + delta)
     unitary = np.array(
@@ -142,12 +145,17 @@ def simulate_stream(
     Outcomes are i.i.d. draws with the analytic type-1 probability, produced
     by a counter-based generator keyed on the seed, so the i-th sample is a
     pure function of (seed, i) and results are bit-identical across runs.
+    They are counted ``SAMPLE_CHUNK`` at a time; chunked draws from the
+    generator are the same numbers as one draw of all samples.
     """
     if n_samples < 1:
         raise DomainError(f"n_samples must be at least 1, got {n_samples}")
     p_type1, _, _ = measure_ancilla(circ, src)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    type1_count = int(np.count_nonzero(rng.random(n_samples) < p_type1))
+    type1_count = 0
+    for start in range(0, n_samples, SAMPLE_CHUNK):
+        draws = rng.random(min(SAMPLE_CHUNK, n_samples - start))
+        type1_count += int(np.count_nonzero(draws < p_type1))
     empirical = type1_count / n_samples
     rho = src.density()
     quantum_rate = quantum.average_entropy(circ.kraus_pair.channel(), rho)

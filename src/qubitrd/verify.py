@@ -15,8 +15,8 @@ would, into zero-padded (chunk, 4, 2^n, 2^n) stacks of ``BLOCK_CHUNK``
 trials, then take the rates (``quantum.average_entropies``), the per-qubit
 block distortions (``quantum.block_distortions``, which also checks that
 every set is trace preserving) and the reference curve over each stack.
-The perturbation suite evaluates all of its pairs as one stack the same
-way.
+The perturbation and search suites evaluate all of their Kraus sets as one
+stack the same way.
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ MAX_RECORDED_FAILURES = 20
 # chunk of 3-qubit trials then holds 256 x 4 x 8 x 8 complex entries (1 MB).
 MAX_KRAUS = 4
 BLOCK_CHUNK = 256
+# Interpolation nodes of the dominance reference curve.
+INTERPOLATION_NODES = 512
 
 
 @dataclass(frozen=True)
@@ -116,16 +118,16 @@ def _report(
 class RateCurveInterpolator:
     """Monotone cubic interpolant of R1(d) with a measured error bound.
 
-    One sweep at ``2 n_points - 1`` deltas supplies both: its even points are
-    the interpolation nodes, and the bound is the worst gap between the
-    interpolant and the odd points, the delta midpoints of the nodes.
-    ``reference`` returns the interpolant lowered by that bound, which is
-    what dominance checks compare against. Beyond d_max the curve is
+    One sweep at ``2 INTERPOLATION_NODES - 1`` deltas supplies both: its even
+    points are the interpolation nodes, and the bound is the worst gap
+    between the interpolant and the odd points, the delta midpoints of the
+    nodes. ``reference`` returns the interpolant lowered by that bound, which
+    is what dominance checks compare against. Beyond d_max the curve is
     identically zero.
     """
 
-    def __init__(self, src: SourceSpec, n_points: int = 512, tol: float = 1e-12):
-        points = sweep_curve(src, 2 * n_points - 1, tol)
+    def __init__(self, src: SourceSpec):
+        points = sweep_curve(src, 2 * INTERPOLATION_NODES - 1)
         self.src = src
         self.d_max = src.d_max
         d = np.array([p.d for p in points])
@@ -143,8 +145,8 @@ class RateCurveInterpolator:
 
 
 @functools.lru_cache(maxsize=8)
-def rate_curve_interpolator(src: SourceSpec, n_points: int = 512) -> RateCurveInterpolator:
-    return RateCurveInterpolator(src, n_points)
+def rate_curve_interpolator(src: SourceSpec) -> RateCurveInterpolator:
+    return RateCurveInterpolator(src)
 
 
 def check_lemma1(n_trials: int, dim: int, seed: int) -> VerificationReport:
@@ -458,32 +460,26 @@ def random_channel_search(
 ) -> VerificationReport:
     """Random two-element channels never beat the swept rate curve.
 
-    Samples trace-preserving k=2 single-qubit channels, computes each
-    channel's distortion and average output entropy, and checks the entropy
-    against the interpolated curve lowered by its error bound. The worst
-    undershoot is reported.
+    Samples trace-preserving k=2 single-qubit channels and scores the whole
+    stack with the shared kernels: ``quantum.block_distortions`` (n = 1,
+    which also checks that every set is trace preserving) for the
+    distortion and ``quantum.average_entropies`` for the average output
+    entropy. The entropy is checked against the interpolated curve lowered
+    by its error bound, and the worst undershoot is reported.
     """
     interp = rate_curve_interpolator(src)
-    p0, p1 = src.p0, src.p1
-    probs = np.array([p0, p1])
+    rho = src.density()
     rng = np.random.default_rng(seed)
     kraus = stinespring_kraus(rng, n_trials, 2, 2)
-
-    tr_elements = p0 * kraus[..., 0, 0] + p1 * kraus[..., 1, 1]
-    d = 1.0 - np.sum(np.abs(tr_elements) ** 2, axis=1)
-    cond = (kraus * probs[np.newaxis, np.newaxis, np.newaxis, :]) @ kraus.conj(
-    ).transpose(0, 1, 3, 2)
-    lam = np.einsum("nkii->nk", cond).real
-    eigs = np.linalg.eigvalsh(cond)
-    q = np.clip(eigs[..., 1] / np.maximum(lam, 1e-300), 0.0, 1.0)
-    sbar = np.sum(lam * _h2_arr(q), axis=1)
+    sbar = quantum.average_entropies(kraus, rho)
+    d = quantum.block_distortions(kraus, rho)
 
     excess = np.asarray(interp.reference(d)) - sbar
     failures = [
         {"trial": int(i), "d": float(d[i]), "sbar": float(sbar[i])}
         for i in np.flatnonzero(excess > CURVE_TOL)
     ]
-    params = {"p0": p0, "interpolation_error_bound": interp.error_bound}
+    params = {"p0": src.p0, "interpolation_error_bound": interp.error_bound}
     return _report("search", seed, params, CURVE_TOL, excess, failures)
 
 

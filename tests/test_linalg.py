@@ -39,28 +39,6 @@ def test_multiply_dimension_mismatch():
         linalg.multiply(I2, np.eye(3))
 
 
-def test_adjoint_hermitian_fixed_point():
-    h = np.array([[1.0, 2 + 1j], [2 - 1j, -3.0]])
-    assert np.allclose(linalg.adjoint(h), h)
-
-
-def test_adjoint_transposes_and_conjugates():
-    assert np.allclose(
-        linalg.adjoint(np.array([[0, 1], [0, 0]], dtype=complex)),
-        np.array([[0, 0], [1, 0]]),
-    )
-    assert np.allclose(
-        linalg.adjoint(np.array([[0, 1j], [0, 0]])),
-        np.array([[0, 0], [-1j, 0]]),
-    )
-
-
-def test_trace_values():
-    assert linalg.trace(I2) == 2
-    assert linalg.trace(np.diag([0.6, 0.4])) == pytest.approx(1.0, abs=1e-15)
-    assert linalg.trace(np.array([[1, 5], [7, -1]], dtype=complex)) == 0
-
-
 def _partial_trace_oracle(mat, keep, n):
     """Direct index summation over the dropped qubits."""
     keep0 = sorted(k - 1 for k in keep)
@@ -230,15 +208,6 @@ def test_multiply_associative(seed):
     left = linalg.multiply(linalg.multiply(a, b), c)
     right = linalg.multiply(a, linalg.multiply(b, c))
     assert np.max(np.abs(left - right)) <= 1e-12
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_trace_cyclicity(seed):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    assert abs(linalg.trace(a @ b) - linalg.trace(b @ a)) <= 1e-12
 
 
 def test_kron_then_partial_trace_roundtrip():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -366,7 +368,7 @@ def _padded_random_stack(rng, dim, ks):
 
 
 @pytest.mark.parametrize("rho", [RHO_73, MIXED], ids=["diag-0.7-0.3", "mixed"])
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_block_distortions_match_marginal_loop(n, rho):
     # the stacked kernel against the reference route, one channel and one
     # qubit at a time: marginal_channel, then choi_entanglement_fidelity
@@ -413,6 +415,7 @@ def test_eigenvalue_entropy_clamps_dust_on_stacks():
     assert got.shape == (4,)
     assert got[0] == 1.0
     assert got[1] == 0.0 and got[2] == 0.0
+    assert math.copysign(1.0, got[1]) == 1.0
     assert got[3] == pytest.approx(H2_03, abs=1e-15)
     assert float(quantum.eigenvalue_entropy([0.25] * 4)) == 2.0
 

@@ -119,13 +119,6 @@ def test_solve_alpha_continuous_and_monotone():
     assert np.all(np.diff(alphas[peak:]) < 1e-9)
 
 
-def test_solve_alpha_tolerance_consistency():
-    for delta in (0.3, 0.9):
-        coarse = rd.solve_alpha(delta, SRC7, tol=1e-8)
-        fine = rd.solve_alpha(delta, SRC7, tol=1e-12)
-        assert abs(coarse - fine) <= 1e-7
-
-
 def test_solve_alpha_minimizes_average_entropy():
     rng = np.random.default_rng(19)
     rho5, rho7 = SRC5.density(), SRC7.density()

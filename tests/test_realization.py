@@ -110,6 +110,14 @@ def test_simulate_stream_deterministic():
     assert a == b
 
 
+def test_simulate_stream_chunks_keep_the_counts(monkeypatch):
+    # chunked draws from the generator are the numbers of one whole draw
+    circ = realization.build_circuit(0.8, SRC7)
+    whole = realization.simulate_stream(circ, SRC7, 100003, seed=3)
+    monkeypatch.setattr(realization, "SAMPLE_CHUNK", 4097)
+    assert realization.simulate_stream(circ, SRC7, 100003, seed=3) == whole
+
+
 def test_simulate_stream_concentration():
     circ = realization.build_circuit(0.8, SRC5)
     result = realization.simulate_stream(circ, SRC5, 10**6, seed=1)
