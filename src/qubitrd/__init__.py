@@ -9,7 +9,6 @@ optimal operation pair.
 
 from .errors import (
     AnnihilationError,
-    CapacityError,
     ContractViolationError,
     DimensionMismatchError,
     DomainError,
@@ -26,7 +25,6 @@ from .quantum import (
     apply,
     average_entropies,
     average_entropy,
-    average_pure_state_fidelity,
     binary_entropy,
     block_distortion,
     block_distortions,

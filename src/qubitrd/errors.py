@@ -9,10 +9,6 @@ class DimensionMismatchError(ToolkitError, ValueError):
     """Operands have incompatible dimensions."""
 
 
-class CapacityError(ToolkitError, ValueError):
-    """Requested dimension exceeds the supported maximum."""
-
-
 class ShapeError(ToolkitError, ValueError):
     """Array does not have the required shape (square, power-of-two, ...)."""
 

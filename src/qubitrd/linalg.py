@@ -1,8 +1,8 @@
-"""Dense complex linear algebra for matrices of dimension at most 16.
+"""Matrix checks and the qubit partial trace that ``quantum`` builds on.
 
-All functions operate on plain numpy arrays of shape ``(dim, dim)`` with
-complex entries, never modify their inputs, and are safe to call from
-concurrent workers.
+``as_matrix`` coerces input to a square complex matrix of dimension 1..16,
+``is_hermitian`` tests hermiticity, and ``partial_trace`` traces out qubits
+of an n-qubit operator. None of them modifies its input.
 """
 
 from __future__ import annotations
@@ -11,13 +11,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import (
-    CapacityError,
-    ContractViolationError,
-    DimensionMismatchError,
-    DomainError,
-    ShapeError,
-)
+from .errors import DomainError, ShapeError
 
 MAX_DIM = 16
 HERMITIAN_TOL = 1e-10
@@ -29,18 +23,8 @@ def as_matrix(a: np.ndarray) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {m.shape}")
     if not 1 <= m.shape[0] <= MAX_DIM:
-        raise CapacityError(f"dimension {m.shape[0]} outside 1..{MAX_DIM}")
+        raise ShapeError(f"dimension {m.shape[0]} outside 1..{MAX_DIM}")
     return m
-
-
-def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product ``a @ b``."""
-    ma, mb = as_matrix(a), as_matrix(b)
-    if ma.shape[0] != mb.shape[0]:
-        raise DimensionMismatchError(
-            f"incompatible operands: {ma.shape[0]} vs {mb.shape[0]}"
-        )
-    return ma @ mb
 
 
 def _qubit_count(dim: int) -> int:
@@ -77,22 +61,3 @@ def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     """True when ``max|a - a†| <= tol``."""
     m = as_matrix(a)
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
-
-
-def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, in descending order."""
-    m = as_matrix(a)
-    if not is_hermitian(m):
-        raise ContractViolationError("matrix is not Hermitian within 1e-10")
-    return np.linalg.eigvalsh(m)[::-1].copy()
-
-
-def polar_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factor ``a = U P`` with U unitary and P = sqrt(a† a) positive semidefinite.
-
-    Rank-deficient input is allowed; the unitary factor is then completed
-    arbitrarily (but unitarily) on the kernel of P.
-    """
-    m = as_matrix(a)
-    u, s, vh = np.linalg.svd(m)
-    return u @ vh, (vh.conj().T * s) @ vh

@@ -283,33 +283,6 @@ def average_entropies(kraus, state) -> np.ndarray:
     return np.sum(np.where(live, lam * eigenvalue_entropy(eigs), 0.0), axis=1)
 
 
-def average_pure_state_fidelity(ensemble, ch: KrausChannel) -> float:
-    """Ensemble-average fidelity sum_i p_i <psi_i| E(|psi_i><psi_i|) |psi_i>."""
-    if not ch.trace_preserving:
-        raise ContractViolationError(
-            "average_pure_state_fidelity needs a trace-preserving channel"
-        )
-    if len(ensemble) == 0:
-        raise ContractViolationError("ensemble must not be empty")
-    kets, probs = [], []
-    for state, prob in ensemble:
-        ket = np.asarray(state, dtype=complex).reshape(-1)
-        if ket.shape[0] != ch.dim:
-            raise DimensionMismatchError("ensemble state dimension mismatch")
-        norm = np.linalg.norm(ket)
-        if abs(norm - 1.0) > 1e-10:
-            raise ContractViolationError("ensemble states must be normalized kets")
-        kets.append(ket)
-        probs.append(float(prob))
-    if abs(sum(probs) - 1.0) > 1e-10:
-        raise ContractViolationError("ensemble probabilities must sum to 1")
-    total = 0.0
-    for ket, prob in zip(kets, probs):
-        out = _apply_raw(ch, np.outer(ket, ket.conj()))
-        total += prob * float(np.real(ket.conj() @ out @ ket))
-    return total
-
-
 def marginal_channel(ch: KrausChannel, rho: DensityMatrix, alpha: int) -> ChoiMatrix:
     """Marginal map seen by qubit ``alpha`` (1-based) of an n-qubit operation.
 

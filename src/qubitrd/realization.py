@@ -150,6 +150,8 @@ def simulate_stream(
     """
     if n_samples < 1:
         raise DomainError(f"n_samples must be at least 1, got {n_samples}")
+    if not 0 <= seed < 2**128:
+        raise DomainError(f"seed must lie in [0, 2**128), got {seed}")
     p_type1, _, _ = measure_ancilla(circ, src)
     rng = np.random.Generator(np.random.Philox(key=seed))
     type1_count = 0

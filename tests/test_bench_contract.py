@@ -1,0 +1,36 @@
+"""The names the benchmark in ``perfbench/`` reads from qubitrd still exist.
+
+The benchmark runs on an unchanged copy of its own code, so a change that
+deletes or renames a name it calls breaks the benchmark run. These tests
+import the benchmark's workloads and span tracer and exercise the package
+through them, so such a change fails here first.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+import qubitrd
+import qubitrd.cli  # noqa: F401  (the tracer wraps cli.main)
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+import spans  # noqa: E402
+import workloads  # noqa: E402
+
+
+@pytest.mark.parametrize("name", ["curve", "point", "verify"])
+def test_workload_warm_up_runs(name):
+    workloads.WORKLOADS[name](1).warm_up(qubitrd)
+
+
+def test_span_tracer_installs_and_undoes():
+    original = qubitrd.ratedistortion.solve_alpha
+    undo = spans.install(spans.Recorder(), qubitrd)
+    try:
+        assert qubitrd.ratedistortion.solve_alpha is not original
+    finally:
+        undo()
+    assert qubitrd.ratedistortion.solve_alpha is original

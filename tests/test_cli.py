@@ -57,7 +57,7 @@ def test_curve_s1_schema(capsys):
 def test_curve_output_deterministic(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
-    argv = ["curve", "r1", "--p0", "0.6", "--points", "31", "--seed", "5"]
+    argv = ["curve", "r1", "--p0", "0.6", "--points", "31"]
     assert cli.main(argv + ["--out", str(out1)]) == 0
     assert cli.main(argv + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
@@ -84,22 +84,43 @@ def test_curve_json_mirrors_csv(capsys):
 @pytest.mark.parametrize(
     "flags",
     [
-        ["--p0", "0.3"],
-        ["--p0", "1.0"],
-        ["--points", "1"],
-        ["--tol", "0.01"],
-        ["--trials", "0"],
+        ["curve", "r1", "--p0", "0.3"],
+        ["curve", "r1", "--p0", "1.0"],
+        ["curve", "r1", "--points", "1"],
+        ["curve", "r1", "--tol", "0.01"],
+        ["verify", "lemma1", "--trials", "0"],
+        ["verify", "search", "--seed", "-1", "--trials", "5"],
+        ["simulate", "--delta", "0.8", "--seed", "-1"],
+        ["simulate", "--delta", "0.8", "--seed", str(2**128)],
     ],
 )
 def test_config_validation(capsys, flags):
-    if flags[0] == "--tol":
+    if "--tol" in flags:
         # the solver bisects to a fixed width, so argparse rejects the flag
         with pytest.raises(SystemExit) as exc:
-            cli.main(["curve", "r1", *flags])
+            cli.main(flags)
         assert exc.value.code == 2
     else:
-        code, _ = _run(capsys, ["curve", "r1", *flags])
+        code, _ = _run(capsys, flags)
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curve", "r1", "--seed", "9"],
+        ["curve", "s1", "--trials", "5"],
+        ["curve", "r1", "--samples", "2"],
+        ["verify", "search", "--points", "7"],
+        ["verify", "lemma1", "--samples", "3"],
+        ["simulate", "--delta", "0.8", "--points", "7"],
+        ["simulate", "--delta", "0.8", "--trials", "5"],
+    ],
+)
+def test_subcommand_rejects_flags_it_does_not_read(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
 
 
 def test_verify_lemma1(capsys, tmp_path):

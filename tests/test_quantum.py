@@ -16,7 +16,6 @@ from qubitrd.quantum import ChoiMatrix, DensityMatrix, KrausChannel
 I2 = np.eye(2, dtype=complex)
 P0 = np.diag([1.0, 0.0]).astype(complex)
 P1 = np.diag([0.0, 1.0]).astype(complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 RHO_73 = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
 MIXED = DensityMatrix(I2 / 2)
@@ -231,25 +230,6 @@ def test_average_entropy_isotropic_pair():
 def test_average_entropy_requires_trace_preserving():
     with pytest.raises(ContractViolationError):
         quantum.average_entropy(KrausChannel((P0,)), RHO_73)
-
-
-def test_average_pure_state_fidelity():
-    ensemble = [(np.array([1, 0]), 0.7), (np.array([0, 1]), 0.3)]
-    assert quantum.average_pure_state_fidelity(ensemble, IDENTITY) == 1.0
-    assert quantum.average_pure_state_fidelity(ensemble, DEPHASING) == pytest.approx(
-        1.0, abs=1e-12
-    )
-    flip = KrausChannel((PAULI_X,), trace_preserving=True)
-    assert quantum.average_pure_state_fidelity(ensemble, flip) == pytest.approx(
-        0.0, abs=1e-12
-    )
-
-
-def test_average_pure_state_fidelity_rejects_bad_ensemble():
-    with pytest.raises(ContractViolationError):
-        quantum.average_pure_state_fidelity(
-            [(np.array([1, 0]), 0.6), (np.array([0, 1]), 0.3)], IDENTITY
-        )
 
 
 def _choi_from_kraus(ch):
