@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import (
     ContractViolationError,
@@ -53,6 +52,7 @@ MAX_BISECTED_BRACKETS = 8
 # Width to which each bracket of the mixing angle is bisected.
 BISECTION_WIDTH = 1e-12
 PAIR_COMPLETENESS_TOL = 1e-12
+_TINY = 5e-324  # smallest positive (subnormal) double
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,10 @@ class SourceSpec:
     def d_max(self) -> float:
         """Distortion at which the rate first reaches zero."""
         return 2.0 * self.p0 * self.p1
+
+    def distortion(self, delta: float) -> float:
+        """Distortion 2 p0 p1 (1 - cos delta) of a pair with angle gap delta."""
+        return self.d_max * (1.0 - math.cos(delta))
 
     def density(self) -> DensityMatrix:
         return DensityMatrix(np.diag([self.p0, self.p1]).astype(complex))
@@ -129,9 +133,16 @@ class KrausPair:
 
 
 def _h2_arr(p):
-    """Vectorized binary entropy, exact at the endpoints."""
+    """Vectorized binary entropy, exact at the endpoints.
+
+    The logarithms take their argument floored at the smallest positive
+    double, which leaves every positive p as it is and makes 0 ln 0 = 0
+    without a warning.
+    """
     p = np.asarray(p, dtype=float)
-    return -(xlogy(p, p) + xlogy(1.0 - p, 1.0 - p)) / math.log(2.0)
+    q = 1.0 - p
+    nats = p * np.log(np.maximum(p, _TINY)) + q * np.log(np.maximum(q, _TINY))
+    return nats / -math.log(2.0)
 
 
 def _pair_weights(alpha, delta, p0):
@@ -262,7 +273,7 @@ def r1_curve_point(delta: float, src: SourceSpec) -> CurvePoint:
     """
     if not -1e-12 <= delta <= HALF_PI + 1e-12:
         raise DomainError(f"delta must lie in [0, pi/2], got {delta}")
-    p0, p1 = src.p0, src.p1
+    p0 = src.p0
     if delta <= ENDPOINT_CUTOFF:
         delta, solve_at = 0.0, ZERO_LIMIT_OFFSET
     elif delta >= HALF_PI - ENDPOINT_CUTOFF:
@@ -277,7 +288,7 @@ def r1_curve_point(delta: float, src: SourceSpec) -> CurvePoint:
     elif delta == HALF_PI:
         d, rate = src.d_max, 0.0
     else:
-        d = 2.0 * p0 * p1 * (1.0 - math.cos(delta))
+        d = src.distortion(delta)
         rate = float(_average_entropy_arr(alpha, delta, p0))
     return CurvePoint(
         delta=delta, alpha=alpha, d=d, R=rate, r=binary_entropy(lam1), lambda1=lam1

@@ -167,5 +167,5 @@ def simulate_stream(
         empirical_lambda1=empirical,
         empirical_classical_rate=quantum.binary_entropy(empirical),
         quantum_rate=quantum_rate,
-        analytic_distortion=2.0 * src.p0 * src.p1 * (1.0 - math.cos(circ.delta)),
+        analytic_distortion=src.distortion(circ.delta),
     )

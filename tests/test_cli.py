@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qubitrd
 from qubitrd import cli, verify
 
 
@@ -235,3 +240,19 @@ def test_csv_floats_round_trip(capsys):
         assert row["R"] == pt.R
         assert row["d"] == pt.d
         assert row["lambda1"] == pt.lambda1
+
+
+def test_import_loads_no_scipy():
+    # every CLI run pays the import; the package needs numpy alone
+    src = str(Path(qubitrd.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, qubitrd; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -19,6 +19,13 @@ H2_03 = 0.8812908992306926182
 H2_01 = 0.4689955935892812213
 
 
+def test_h2_arr_exact_at_endpoints():
+    # 0 ln 0 = 0 exactly, and without a warning (pytest makes it an error)
+    values = rd._h2_arr(np.array([0.0, 1.0, 0.5, 0.3, 0.1]))
+    assert values[0] == 0.0 and values[1] == 0.0 and values[2] == 1.0
+    assert values[3:] == pytest.approx([H2_03, H2_01], abs=1e-15)
+
+
 def test_source_spec_validation():
     with pytest.raises(DomainError):
         SourceSpec(0.4)

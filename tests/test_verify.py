@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline
 
 from qubitrd import linalg, quantum, verify
 from qubitrd.errors import DomainError
@@ -231,18 +231,36 @@ def test_perturbation_growth_matches_mpmath_oracle(delta):
             assert abs(g["growth"] - exact) <= 1e-6 * abs(exact)
 
 
+def _rate_slope(pt, src):
+    """dR/d delta at a curve point, written out from the pair's entropy.
+
+    At the solved angle the slope is the partial derivative of the average
+    output entropy in delta, p1 sin 2b log2(cos^2 b lam2 / (sin^2 b lam1))
+    with b = alpha + delta.
+    """
+    a, b = pt.alpha, pt.alpha + pt.delta
+    lam1 = src.p0 * math.cos(a) ** 2 + src.p1 * math.cos(b) ** 2
+    lam2 = src.p0 * math.sin(a) ** 2 + src.p1 * math.sin(b) ** 2
+    ratio = math.cos(b) ** 2 * lam2 / (math.sin(b) ** 2 * lam1)
+    return src.p1 * math.sin(2 * b) * math.log2(ratio)
+
+
 def test_interpolator_membership_and_bounds():
     interp = verify.rate_curve_interpolator(SRC7)
-    assert interp.error_bound < 1e-5
-    # reference: 512 swept nodes checked at 511 separately solved delta
-    # midpoints
+    assert interp.error_bound < 1e-6
+    # reference: a cubic Hermite spline over delta through 512 swept nodes,
+    # checked at 511 separately solved delta midpoints
     nodes = sweep_curve(SRC7, 512)
-    pchip = PchipInterpolator([p.d for p in nodes], [p.R for p in nodes])
+    spline = CubicHermiteSpline(
+        [p.delta for p in nodes],
+        [p.R for p in nodes],
+        [_rate_slope(p, SRC7) for p in nodes],
+    )
     mids = [
         r1_curve_point(0.5 * (a.delta + b.delta), SRC7)
         for a, b in zip(nodes, nodes[1:])
     ]
-    bound = max(abs(float(pchip(pt.d)) - pt.R) for pt in mids)
+    bound = max(abs(float(spline(pt.delta)) - pt.R) for pt in mids)
     assert interp.error_bound == pytest.approx(bound, abs=1e-15)
     for delta in (0.3, 0.7, 1.1):
         pt = r1_curve_point(delta, SRC7)
@@ -251,6 +269,40 @@ def test_interpolator_membership_and_bounds():
     assert float(interp(-1e-9)) == pytest.approx(
         quantum.binary_entropy(0.7), abs=1e-9
     )
+
+
+@pytest.mark.parametrize("p0", [0.5, 0.7, 0.9])
+def test_interpolator_node_slopes_match_finite_differences(p0):
+    src = SourceSpec(p0)
+    interp = verify.rate_curve_interpolator(src)
+    assert abs(interp._slope[0]) <= 1e-15
+    step = 1e-5
+    for j in (1, 64, 200, 300, 450, 510):
+        delta = float(interp._delta[j])
+        central = (
+            r1_curve_point(delta + step, src).R - r1_curve_point(delta - step, src).R
+        ) / (2 * step)
+        assert abs(interp._slope[j] - central) <= 1e-6
+
+
+@pytest.mark.parametrize("p0", [0.5, 0.7, 0.9])
+def test_reference_stays_below_curve_on_dense_grid(p0):
+    # The bound is measured at cell midpoints only. In the last cell, where
+    # delta nears pi/2, the gap exceeds it (3.55e-7 against 3.37e-7 at
+    # p0 0.5), with the interpolant below the curve; the reference must not
+    # rise above the curve by a tenth of the tolerance anywhere.
+    src = SourceSpec(p0)
+    interp = verify.rate_curve_interpolator(src)
+    deltas = np.concatenate(
+        [
+            np.linspace(0.0, math.pi / 2, 997),
+            np.linspace(float(interp._delta[-3]), math.pi / 2, 101),
+        ]
+    )
+    points = [r1_curve_point(float(delta), src) for delta in deltas]
+    d = np.array([p.d for p in points])
+    rate = np.array([p.R for p in points])
+    assert np.max(interp.reference(d) - rate) <= verify.CURVE_TOL / 10
 
 
 def test_search_optimal_pair_sits_on_curve():
@@ -376,18 +428,22 @@ def test_isotropic_suite(n_qubits):
 # trial). The stacked suites must draw every trial's k and elements in the
 # same order, so they replay the same trials, whatever the chunk size. The
 # search row was recorded from the suite's own per-element scoring, before
-# it moved to the stacked kernels (drift 1.6e-15); it has no chunks. A
-# k = 1 trial of the blocks suite is the identity, whose excess is minus the
-# interpolation error bound; seed 63 draws none in its 12 trials, so that
-# the worst violation there depends on the trials drawn. Columns: suite,
+# it moved to the stacked kernels (drift 1.6e-15); it has no chunks. The
+# worst violations of the blocks and search rows were recorded again when
+# the reference curve became a Hermite interpolant over delta: each moved by
+# exactly the change of the reference at its worst trial, and the counts,
+# verdicts and failures stayed. A k = 1 trial of the blocks suite is the
+# identity, whose excess is minus the interpolation error bound; seed 63
+# draws none in its 12 trials, so that the worst violation there depends on
+# the trials drawn. Columns: suite,
 # argument, trials, seed, and the recorded n_violations, passed, failure
 # trials and worst_violation.
 RECORDED_BLOCK_REPORTS = [
-    ("blocks", 0.5, 12, 63, 0, True, [], -0.007159397170275583),
-    ("blocks", 0.7, 12, 63, 0, True, [], -0.00848935691326147),
+    ("blocks", 0.5, 12, 63, 0, True, [], -0.00715643390542442),
+    ("blocks", 0.7, 12, 63, 0, True, [], -0.008486833313508635),
     ("isotropic", 2, 600, 29, 0, True, [], -0.5984486334741006),
     ("isotropic", 3, 300, 29, 0, True, [], -0.7717819371682889),
-    ("search", 0.7, 2000, 7, 0, True, [], -0.025958775557412887),
+    ("search", 0.7, 2000, 7, 0, True, [], -0.02595625187980442),
 ]
 
 
