@@ -13,8 +13,10 @@ The source emits qubits in the state ``rho = diag(p0, p1)`` with
 
 The minimizing angle solves a stationarity equation (the derivative of the
 average entropy with respect to ``a``); it is located by bracketing on a
-grid followed by bisection. Every other quantity of a curve point is closed
-form in (a, D): the distortion above, the average entropy
+grid followed by bisection. A sweep solves all its interior D together on
+the same grid cells, and hands the rows it cannot settle cheaply to the
+single-D solver, so both return the same angle. Every other quantity of a
+curve point is closed form in (a, D): the distortion above, the average entropy
 ``lambda1 h2(p0 cos^2 a / lambda1) + lambda2 h2(p0 sin^2 a / lambda2)`` and
 the type-1 weight ``lambda1 = p0 cos^2 a + p1 cos^2(a + D)``, with
 ``lambda2 = 1 - lambda1``. The channel functionals of ``quantum`` give the
@@ -52,6 +54,13 @@ MAX_BISECTED_BRACKETS = 8
 # Width to which each bracket of the mixing angle is bisected.
 BISECTION_WIDTH = 1e-12
 PAIR_COMPLETENESS_TOL = 1e-12
+# A sweep locates its grid cells this many rows at a time, which keeps the
+# (rows, grid) temporaries at a few hundred KB.
+_SWEEP_BLOCK_ROWS = 64
+# The sweep's first pass reads every 32nd grid node and the last one; the
+# second reads the 33 nodes of the one coarse segment with a sign change.
+_COARSE_NODES = np.append(np.arange(0, ALPHA_GRID_SIZE, 32), ALPHA_GRID_SIZE - 1)
+_SEGMENT_OFFSETS = np.arange(33)
 _TINY = 5e-324  # smallest positive (subnormal) double
 
 
@@ -260,6 +269,72 @@ def solve_alpha(delta: float, src: SourceSpec) -> float:
     return min(zip(entropies, roots))[1]
 
 
+def _one_sign_change(values):
+    """Per row: the cell of the first strict sign change, and whether it is
+    the only one with every value finite and nonzero."""
+    signs = np.sign(values)
+    change = signs[:, :-1] * signs[:, 1:] < 0
+    clean = np.all(np.isfinite(values) & (values != 0.0), axis=1)
+    return change.argmax(axis=1), clean & (change.sum(axis=1) == 1)
+
+
+def _solve_alphas(deltas: np.ndarray, src: SourceSpec) -> np.ndarray:
+    """``solve_alpha`` at each interior delta, on the same grid cells.
+
+    Each row builds ``solve_alpha``'s 512-point grid and reads the residual
+    at every 32nd node and the last, then at the 33 nodes of the coarse
+    segment whose sign changes. A row with exactly one strict sign change at
+    both levels and no zero or non-finite value has found the cell that
+    ``solve_alpha`` brackets; all such cells are bisected together to
+    ``BISECTION_WIDTH`` by ``solve_alpha``'s rule. Every other row, and every
+    delta below ``ZERO_LIMIT_OFFSET`` (where round-off makes the residual
+    change sign many times), is handed to ``solve_alpha`` itself, which makes
+    the choice among several roots or raises ``RootNotFoundError``.
+    """
+    p0 = src.p0
+    lo, hi, f_lo = (np.empty_like(deltas) for _ in range(3))
+    easy = deltas >= ZERO_LIMIT_OFFSET
+    for start in range(0, deltas.size, _SWEEP_BLOCK_ROWS):
+        rows = slice(start, start + _SWEEP_BLOCK_ROWS)
+        delta = deltas[rows, None]
+        top = HALF_PI - deltas[rows]
+        inset = top * 1e-6
+        grid = np.linspace(inset, top - inset, ALPHA_GRID_SIZE, axis=1)
+        coarse = _residual_arr(grid[:, _COARSE_NODES], delta, p0)
+        segment, coarse_ok = _one_sign_change(coarse)
+        nodes = np.minimum(
+            _COARSE_NODES[segment, None] + _SEGMENT_OFFSETS, ALPHA_GRID_SIZE - 1
+        )
+        alphas = np.take_along_axis(grid, nodes, axis=1)
+        fine = _residual_arr(alphas, delta, p0)
+        cell, fine_ok = _one_sign_change(fine)
+        easy[rows] &= coarse_ok & fine_ok
+        pick = np.arange(cell.size)
+        lo[rows], hi[rows] = alphas[pick, cell], alphas[pick, cell + 1]
+        f_lo[rows] = fine[pick, cell]
+
+    alpha = np.empty_like(deltas)
+    for i in np.flatnonzero(~easy):
+        alpha[i] = solve_alpha(float(deltas[i]), src)
+    rows = np.flatnonzero(easy)
+    lo, hi, f_lo, delta = lo[rows], hi[rows], f_lo[rows], deltas[rows]
+    live = np.arange(rows.size)
+    while True:
+        live = live[hi[live] - lo[live] > BISECTION_WIDTH]
+        if live.size == 0:
+            break
+        a, b, f_a = lo[live], hi[live], f_lo[live]
+        mid = 0.5 * (a + b)
+        f_mid = _residual_arr(mid, delta[live], p0)
+        zero = f_mid == 0.0
+        same = (f_a < 0) == (f_mid < 0)
+        lo[live] = np.where(same | zero, mid, a)
+        hi[live] = np.where(same & ~zero, b, mid)
+        f_lo[live] = np.where(same, f_mid, f_a)
+    alpha[rows] = 0.5 * (lo + hi)
+    return alpha
+
+
 def r1_curve_point(delta: float, src: SourceSpec) -> CurvePoint:
     """Rate-distortion sample at one delta, in closed form.
 
@@ -299,13 +374,27 @@ def sweep_curve(src: SourceSpec, n_points: int) -> list[CurvePoint]:
     """Rate-distortion curve on a uniform delta grid, endpoints included.
 
     Points come back ordered by ascending distortion; the rate is
-    non-increasing along the sweep.
+    non-increasing along the sweep. The endpoints are ``r1_curve_point``'s
+    limits. The interior angles are solved together (``_solve_alphas``) and
+    agree with ``solve_alpha`` to within the last bits of the residual;
+    their rate and lambda1 come from the closed forms over the whole
+    array, and d and r from the same scalar formulas as ``r1_curve_point``.
     """
     if n_points < 2:
         raise DomainError(f"n_points must be at least 2, got {n_points}")
-    deltas = np.linspace(0.0, HALF_PI, n_points)
-    deltas[1:-1] = np.clip(deltas[1:-1], DELTA_EPS, HALF_PI - DELTA_EPS)
-    return [r1_curve_point(float(d), src) for d in deltas]
+    p0 = src.p0
+    deltas = np.linspace(0.0, HALF_PI, n_points)[1:-1]
+    deltas = np.clip(deltas, DELTA_EPS, HALF_PI - DELTA_EPS)
+    first = r1_curve_point(0.0, src)
+    alpha = _solve_alphas(deltas, src)
+    rate = _average_entropy_arr(alpha, deltas, p0)
+    lam1 = _pair_weights(alpha, deltas, p0)[4]
+    columns = zip(deltas.tolist(), alpha.tolist(), rate.tolist(), lam1.tolist())
+    interior = [
+        CurvePoint(delta, a, src.distortion(delta), R, binary_entropy(l1), l1)
+        for delta, a, R, l1 in columns
+    ]
+    return [first, *interior, r1_curve_point(HALF_PI, src)]
 
 
 def classical_hamming_baseline(src: SourceSpec, d: float) -> float:

@@ -646,7 +646,12 @@ DEFAULT_PERTURBATION_MAGNITUDES = (0.01, 0.02)
 def run_suite(
     name: str, src: SourceSpec, trials: int, seed: int
 ) -> list[VerificationReport]:
-    """Run one named suite (or ``all``) with its documented default shape."""
+    """Run one named suite (or ``all``) with its documented default shape.
+
+    Not every suite reads every argument: ``lemma1``, ``lemma2`` and
+    ``isotropic`` ignore ``src``, and ``perturbation`` ignores ``trials``
+    (it runs its fixed grid of 160 trials).
+    """
     if name == "all":
         reports = []
         for suite in SUITE_NAMES:

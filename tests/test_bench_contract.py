@@ -17,6 +17,7 @@ import qubitrd.cli  # noqa: F401  (the tracer wraps cli.main)
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
+import run  # noqa: E402
 import spans  # noqa: E402
 import workloads  # noqa: E402
 
@@ -34,3 +35,22 @@ def test_span_tracer_installs_and_undoes():
     finally:
         undo()
     assert qubitrd.ratedistortion.solve_alpha is original
+
+
+@pytest.mark.parametrize("name", ["curve", "point"])
+def test_traced_layer_metrics_compute(name):
+    # The traced run divides solve_alpha calls by the r1_curve_point calls
+    # that returned, so a sweep must still return at least one through it.
+    wl = workloads.WORKLOADS[name](1)
+    inputs = [0.7] if name == "curve" else next(wl.cycles())[:2]
+    recorder = spans.Recorder()
+    undo = spans.install(recorder, qubitrd)
+    try:
+        for inp in inputs:
+            wl.run(qubitrd, inp)
+    finally:
+        undo()
+    recorded = recorder.finished()
+    stats = spans.aggregate(recorded)
+    metrics = run.layer_metrics(name, stats, [recorded], None, None, 1)
+    assert metrics[f"{name}.ratedistortion.solve_alpha.calls_per_point"][0] > 0

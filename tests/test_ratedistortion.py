@@ -8,6 +8,7 @@ from qubitrd.errors import (
     ContractViolationError,
     DomainError,
     EndpointSingularityError,
+    RootNotFoundError,
 )
 from qubitrd.ratedistortion import KrausPair, SourceSpec
 
@@ -198,6 +199,50 @@ def test_sweep_curve_shape():
     assert np.all(d <= SRC7.d_max + 1e-12)
     slopes = np.diff(rate) / np.diff(d)
     assert np.min(np.diff(slopes)) >= -1e-8
+
+
+@pytest.mark.parametrize("n", [101, 512, 1023])
+@pytest.mark.parametrize("p0", [0.5, 0.6, 0.7, 0.8, 0.9, 0.99])
+def test_sweep_matches_per_point_solve(p0, n):
+    # The sweep solves its interior angles together on solve_alpha's grid
+    # cells; only the last bits of the residual near the root may differ.
+    # lambda1 may also differ in its last bit (numpy squares a float64
+    # scalar with pow, an array by multiplying), and r = h2(lambda1) carries
+    # that difference times the slope of h2.
+    src = SourceSpec(p0)
+    for pt in rd.sweep_curve(src, n)[1:-1]:
+        ref = rd.r1_curve_point(pt.delta, src)
+        assert abs(pt.alpha - ref.alpha) <= 2e-12
+        assert abs(pt.lambda1 - ref.lambda1) <= 2e-12
+        assert abs(pt.R - ref.R) <= 1e-15
+        assert pt.r == quantum.binary_entropy(pt.lambda1)
+        slope = abs(math.log2(ref.lambda1 / (1.0 - ref.lambda1)))
+        assert abs(pt.r - ref.r) <= 1e-15 + slope * abs(pt.lambda1 - ref.lambda1)
+        assert pt.d == ref.d
+
+
+def test_sweep_solve_delegates_small_delta_to_solve_alpha(monkeypatch):
+    solve = rd.solve_alpha
+    calls = []
+
+    def spy(delta, src):
+        calls.append(delta)
+        return solve(delta, src)
+
+    monkeypatch.setattr(rd, "solve_alpha", spy)
+    deltas = np.array([5e-4, 0.3, 1.2])
+    alpha = rd._solve_alphas(deltas, SRC7)
+    assert calls == [5e-4]
+    for delta, a in zip(deltas, alpha):
+        assert abs(a - solve(float(delta), SRC7)) <= 2e-12
+
+
+def test_sweep_solve_raises_where_solve_alpha_does():
+    # The minimizer sits on the boundary alpha -> 0: no sign change anywhere.
+    with pytest.raises(RootNotFoundError, match="delta=1.0,") as info:
+        rd._solve_alphas(np.array([1.0]), SourceSpec(0.999999))
+    assert info.value.grid.shape == info.value.values.shape == (rd.ALPHA_GRID_SIZE,)
+    assert np.all(info.value.values > 0)
 
 
 def test_sweep_curve_rejects_short_grid():
