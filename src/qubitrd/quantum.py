@@ -14,6 +14,7 @@ one call; the one-channel forms remain as their references.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ COMPLETENESS_TOL = 1e-10
 WEIGHT_FLOOR = 1e-14
 # Eigenvalues below this are eigensolver dust; clamp to 0 before logarithms.
 EIGENVALUE_FLOOR = 1e-14
+_TINY = 5e-324  # smallest positive (subnormal) double
 
 
 def _frozen(mat: np.ndarray) -> np.ndarray:
@@ -183,14 +185,24 @@ def von_neumann_entropy(rho) -> float:
     return float(eigenvalue_entropy(eigs))
 
 
-def binary_entropy(p: float) -> float:
-    """Shannon binary entropy h2(p) in bits."""
-    if p < -1e-12 or p > 1 + 1e-12:
-        raise DomainError(f"probability {p} outside [0, 1]")
-    p = min(max(float(p), 0.0), 1.0)
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    return float(-p * np.log2(p) - (1 - p) * np.log2(1 - p))
+def binary_entropy(p):
+    """Binary entropy h2(p) in bits, of a float or of each entry of an array.
+
+    (p ln p + q ln q) / -ln 2 with q = 1 - p, each log taking its argument
+    floored at the smallest positive double: 0 ln 0 = 0 without a warning,
+    and h2(0) = h2(1) = +0.0. A float gives a float, with the bits of the
+    same entry of an array. Entries within 1e-12 outside [0, 1] are clipped;
+    any other, NaN included, raises ``DomainError``.
+    """
+    p = np.asarray(p, dtype=float)
+    inside = (p >= -1e-12) & (p <= 1 + 1e-12)
+    if not inside.all():
+        raise DomainError(f"probability {p[~inside][0]} outside [0, 1]")
+    p = np.minimum(np.maximum(p, 0.0), 1.0)
+    q = 1.0 - p
+    nats = p * np.log(np.maximum(p, _TINY)) + q * np.log(np.maximum(q, _TINY))
+    h = 0.0 - nats / math.log(2.0)
+    return h if isinstance(h, np.ndarray) else float(h)
 
 
 def entanglement_fidelity(rho, ch: KrausChannel) -> float:

@@ -16,11 +16,13 @@ average entropy with respect to ``a``); it is located by bracketing on a
 grid followed by bisection. A sweep solves all its interior D together on
 the same grid cells, and hands the rows it cannot settle cheaply to the
 single-D solver, so both return the same angle. Every other quantity of a
-curve point is closed form in (a, D): the distortion above, the average entropy
-``lambda1 h2(p0 cos^2 a / lambda1) + lambda2 h2(p0 sin^2 a / lambda2)`` and
+curve point is closed form in (a, D): the distortion above, the average
+entropy ``lambda1 h2(p0 cos^2 a / lambda1) + lambda2 h2(p0 sin^2 a / lambda2)``,
 the type-1 weight ``lambda1 = p0 cos^2 a + p1 cos^2(a + D)``, with
-``lambda2 = 1 - lambda1``. The channel functionals of ``quantum`` give the
-same numbers and serve the tests as a cross-check.
+``lambda2 = 1 - lambda1``, and the side-channel rate h2(lambda1). A sweep
+takes them over whole arrays by the formulas of a single point, so its rows
+equal ``r1_curve_point``'s bit for bit. The channel functionals of
+``quantum`` give the same numbers and serve the tests as a cross-check.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ _SWEEP_BLOCK_ROWS = 64
 # second reads the 33 nodes of the one coarse segment with a sign change.
 _COARSE_NODES = np.append(np.arange(0, ALPHA_GRID_SIZE, 32), ALPHA_GRID_SIZE - 1)
 _SEGMENT_OFFSETS = np.arange(33)
-_TINY = 5e-324  # smallest positive (subnormal) double
 
 
 @dataclass(frozen=True)
@@ -83,9 +84,10 @@ class SourceSpec:
         """Distortion at which the rate first reaches zero."""
         return 2.0 * self.p0 * self.p1
 
-    def distortion(self, delta: float) -> float:
-        """Distortion 2 p0 p1 (1 - cos delta) of a pair with angle gap delta."""
-        return self.d_max * (1.0 - math.cos(delta))
+    def distortion(self, delta):
+        """Distortion 2 p0 p1 (1 - cos delta) at angle gap delta (float or array)."""
+        d = self.d_max * (1.0 - np.cos(delta))
+        return d if isinstance(d, np.ndarray) else float(d)
 
     def density(self) -> DensityMatrix:
         return DensityMatrix(np.diag([self.p0, self.p1]).astype(complex))
@@ -141,40 +143,29 @@ class KrausPair:
         return KrausChannel((self.a1, self.a2), trace_preserving=True)
 
 
-def _h2_arr(p):
-    """Vectorized binary entropy, exact at the endpoints.
-
-    The logarithms take their argument floored at the smallest positive
-    double, which leaves every positive p as it is and makes 0 ln 0 = 0
-    without a warning.
-    """
-    p = np.asarray(p, dtype=float)
-    q = 1.0 - p
-    nats = p * np.log(np.maximum(p, _TINY)) + q * np.log(np.maximum(q, _TINY))
-    return nats / -math.log(2.0)
-
-
 def _pair_weights(alpha, delta, p0):
+    """The squares c1, c2 of cos alpha, cos(alpha + delta) and s1, s2 of the
+    sines, then lambda1 and lambda2. Each square is a product, which numpy
+    rounds alike on floats and arrays (it squares a float with pow)."""
     p1 = 1.0 - p0
     c1, c2 = np.cos(alpha), np.cos(alpha + delta)
     s1, s2 = np.sin(alpha), np.sin(alpha + delta)
-    lam1 = p0 * c1**2 + p1 * c2**2
-    lam2 = p0 * s1**2 + p1 * s2**2
-    return c1, c2, s1, s2, lam1, lam2
+    c1, c2, s1, s2 = c1 * c1, c2 * c2, s1 * s1, s2 * s2
+    return c1, c2, s1, s2, p0 * c1 + p1 * c2, p0 * s1 + p1 * s2
 
 
 def _average_entropy_arr(alpha, delta, p0):
     """Average output entropy of the diagonal pair; vectorized over alpha."""
     c1, _, s1, _, lam1, lam2 = _pair_weights(alpha, delta, p0)
-    return lam1 * _h2_arr(p0 * c1**2 / lam1) + lam2 * _h2_arr(p0 * s1**2 / lam2)
+    return lam1 * binary_entropy(p0 * c1 / lam1) + lam2 * binary_entropy(p0 * s1 / lam2)
 
 
 def _residual_arr(alpha, delta, p0):
     """Derivative of the average output entropy with respect to alpha."""
     p1 = 1.0 - p0
     c1, c2, s1, s2, lam1, lam2 = _pair_weights(alpha, delta, p0)
-    return p0 * np.sin(2 * alpha) * np.log2(c1**2 * lam2 / (s1**2 * lam1)) + (
-        p1 * np.sin(2 * (alpha + delta)) * np.log2(c2**2 * lam2 / (s2**2 * lam1))
+    return p0 * np.sin(2 * alpha) * np.log2(c1 * lam2 / (s1 * lam1)) + (
+        p1 * np.sin(2 * (alpha + delta)) * np.log2(c2 * lam2 / (s2 * lam1))
     )
 
 
@@ -375,10 +366,10 @@ def sweep_curve(src: SourceSpec, n_points: int) -> list[CurvePoint]:
 
     Points come back ordered by ascending distortion; the rate is
     non-increasing along the sweep. The endpoints are ``r1_curve_point``'s
-    limits. The interior angles are solved together (``_solve_alphas``) and
-    agree with ``solve_alpha`` to within the last bits of the residual;
-    their rate and lambda1 come from the closed forms over the whole
-    array, and d and r from the same scalar formulas as ``r1_curve_point``.
+    limits. The interior angles are solved together (``_solve_alphas``) on
+    ``solve_alpha``'s grid cells, and d, R, r and lambda1 come from the
+    closed forms over the whole array, so every interior point equals
+    ``r1_curve_point`` at its delta bit for bit.
     """
     if n_points < 2:
         raise DomainError(f"n_points must be at least 2, got {n_points}")
@@ -389,11 +380,8 @@ def sweep_curve(src: SourceSpec, n_points: int) -> list[CurvePoint]:
     alpha = _solve_alphas(deltas, src)
     rate = _average_entropy_arr(alpha, deltas, p0)
     lam1 = _pair_weights(alpha, deltas, p0)[4]
-    columns = zip(deltas.tolist(), alpha.tolist(), rate.tolist(), lam1.tolist())
-    interior = [
-        CurvePoint(delta, a, src.distortion(delta), R, binary_entropy(l1), l1)
-        for delta, a, R, l1 in columns
-    ]
+    columns = (deltas, alpha, src.distortion(deltas), rate, binary_entropy(lam1), lam1)
+    interior = [CurvePoint(*row) for row in zip(*(c.tolist() for c in columns))]
     return [first, *interior, r1_curve_point(HALF_PI, src)]
 
 
@@ -405,12 +393,15 @@ def classical_hamming_baseline(src: SourceSpec, d: float) -> float:
     return max(0.0, binary_entropy(src.p0) - binary_entropy(d))
 
 
-def isotropic_s1(d: float) -> float:
+def isotropic_s1(d):
     """Closed form of the entropy-distortion curve for the unbiased source.
 
-    Valid for distortions in [0, 1/2]: h2(1/2 + sqrt(d (1 - d))).
+    h2(1/2 + sqrt(d (1 - d))) for d in [0, 1/2], of a float or of each entry
+    of an array; other entries (beyond 1e-12, or NaN) raise ``DomainError``.
     """
-    if not -1e-12 <= d <= 0.5 + 1e-12:
-        raise DomainError(f"distortion must lie in [0, 1/2], got {d}")
-    d = min(max(d, 0.0), 0.5)
-    return binary_entropy(0.5 + math.sqrt(d * (1.0 - d)))
+    d = np.asarray(d, dtype=float)
+    inside = (d >= -1e-12) & (d <= 0.5 + 1e-12)
+    if not inside.all():
+        raise DomainError(f"distortion must lie in [0, 1/2], got {d[~inside][0]}")
+    d = np.clip(d, 0.0, 0.5)
+    return binary_entropy(0.5 + np.sqrt(d * (1.0 - d)))

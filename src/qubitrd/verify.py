@@ -42,8 +42,8 @@ from .ratedistortion import (
     HALF_PI,
     SourceSpec,
     KrausPair,
-    _h2_arr,
     _pair_weights,
+    isotropic_s1,
     solve_alpha,
     sweep_curve,
 )
@@ -149,7 +149,7 @@ class RateCurveInterpolator:
         self._slope = (
             src.p1
             * np.sin(2 * (alpha + self._delta))
-            * np.log2(c2**2 * lam2 / (s2**2 * lam1))
+            * np.log2(c2 * lam2 / (s2 * lam1))
         )
         gaps = self._hermite(np.array([p.delta for p in mids])) - [p.R for p in mids]
         self.error_bound = float(np.max(np.abs(gaps)))
@@ -265,9 +265,9 @@ def check_theorem1(n_trials: int, seed: int, src: SourceSpec) -> VerificationRep
     out_a = b @ b.conj().transpose(0, 2, 1)
     eigs = np.linalg.eigvalsh(out_a)
     lam_a = eigs.sum(axis=1)
-    s_a = _h2_arr(np.clip(eigs[:, 1] / lam_a, 0.0, 1.0))
+    s_a = quantum.binary_entropy(np.clip(eigs[:, 1] / lam_a, 0.0, 1.0))
     lam_d = (svals**2).sum(axis=1)
-    s_d = _h2_arr(np.clip(svals[:, 0] ** 2 / lam_d, 0.0, 1.0))
+    s_d = quantum.binary_entropy(np.clip(svals[:, 0] ** 2 / lam_d, 0.0, 1.0))
 
     tr_a = p0 * a[:, 0, 0] + p1 * a[:, 1, 1]
     dist_a = 1.0 - np.abs(tr_a) ** 2 / lam_a
@@ -623,10 +623,7 @@ def check_theorem3_isotropic(
 
 def _isotropic_reference(d: np.ndarray) -> np.ndarray:
     """``isotropic_s1`` over a stack of distortions, and 0 beyond d = 1/2."""
-    clipped = np.clip(d, 0.0, 0.5)
-    q = 0.5 + np.sqrt(clipped * (1.0 - clipped))
-    h2 = quantum.eigenvalue_entropy(np.stack([q, 1.0 - q], axis=-1))
-    return np.where(d <= 0.5, h2, 0.0)
+    return np.where(d <= 0.5, isotropic_s1(np.clip(d, 0.0, 0.5)), 0.0)
 
 
 SUITE_NAMES = (

@@ -27,6 +27,15 @@ def test_workload_warm_up_runs(name):
     workloads.WORKLOADS[name](1).warm_up(qubitrd)
 
 
+def test_cli_warm_up_content_checks_pass():
+    # The benchmark's own checks of each command's stdout (CSV and JSON
+    # shape, curve identities, simulate's estimates) on its fixed CLI mix.
+    wl = workloads.WORKLOADS["cli"](1)
+    wl.warm_up(qubitrd)
+    assert len(wl.references) == len(wl.commands())
+    assert {cmd: failures for cmd, (_, failures) in wl.references.items() if failures} == {}
+
+
 def test_span_tracer_installs_and_undoes():
     original = qubitrd.ratedistortion.solve_alpha
     undo = spans.install(spans.Recorder(), qubitrd)

@@ -25,6 +25,7 @@ IDENTITY = KrausChannel((I2,), trace_preserving=True)
 # High-precision reference values for the binary entropy (40-digit evaluation).
 H2_03 = 0.8812908992306926182
 H2_025 = 0.8112781244591328639
+H2_01 = 0.4689955935892812213
 
 
 def test_density_matrix_validation():
@@ -101,6 +102,51 @@ def test_binary_entropy_symmetric(p):
     assert quantum.binary_entropy(p) == pytest.approx(
         quantum.binary_entropy(1 - p), abs=1e-12
     )
+
+
+def test_binary_entropy_exact_at_endpoints_on_arrays():
+    # 0 ln 0 = 0 exactly, and without a warning (pytest makes it an error)
+    values = quantum.binary_entropy(np.array([0.0, 1.0, 0.5, 0.3, 0.1]))
+    assert isinstance(values, np.ndarray)
+    assert values[0] == 0.0 and values[1] == 0.0 and values[2] == 1.0
+    assert not np.signbit(values[:2]).any()
+    assert values[3:] == pytest.approx([H2_03, H2_01], abs=1e-15)
+
+
+# Subnormal, tiny and next-to-1 probabilities, which a float path with its
+# own formula would be likeliest to round differently.
+EDGE_PROBABILITIES = [5e-324, 2.2e-308, 1e-300, 1e-15, 2.0**-53, 1.0 - 2.0**-53]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.floats(0.0, 1.0) | st.sampled_from(EDGE_PROBABILITIES),
+        min_size=1,
+        max_size=16,
+    )
+)
+def test_binary_entropy_float_is_its_array_entry(ps):
+    ps += EDGE_PROBABILITIES
+    stacked = quantum.binary_entropy(np.array(ps))
+    for p, h in zip(ps, stacked):
+        one = quantum.binary_entropy(p)
+        assert type(one) is float
+        assert np.float64(one).tobytes() == h.tobytes()
+
+
+@pytest.mark.parametrize("bad", [-2e-12, 1.0 + 2e-12, -0.5, 1.5, math.inf, math.nan])
+def test_binary_entropy_rejects_any_entry_outside_unit_interval(bad):
+    # NaN is not a probability: it raises like any other entry outside [0, 1].
+    with pytest.raises(DomainError):
+        quantum.binary_entropy(np.array([0.2, 0.5, bad, 0.9]))
+    with pytest.raises(DomainError):
+        quantum.binary_entropy(bad)
+
+
+def test_binary_entropy_clips_within_tolerance():
+    values = quantum.binary_entropy(np.array([-1e-12, 1.0 + 1e-12]))
+    assert values.tolist() == [0.0, 0.0]
 
 
 def test_entanglement_fidelity_identity():

@@ -20,13 +20,6 @@ H2_03 = 0.8812908992306926182
 H2_01 = 0.4689955935892812213
 
 
-def test_h2_arr_exact_at_endpoints():
-    # 0 ln 0 = 0 exactly, and without a warning (pytest makes it an error)
-    values = rd._h2_arr(np.array([0.0, 1.0, 0.5, 0.3, 0.1]))
-    assert values[0] == 0.0 and values[1] == 0.0 and values[2] == 1.0
-    assert values[3:] == pytest.approx([H2_03, H2_01], abs=1e-15)
-
-
 def test_source_spec_validation():
     with pytest.raises(DomainError):
         SourceSpec(0.4)
@@ -205,20 +198,40 @@ def test_sweep_curve_shape():
 @pytest.mark.parametrize("p0", [0.5, 0.6, 0.7, 0.8, 0.9, 0.99])
 def test_sweep_matches_per_point_solve(p0, n):
     # The sweep solves its interior angles together on solve_alpha's grid
-    # cells; only the last bits of the residual near the root may differ.
-    # lambda1 may also differ in its last bit (numpy squares a float64
-    # scalar with pow, an array by multiplying), and r = h2(lambda1) carries
-    # that difference times the slope of h2.
+    # cells and takes d, R, lambda1 and r over the whole array; a single
+    # point takes them from the same formulas on floats. Every square is a
+    # product (numpy squares a float64 scalar with pow, an array by
+    # multiplying) and h2 has one formula, so the two agree bit for bit.
     src = SourceSpec(p0)
     for pt in rd.sweep_curve(src, n)[1:-1]:
-        ref = rd.r1_curve_point(pt.delta, src)
-        assert abs(pt.alpha - ref.alpha) <= 2e-12
-        assert abs(pt.lambda1 - ref.lambda1) <= 2e-12
-        assert abs(pt.R - ref.R) <= 1e-15
-        assert pt.r == quantum.binary_entropy(pt.lambda1)
-        slope = abs(math.log2(ref.lambda1 / (1.0 - ref.lambda1)))
-        assert abs(pt.r - ref.r) <= 1e-15 + slope * abs(pt.lambda1 - ref.lambda1)
-        assert pt.d == ref.d
+        assert pt == rd.r1_curve_point(pt.delta, src)
+
+
+@pytest.mark.parametrize("n", [101, 512])
+def test_sweep_takes_h2_over_whole_arrays(monkeypatch, n):
+    # R = h2(p0) and r at delta = 0, three calls over the interior arrays
+    # (the two terms of the average entropy, then r = h2(lambda1)), and r at
+    # delta = pi/2, whatever the number of points.
+    h2 = rd.binary_entropy
+    calls = []
+
+    def spy(p):
+        calls.append(np.ndim(p))
+        return h2(p)
+
+    monkeypatch.setattr(rd, "binary_entropy", spy)
+    assert len(rd.sweep_curve(SRC7, n)) == n
+    assert calls == [0, 0, 1, 1, 1, 0]
+
+
+def test_isotropic_s1_on_arrays():
+    d = np.array([0.0, 0.1, 0.25, 0.5])
+    values = rd.isotropic_s1(d)
+    assert values.tolist() == [rd.isotropic_s1(float(x)) for x in d]
+    assert type(rd.isotropic_s1(0.1)) is float
+    for bad in (0.5 + 2e-12, -1.0, math.nan):
+        with pytest.raises(DomainError):
+            rd.isotropic_s1(np.array([0.1, bad]))
 
 
 def test_sweep_solve_delegates_small_delta_to_solve_alpha(monkeypatch):
