@@ -192,13 +192,19 @@ def binary_entropy(p):
     floored at the smallest positive double: 0 ln 0 = 0 without a warning,
     and h2(0) = h2(1) = +0.0. A float gives a float, with the bits of the
     same entry of an array. Entries within 1e-12 outside [0, 1] are clipped;
-    any other, NaN included, raises ``DomainError``.
+    any other, NaN included, raises ``DomainError``. A float is checked and
+    clipped as a float, which is cheaper than as a 0-d array.
     """
-    p = np.asarray(p, dtype=float)
-    inside = (p >= -1e-12) & (p <= 1 + 1e-12)
-    if not inside.all():
-        raise DomainError(f"probability {p[~inside][0]} outside [0, 1]")
-    p = np.minimum(np.maximum(p, 0.0), 1.0)
+    if isinstance(p, (int, float)):
+        if not -1e-12 <= p <= 1 + 1e-12:
+            raise DomainError(f"probability {p} outside [0, 1]")
+        p = min(max(float(p), 0.0), 1.0)
+    else:
+        p = np.asarray(p, dtype=float)
+        inside = (p >= -1e-12) & (p <= 1 + 1e-12)
+        if not inside.all():
+            raise DomainError(f"probability {p[~inside][0]} outside [0, 1]")
+        p = np.minimum(np.maximum(p, 0.0), 1.0)
     q = 1.0 - p
     nats = p * np.log(np.maximum(p, _TINY)) + q * np.log(np.maximum(q, _TINY))
     h = 0.0 - nats / math.log(2.0)

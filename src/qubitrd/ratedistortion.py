@@ -12,10 +12,11 @@ The source emits qubits in the state ``rho = diag(p0, p1)`` with
   over the mixing angle ``a`` at each ``D``.
 
 The minimizing angle solves a stationarity equation (the derivative of the
-average entropy with respect to ``a``); it is located by bracketing on a
-grid followed by bisection. A sweep solves all its interior D together on
-the same grid cells, and hands the rows it cannot settle cheaply to the
-single-D solver, so both return the same angle. Every other quantity of a
+average entropy with respect to ``a``). Its residual has closed-form limits
+of opposite signs at the two ends of (0, pi/2 - D), so one bracketed root
+finder (Chandrupatla's) on that interval finds it. A single D runs it on
+floats and a sweep runs the same update over all its interior D at once,
+so both return the same angle. Every other quantity of a
 curve point is closed form in (a, D): the distortion above, the average
 entropy ``lambda1 h2(p0 cos^2 a / lambda1) + lambda2 h2(p0 sin^2 a / lambda2)``,
 the type-1 weight ``lambda1 = p0 cos^2 a + p1 cos^2(a + D)``, with
@@ -28,16 +29,12 @@ equal ``r1_curve_point``'s bit for bit. The channel functionals of
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ContractViolationError,
-    DomainError,
-    EndpointSingularityError,
-    RootNotFoundError,
-)
+from .errors import ContractViolationError, DomainError, EndpointSingularityError
 from .quantum import DensityMatrix, KrausChannel, binary_entropy
 
 HALF_PI = math.pi / 2
@@ -46,23 +43,18 @@ DELTA_EPS = 1e-6
 # Delta values this close to 0 or pi/2 are handled by analytic limits.
 ENDPOINT_CUTOFF = 1e-12
 # Offsets at which the endpoint limits of alpha and lambda1 are evaluated.
-# Near delta = 0 the average entropy is flat in alpha to O(delta^2), which
-# drops below double-precision resolution under ~1e-3; the pi/2 side stays
-# well conditioned down to 1e-6.
+# Near delta = 0 the stationarity residual vanishes as delta^3, and below
+# about 1e-7 round-off swamps its sign; the pi/2 side stays well
+# conditioned down to 1e-6.
 ZERO_LIMIT_OFFSET = 1e-3
 MAX_LIMIT_OFFSET = 1e-6
-ALPHA_GRID_SIZE = 512
-MAX_BISECTED_BRACKETS = 8
-# Width to which each bracket of the mixing angle is bisected.
+# Width to which the bracket of the mixing angle is narrowed.
 BISECTION_WIDTH = 1e-12
+# The root finder stops once the bracket is narrower than twice
+# _RTOL |x| + _ATOL.
+_RTOL = 4 * sys.float_info.epsilon
+_ATOL = BISECTION_WIDTH / 2
 PAIR_COMPLETENESS_TOL = 1e-12
-# A sweep locates its grid cells this many rows at a time, which keeps the
-# (rows, grid) temporaries at a few hundred KB.
-_SWEEP_BLOCK_ROWS = 64
-# The sweep's first pass reads every 32nd grid node and the last one; the
-# second reads the 33 nodes of the one coarse segment with a sign change.
-_COARSE_NODES = np.append(np.arange(0, ALPHA_GRID_SIZE, 32), ALPHA_GRID_SIZE - 1)
-_SEGMENT_OFFSETS = np.arange(33)
 
 
 @dataclass(frozen=True)
@@ -161,12 +153,21 @@ def _average_entropy_arr(alpha, delta, p0):
 
 
 def _residual_arr(alpha, delta, p0):
-    """Derivative of the average output entropy with respect to alpha."""
+    """Derivative of the average output entropy with respect to alpha.
+
+    p0 sin 2a log2(c1 lam2 / (s1 lam1)) - p1 sin 2(a + D) log2(s2 lam1 / (c2 lam2)).
+    Both ratios are at least 1 and exceed it by closed forms,
+    p1 k / (s1 lam1) and p0 k / (c2 lam2) with k = sin D sin(2a + D) >= 0,
+    so each logarithm is a log1p of a positive number, which keeps full
+    relative precision where a ratio is near 1 (small D, or p0 near 1).
+    """
     p1 = 1.0 - p0
-    c1, c2, s1, s2, lam1, lam2 = _pair_weights(alpha, delta, p0)
-    return p0 * np.sin(2 * alpha) * np.log2(c1 * lam2 / (s1 * lam1)) + (
-        p1 * np.sin(2 * (alpha + delta)) * np.log2(c2 * lam2 / (s2 * lam1))
-    )
+    _, c2, s1, _, lam1, lam2 = _pair_weights(alpha, delta, p0)
+    k = np.sin(delta) * np.sin(2 * alpha + delta)
+    return (
+        p0 * np.sin(2 * alpha) * np.log1p(p1 * k / (s1 * lam1))
+        - p1 * np.sin(2 * (alpha + delta)) * np.log1p(p0 * k / (c2 * lam2))
+    ) / math.log(2.0)
 
 
 def s1_curve_point(theta: float, src: SourceSpec) -> tuple[float, float]:
@@ -194,7 +195,7 @@ def stationarity_residual(alpha: float, delta: float, src: SourceSpec) -> float:
     Returns the derivative of the pair's average output entropy with respect
     to ``alpha``; the optimal angle is a root. Continuous on the open
     interval ``0 < alpha < pi/2 - delta``; at the endpoints a logarithm
-    argument vanishes.
+    argument diverges, though the residual has finite limits there.
     """
     if not 0.0 < delta < HALF_PI:
         raise DomainError(f"delta must lie in (0, pi/2), got {delta}")
@@ -205,132 +206,114 @@ def stationarity_residual(alpha: float, delta: float, src: SourceSpec) -> float:
     return float(_residual_arr(alpha, delta, src.p0))
 
 
+def _end_limits(delta, p0):
+    """The residual's limits at alpha -> 0 and alpha -> pi/2 - delta.
+
+    -p1 sin 2D log2(1 + p0 / (p1 cos^2 D)) < 0 and
+    p0 sin 2D log2(1 + p1 / (p0 cos^2 D)) > 0 for every 0 < D < pi/2 and
+    0 < p0 < 1, so the interval always holds a root.
+    """
+    p1 = 1.0 - p0
+    cos2 = np.cos(delta)
+    cos2 = cos2 * cos2
+    sin2 = np.sin(2 * delta)
+    return (
+        -p1 * sin2 * np.log1p(p0 / (p1 * cos2)) / math.log(2.0),
+        p0 * sin2 * np.log1p(p1 / (p0 * cos2)) / math.log(2.0),
+    )
+
+
+def _interpolated_step(a, fa, b, fb, c, fc):
+    """Chandrupatla's next step as a fraction of the bracket from a to b:
+    inverse quadratic interpolation through the newest point a, the other
+    bracket end b and the point c dropped last."""
+    return fa / (fb - fa) * fc / (fb - fc) + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb)
+
+
 def solve_alpha(delta: float, src: SourceSpec) -> float:
     """Mixing angle minimizing the average output entropy at fixed delta.
 
-    Scans a 512-point grid of the feasible interval for sign changes of the
-    stationarity residual, refines each bracket by bisection to the fixed
-    width ``BISECTION_WIDTH`` (1e-12), and returns the root with the
-    smallest average entropy. When noise produces many brackets (the
-    landscape flattens as delta -> 0), only the most promising few are
-    refined.
+    The root of the stationarity residual on the whole feasible interval
+    (0, pi/2 - delta), by Chandrupatla's method (Adv. Eng. Software 28,
+    1997): inverse quadratic interpolation where the last three points
+    allow it, bisection otherwise, about ten residual reads in all. The
+    bracket is the interval itself, with the residual's closed-form limits
+    at its ends, whose signs differ for every accepted delta and p0, so a
+    root always exists and no grid is scanned. The search stops when the
+    bracket is narrower than twice 4 eps |x| + ``BISECTION_WIDTH`` / 2 or
+    the residual reads 0, and returns the bracket end with the smaller
+    residual. This runs on floats, which is fastest for one delta;
+    ``_solve_alphas`` runs the same update over arrays and gives the same
+    bits.
     """
     if not 0.0 < delta < HALF_PI:
         raise DomainError(f"delta must lie in (0, pi/2), got {delta}")
     p0 = src.p0
-    hi = HALF_PI - delta
-    inset = hi * 1e-6
-    grid = np.linspace(inset, hi - inset, ALPHA_GRID_SIZE)
-    values = _residual_arr(grid, delta, p0)
-
-    brackets = list(np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0))
-    if len(brackets) > MAX_BISECTED_BRACKETS:
-        mids = 0.5 * (grid[brackets] + grid[np.array(brackets) + 1])
-        order = np.argsort(_average_entropy_arr(mids, delta, p0), kind="stable")
-        brackets = [brackets[i] for i in order[:MAX_BISECTED_BRACKETS]]
-
-    roots: list[float] = []
-    for i in brackets:
-        lo_a, hi_a = float(grid[i]), float(grid[i + 1])
-        f_lo = float(values[i])
-        while hi_a - lo_a > BISECTION_WIDTH:
-            mid = 0.5 * (lo_a + hi_a)
-            f_mid = float(_residual_arr(mid, delta, p0))
-            if f_mid == 0.0:
-                lo_a = hi_a = mid
-                break
-            if (f_lo < 0) == (f_mid < 0):
-                lo_a, f_lo = mid, f_mid
-            else:
-                hi_a = mid
-        roots.append(0.5 * (lo_a + hi_a))
-    roots.extend(float(grid[i]) for i in np.flatnonzero(values == 0.0))
-
-    if not roots:
-        raise RootNotFoundError(
-            f"no sign change of the stationarity residual for delta={delta}, "
-            f"p0={p0} (residual range [{values.min():.3e}, {values.max():.3e}] "
-            f"over {ALPHA_GRID_SIZE} grid points)",
-            grid=grid,
-            values=values,
-        )
-    if len(roots) == 1:
-        return roots[0]
-    entropies = [float(_average_entropy_arr(r, delta, p0)) for r in roots]
-    return min(zip(entropies, roots))[1]
-
-
-def _one_sign_change(values):
-    """Per row: the cell of the first strict sign change, and whether it is
-    the only one with every value finite and nonzero."""
-    signs = np.sign(values)
-    change = signs[:, :-1] * signs[:, 1:] < 0
-    clean = np.all(np.isfinite(values) & (values != 0.0), axis=1)
-    return change.argmax(axis=1), clean & (change.sum(axis=1) == 1)
+    f_lo, f_hi = _end_limits(delta, p0)
+    a, fa, b, fb = 0.0, float(f_lo), HALF_PI - delta, float(f_hi)
+    t = 0.5
+    while True:
+        x = a + t * (b - a)
+        fx = float(_residual_arr(x, delta, p0))
+        if (fx < 0) == (fa < 0):
+            c, fc = a, fa
+        else:
+            c, fc, b, fb = b, fb, a, fa
+        a, fa = x, fx
+        xm, fm = (a, fa) if abs(fa) < abs(fb) else (b, fb)
+        tl = (_RTOL * abs(xm) + _ATOL) / abs(b - a)
+        if tl > 0.5 or fm == 0.0:
+            return xm
+        xi = (a - b) / (c - b)
+        phi = (fa - fb) / (fc - fb)
+        t = 0.5
+        if phi * phi < xi and (1 - phi) * (1 - phi) < 1 - xi:
+            t = _interpolated_step(a, fa, b, fb, c, fc)
+        t = min(max(t, tl), 1 - tl)
 
 
 def _solve_alphas(deltas: np.ndarray, src: SourceSpec) -> np.ndarray:
-    """``solve_alpha`` at each interior delta, on the same grid cells.
+    """``solve_alpha`` at every delta of an array, with the same bits.
 
-    Each row builds ``solve_alpha``'s 512-point grid and reads the residual
-    at every 32nd node and the last, then at the 33 nodes of the coarse
-    segment whose sign changes. A row with exactly one strict sign change at
-    both levels and no zero or non-finite value has found the cell that
-    ``solve_alpha`` brackets; all such cells are bisected together to
-    ``BISECTION_WIDTH`` by ``solve_alpha``'s rule. Every other row, and every
-    delta below ``ZERO_LIMIT_OFFSET`` (where round-off makes the residual
-    change sign many times), is handed to ``solve_alpha`` itself, which makes
-    the choice among several roots or raises ``RootNotFoundError``.
+    Runs ``solve_alpha``'s update, in the same order, on all rows at once,
+    and drops each row from the iteration once it has converged.
     """
     p0 = src.p0
-    lo, hi, f_lo = (np.empty_like(deltas) for _ in range(3))
-    easy = deltas >= ZERO_LIMIT_OFFSET
-    for start in range(0, deltas.size, _SWEEP_BLOCK_ROWS):
-        rows = slice(start, start + _SWEEP_BLOCK_ROWS)
-        delta = deltas[rows, None]
-        top = HALF_PI - deltas[rows]
-        inset = top * 1e-6
-        grid = np.linspace(inset, top - inset, ALPHA_GRID_SIZE, axis=1)
-        coarse = _residual_arr(grid[:, _COARSE_NODES], delta, p0)
-        segment, coarse_ok = _one_sign_change(coarse)
-        nodes = np.minimum(
-            _COARSE_NODES[segment, None] + _SEGMENT_OFFSETS, ALPHA_GRID_SIZE - 1
-        )
-        alphas = np.take_along_axis(grid, nodes, axis=1)
-        fine = _residual_arr(alphas, delta, p0)
-        cell, fine_ok = _one_sign_change(fine)
-        easy[rows] &= coarse_ok & fine_ok
-        pick = np.arange(cell.size)
-        lo[rows], hi[rows] = alphas[pick, cell], alphas[pick, cell + 1]
-        f_lo[rows] = fine[pick, cell]
-
     alpha = np.empty_like(deltas)
-    for i in np.flatnonzero(~easy):
-        alpha[i] = solve_alpha(float(deltas[i]), src)
-    rows = np.flatnonzero(easy)
-    lo, hi, f_lo, delta = lo[rows], hi[rows], f_lo[rows], deltas[rows]
-    live = np.arange(rows.size)
-    while True:
-        live = live[hi[live] - lo[live] > BISECTION_WIDTH]
-        if live.size == 0:
-            break
-        a, b, f_a = lo[live], hi[live], f_lo[live]
-        mid = 0.5 * (a + b)
-        f_mid = _residual_arr(mid, delta[live], p0)
-        zero = f_mid == 0.0
-        same = (f_a < 0) == (f_mid < 0)
-        lo[live] = np.where(same | zero, mid, a)
-        hi[live] = np.where(same & ~zero, b, mid)
-        f_lo[live] = np.where(same, f_mid, f_a)
-    alpha[rows] = 0.5 * (lo + hi)
+    fa, fb = _end_limits(deltas, p0)
+    a, b = np.zeros_like(deltas), HALF_PI - deltas
+    t = np.full_like(deltas, 0.5)
+    delta, rows = deltas, np.arange(deltas.size)
+    while rows.size:
+        x = a + t * (b - a)
+        fx = _residual_arr(x, delta, p0)
+        same = (fx < 0) == (fa < 0)
+        c, fc = np.where(same, a, b), np.where(same, fa, fb)
+        b, fb = np.where(same, b, a), np.where(same, fb, fa)
+        a, fa = x, fx
+        near = np.abs(fa) < np.abs(fb)
+        xm, fm = np.where(near, a, b), np.where(near, fa, fb)
+        tl = (_RTOL * np.abs(xm) + _ATOL) / np.abs(b - a)
+        done = (tl > 0.5) | (fm == 0.0)
+        alpha[rows[done]] = xm[done]
+        keep = ~done
+        a, fa, b, fb, c, fc, tl, delta, rows = (
+            v[keep] for v in (a, fa, b, fb, c, fc, tl, delta, rows)
+        )
+        xi = (a - b) / (c - b)
+        phi = (fa - fb) / (fc - fb)
+        i = (phi * phi < xi) & ((1 - phi) * (1 - phi) < 1 - xi)
+        t = np.full_like(a, 0.5)
+        t[i] = _interpolated_step(*(v[i] for v in (a, fa, b, fb, c, fc)))
+        t = np.minimum(np.maximum(t, tl), 1 - tl)
     return alpha
 
 
 def r1_curve_point(delta: float, src: SourceSpec) -> CurvePoint:
     """Rate-distortion sample at one delta, in closed form.
 
-    Solves for the optimal mixing angle (``solve_alpha``, bisected to a
-    fixed width of 1e-12), then takes the distortion
+    Solves for the optimal mixing angle (``solve_alpha``, to a bracket of
+    about 1e-12), then takes the distortion
     2 p0 p1 (1 - cos delta), the average output entropy of the pair and its
     type-1 weight lambda1 from their closed forms. The degenerate endpoints
     keep their exact distortion and rate, (0, h2(p0)) and (d_max, 0); their
@@ -366,10 +349,10 @@ def sweep_curve(src: SourceSpec, n_points: int) -> list[CurvePoint]:
 
     Points come back ordered by ascending distortion; the rate is
     non-increasing along the sweep. The endpoints are ``r1_curve_point``'s
-    limits. The interior angles are solved together (``_solve_alphas``) on
-    ``solve_alpha``'s grid cells, and d, R, r and lambda1 come from the
-    closed forms over the whole array, so every interior point equals
-    ``r1_curve_point`` at its delta bit for bit.
+    limits. The interior angles are solved together (``_solve_alphas``, the
+    update of ``solve_alpha`` over arrays), and d, R, r and lambda1 come
+    from the closed forms over the whole array, so every interior point
+    equals ``r1_curve_point`` at its delta bit for bit.
     """
     if n_points < 2:
         raise DomainError(f"n_points must be at least 2, got {n_points}")

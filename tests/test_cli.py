@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -39,6 +40,19 @@ def test_curve_r1_biased_endpoint(capsys):
     _, rows = _csv_rows(out)
     assert rows[-1]["d"] == pytest.approx(0.42, abs=1e-12)
     assert rows[-1]["R"] <= 1e-9
+
+
+@pytest.mark.parametrize("p0", ["0.999", "0.99999", "0.999999", "0.9999999999999"])
+def test_curve_r1_high_p0_exits_zero(capsys, p0):
+    # Every root of the stationarity residual lies inside (0, pi/2 - delta),
+    # some of them within 1e-6 of 0 at these p0, and the solver finds each.
+    code, out = _run(capsys, ["curve", "r1", "--p0", p0, "--points", "101"])
+    assert code == 0
+    _, rows = _csv_rows(out)
+    assert len(rows) == 101
+    assert all(math.isfinite(v) for row in rows for v in row.values())
+    rates = [row["R"] for row in rows]
+    assert all(b <= a for a, b in zip(rates, rates[1:]))
 
 
 def test_curve_classical_isotropic_rate_column(capsys):

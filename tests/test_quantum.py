@@ -114,8 +114,10 @@ def test_binary_entropy_exact_at_endpoints_on_arrays():
 
 
 # Subnormal, tiny and next-to-1 probabilities, which a float path with its
-# own formula would be likeliest to round differently.
+# own formula would be likeliest to round differently; integers, and values
+# within the 1e-12 that a float's own check and clip let through.
 EDGE_PROBABILITIES = [5e-324, 2.2e-308, 1e-300, 1e-15, 2.0**-53, 1.0 - 2.0**-53]
+EDGE_PROBABILITIES += [0, 1, 0.3, -1e-12, -5e-13, 1.0 + 5e-13, 1.0 + 1e-12]
 
 
 @settings(max_examples=200, deadline=None)
@@ -135,7 +137,7 @@ def test_binary_entropy_float_is_its_array_entry(ps):
         assert np.float64(one).tobytes() == h.tobytes()
 
 
-@pytest.mark.parametrize("bad", [-2e-12, 1.0 + 2e-12, -0.5, 1.5, math.inf, math.nan])
+@pytest.mark.parametrize("bad", [-2e-12, 1.0 + 2e-12, -0.5, 1.5, 2, math.inf, math.nan])
 def test_binary_entropy_rejects_any_entry_outside_unit_interval(bad):
     # NaN is not a probability: it raises like any other entry outside [0, 1].
     with pytest.raises(DomainError):

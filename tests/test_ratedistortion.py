@@ -8,7 +8,6 @@ from qubitrd.errors import (
     ContractViolationError,
     DomainError,
     EndpointSingularityError,
-    RootNotFoundError,
 )
 from qubitrd.ratedistortion import KrausPair, SourceSpec
 
@@ -234,28 +233,78 @@ def test_isotropic_s1_on_arrays():
             rd.isotropic_s1(np.array([0.1, bad]))
 
 
-def test_sweep_solve_delegates_small_delta_to_solve_alpha(monkeypatch):
-    solve = rd.solve_alpha
-    calls = []
-
-    def spy(delta, src):
-        calls.append(delta)
-        return solve(delta, src)
-
-    monkeypatch.setattr(rd, "solve_alpha", spy)
-    deltas = np.array([5e-4, 0.3, 1.2])
-    alpha = rd._solve_alphas(deltas, SRC7)
-    assert calls == [5e-4]
-    for delta, a in zip(deltas, alpha):
-        assert abs(a - solve(float(delta), SRC7)) <= 2e-12
+def test_sweep_solve_equals_solve_alpha_bit_for_bit():
+    # The batched solver runs solve_alpha's update over arrays, so every row
+    # lands on the same bits, from the round-off regime at delta = 1e-8 to
+    # the boundary roots near p0 = 1.
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        src = SourceSpec(1.0 - 10.0 ** rng.uniform(-12.0, math.log10(0.5)))
+        deltas = np.exp(rng.uniform(math.log(1e-8), math.log(math.pi / 2 - 1e-8), 100))
+        alphas = rd._solve_alphas(deltas, src)
+        expected = [rd.solve_alpha(float(d), src) for d in deltas]
+        assert alphas.tobytes() == np.array(expected).tobytes()
 
 
-def test_sweep_solve_raises_where_solve_alpha_does():
-    # The minimizer sits on the boundary alpha -> 0: no sign change anywhere.
-    with pytest.raises(RootNotFoundError, match="delta=1.0,") as info:
-        rd._solve_alphas(np.array([1.0]), SourceSpec(0.999999))
-    assert info.value.grid.shape == info.value.values.shape == (rd.ALPHA_GRID_SIZE,)
-    assert np.all(info.value.values > 0)
+def _oracle_entropy_slope(mp, p0, delta, alpha):
+    """d/dalpha of the pair's average entropy, sum -w log2 w + sum lam log2 lam,
+    over the unnormalized output weights w, rebuilt in mpmath."""
+    p1 = 1 - p0
+
+    def entropy(a):
+        w = (
+            p0 * mp.cos(a) ** 2,
+            p1 * mp.cos(a + delta) ** 2,
+            p0 * mp.sin(a) ** 2,
+            p1 * mp.sin(a + delta) ** 2,
+        )
+        xlog = [v * mp.log(v, 2) for v in (*w, w[0] + w[1], w[2] + w[3])]
+        return -sum(xlog[:4]) + xlog[4] + xlog[5]
+
+    return mp.diff(entropy, alpha)
+
+
+# (p0, delta): three roots below the old 512-point grid's inset of
+# (pi/2 - delta) * 1e-6, among them a draw of the benchmark's point pool and
+# the delta = 0 endpoint offset, and an ordinary interior root.
+ORACLE_ROOTS = [
+    (0.999999, 1.0),
+    (0.9999983833606245, 0.6276912795730949),
+    (0.999, rd.ZERO_LIMIT_OFFSET),
+    (0.7, 0.8),
+]
+
+
+@pytest.mark.parametrize("p0, delta", ORACLE_ROOTS)
+def test_solve_alpha_matches_mpmath_root(p0, delta):
+    mp = pytest.importorskip("mpmath")
+    alpha = rd.solve_alpha(delta, SourceSpec(p0))
+    with mp.workdps(50):
+        p0_, delta_ = mp.mpf(p0), mp.mpf(delta)
+        lo, hi = mp.mpf(0), mp.pi / 2 - delta_
+        for _ in range(70):
+            mid = (lo + hi) / 2
+            if _oracle_entropy_slope(mp, p0_, delta_, mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        assert abs(alpha - float(lo)) <= 1e-12
+
+
+@pytest.mark.parametrize("p0", [0.5, 0.7, 0.99, 0.999999, 1.0 - 1e-12])
+def test_residual_end_limits_match_mpmath(p0):
+    mp = pytest.importorskip("mpmath")
+    deltas = [1e-8, 1e-4, 0.3, 0.8, 1.3, math.pi / 2 - 1e-8]
+    f_lo, f_hi = rd._end_limits(np.array(deltas), p0)
+    assert np.all(f_lo < 0) and np.all(f_hi > 0)
+    with mp.workdps(50):
+        p0_, gap = mp.mpf(p0), mp.mpf("1e-40")
+        for delta, lo, hi in zip(deltas, f_lo, f_hi):
+            delta_ = mp.mpf(delta)
+            top = mp.pi / 2 - delta_
+            for value, alpha in ((lo, gap), (hi, top - gap)):
+                exact = _oracle_entropy_slope(mp, p0_, delta_, alpha)
+                assert abs(value - exact) <= 1e-12 * abs(exact)
 
 
 def test_sweep_curve_rejects_short_grid():
