@@ -14,7 +14,6 @@ from .errors import (
     DomainError,
     EndpointSingularityError,
     InternalNumericError,
-    RootNotFoundError,
     ShapeError,
     ToolkitError,
 )

@@ -73,10 +73,8 @@ def run_curve(args: argparse.Namespace) -> int:
     if args.which == "s1":
         header = ["theta", "d", "S"]
         thetas = np.linspace(math.pi / 4, 0.0, args.points)
-        rows = []
-        for theta in thetas:
-            d, entropy = s1_curve_point(float(theta), src)
-            rows.append([float(theta), d, entropy])
+        d, entropy = s1_curve_point(thetas, src)
+        rows = np.column_stack([thetas, d, entropy]).tolist()
     else:
         header = ["delta", "alpha", "d", "R", "r", "lambda1"]
         points = sweep_curve(src, args.points)

@@ -29,18 +29,5 @@ class EndpointSingularityError(DomainError):
     """Evaluation requested at a parameter endpoint where a logarithm diverges."""
 
 
-class RootNotFoundError(ToolkitError, RuntimeError):
-    """No sign change was found on the search grid.
-
-    The ``grid`` and ``values`` attributes hold the scanned points for
-    diagnosis when set by the solver.
-    """
-
-    def __init__(self, message, grid=None, values=None):
-        super().__init__(message)
-        self.grid = grid
-        self.values = values
-
-
 class InternalNumericError(ToolkitError, RuntimeError):
     """A computed quantity failed an internal consistency check."""

@@ -170,22 +170,28 @@ def _residual_arr(alpha, delta, p0):
     ) / math.log(2.0)
 
 
-def s1_curve_point(theta: float, src: SourceSpec) -> tuple[float, float]:
+def s1_curve_point(theta, src: SourceSpec):
     """Distortion and output entropy of the filter diag(cos t, sin t).
 
     At ``t = pi/4`` the filter is proportional to the identity (zero
     distortion, entropy h2(p0)); at ``t = 0`` it replaces the source with its
-    best-guess pure state (entropy 0).
+    best-guess pure state (entropy 0). Takes a float, giving floats, or an
+    array, giving arrays; entries beyond 1e-12 outside [0, pi/4], or NaN,
+    raise ``DomainError``.
     """
-    if not -1e-12 <= theta <= math.pi / 4 + 1e-12:
-        raise DomainError(f"theta must lie in [0, pi/4], got {theta}")
-    theta = min(max(theta, 0.0), math.pi / 4)
+    t = np.asarray(theta, dtype=float)
+    inside = (t >= -1e-12) & (t <= math.pi / 4 + 1e-12)
+    if not inside.all():
+        raise DomainError(f"theta must lie in [0, pi/4], got {t[~inside][0]}")
+    t = np.clip(t, 0.0, math.pi / 4)
     p0, p1 = src.p0, src.p1
-    c, s = math.cos(theta), math.sin(theta)
-    weight = p0 * c**2 + p1 * s**2
+    c, s = np.cos(t), np.sin(t)
+    weight = p0 * c * c + p1 * s * s
     amplitude = p0 * c + p1 * s
-    d = 1.0 - amplitude**2 / weight
-    entropy = binary_entropy(p0 * c**2 / weight)
+    d = 1.0 - amplitude * amplitude / weight
+    entropy = binary_entropy(p0 * c * c / weight)
+    if d.ndim == 0:
+        return float(d), entropy
     return d, entropy
 
 

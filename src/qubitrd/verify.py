@@ -16,14 +16,20 @@ curve, so the lowered reference stays below it too; the tests check that
 the reference never rises above the curve by more than a tenth of the
 tolerance on such a grid.
 
-No suite evaluates one channel at a time. The block suites draw each
-trial's k and Kraus elements in turn, exactly as a trial-by-trial loop
-would, into zero-padded (chunk, 4, 2^n, 2^n) stacks of ``BLOCK_CHUNK``
-trials, then take the rates (``quantum.average_entropies``), the per-qubit
-block distortions (``quantum.block_distortions``, which also checks that
-every set is trace preserving) and the reference curve over each stack.
-The perturbation and search suites evaluate all of their Kraus sets as one
-stack the same way.
+Every Monte Carlo suite draws and evaluates its trials in consecutive
+blocks of ``BLOCK_CHUNK``, and block b draws from its own stream
+``np.random.default_rng((seed, b))``, a counter-style keyed stream: a
+report depends on (seed, trials) only, and the full blocks of a run are
+those of every longer run with the same seed. Inside a block a suite draws
+each quantity for all of its trials in one stacked call. The block suites
+draw every trial's element count first and zero-pad their Kraus sets into
+(chunk, 4, 2^n, 2^n) stacks, then take the rates
+(``quantum.average_entropies``), the per-qubit block distortions
+(``quantum.block_distortions``, which also checks that every set is trace
+preserving) and the reference curve over each stack. Across blocks a
+suite keeps only a few floats per trial, so its memory is one block's
+draws plus those floats, whatever the trial count. The perturbation suite
+draws nothing; it evaluates all of its Kraus sets as one stack.
 """
 
 from __future__ import annotations
@@ -52,9 +58,11 @@ from .records import record_to_text
 CURVE_TOL = 1e-6
 ALGEBRA_TOL = 1e-9
 MAX_RECORDED_FAILURES = 20
-# The block suites draw 1..MAX_KRAUS elements per trial and evaluate their
-# trials in stacks of BLOCK_CHUNK, zero-padded to MAX_KRAUS elements; a
-# chunk of 3-qubit trials then holds 256 x 4 x 8 x 8 complex entries (1 MB).
+# Every Monte Carlo suite draws and evaluates BLOCK_CHUNK trials at a time,
+# each block from its own keyed stream, so BLOCK_CHUNK is part of what a
+# seed draws. The block suites draw 1..MAX_KRAUS elements per trial,
+# zero-padded to MAX_KRAUS; a block of 3-qubit trials then holds
+# 256 x 4 x 8 x 8 complex entries (1 MB).
 MAX_KRAUS = 4
 BLOCK_CHUNK = 256
 # Interpolation nodes of the dominance reference curve.
@@ -120,6 +128,38 @@ def _report(
         tolerance=tolerance,
         failures=tuple(failures[:MAX_RECORDED_FAILURES]),
     )
+
+
+def _run_blocks(n_trials: int, seed: int, tolerance: float, evaluate, joined=()):
+    """Draw and evaluate a suite's trials in consecutive blocks of ``BLOCK_CHUNK``.
+
+    Block b draws from its own stream ``np.random.default_rng((seed, b))``.
+    ``evaluate(rng, count)`` draws and evaluates one block of ``count``
+    trials; it returns their excesses and a dict of per-trial failure
+    fields. A trial whose excess exceeds ``tolerance`` records a failure row:
+    its global trial index and its entry of every field. Across blocks only
+    the excesses and the fields named in ``joined`` are kept.
+
+    Returns the excesses of all trials, the ``joined`` fields over all
+    trials, and at most ``MAX_RECORDED_FAILURES`` failure rows.
+    """
+    if n_trials < 0:
+        raise DomainError(f"n_trials must be non-negative, got {n_trials}")
+    excesses: list[np.ndarray] = [np.empty(0)]
+    kept: dict[str, list[np.ndarray]] = {name: [] for name in joined}
+    failures: list[dict[str, Any]] = []
+    for block, start in enumerate(range(0, n_trials, BLOCK_CHUNK)):
+        rng = np.random.default_rng((seed, block))
+        excess, fields = evaluate(rng, min(BLOCK_CHUNK, n_trials - start))
+        excesses.append(excess)
+        for name in joined:
+            kept[name].append(fields[name])
+        flagged = np.flatnonzero(excess > tolerance)
+        for i in flagged[: MAX_RECORDED_FAILURES - len(failures)]:
+            row = {key: values[i].tolist() for key, values in fields.items()}
+            failures.append({"trial": start + int(i), **row})
+    joined_fields = {name: np.concatenate(parts) for name, parts in kept.items()}
+    return np.concatenate(excesses), joined_fields, failures
 
 
 class RateCurveInterpolator:
@@ -189,26 +229,18 @@ def check_lemma1(n_trials: int, dim: int, seed: int) -> VerificationReport:
     """
     if not 2 <= dim <= 8:
         raise DomainError(f"dim must lie in 2..8, got {dim}")
-    rng = np.random.default_rng(seed)
-    u = stinespring_kraus(rng, n_trials, dim, 1)[:, 0]
-    v = stinespring_kraus(rng, n_trials, dim, 1)[:, 0]
-    dvals = np.sort(rng.uniform(0.05, 2.0, (n_trials, dim)), axis=1)[:, ::-1]
-    lvals = np.sort(rng.uniform(0.05, 2.0, (n_trials, dim)), axis=1)[:, ::-1]
-    lhs = np.abs(np.einsum("nij,nj,nji,ni->n", u, dvals, v, lvals))
-    rhs = np.einsum("ni,ni->n", dvals, lvals)
-    excess = lhs - rhs
-    failures = [
-        {"trial": int(i), "lhs": float(lhs[i]), "rhs": float(rhs[i])}
-        for i in np.flatnonzero(excess > ALGEBRA_TOL)
-    ]
-    return _report(
-        "lemma1",
-        seed,
-        {"dim": dim},
-        ALGEBRA_TOL,
-        excess,
-        failures,
-    )
+
+    def evaluate(rng, count):
+        u = stinespring_kraus(rng, count, dim, 1)[:, 0]
+        v = stinespring_kraus(rng, count, dim, 1)[:, 0]
+        dvals = np.sort(rng.uniform(0.05, 2.0, (count, dim)), axis=1)[:, ::-1]
+        lvals = np.sort(rng.uniform(0.05, 2.0, (count, dim)), axis=1)[:, ::-1]
+        lhs = np.abs(np.einsum("nij,nj,nji,ni->n", u, dvals, v, lvals))
+        rhs = np.einsum("ni,ni->n", dvals, lvals)
+        return lhs - rhs, {"lhs": lhs, "rhs": rhs}
+
+    excess, _, failures = _run_blocks(n_trials, seed, ALGEBRA_TOL, evaluate)
+    return _report("lemma1", seed, {"dim": dim}, ALGEBRA_TOL, excess, failures)
 
 
 def check_lemma2(n_trials: int, dim: int, k: int, seed: int) -> VerificationReport:
@@ -217,27 +249,21 @@ def check_lemma2(n_trials: int, dim: int, k: int, seed: int) -> VerificationRepo
         raise DomainError(f"dim must lie in 2..8, got {dim}")
     if not 1 <= k <= 4:
         raise DomainError(f"k must lie in 1..4, got {k}")
-    rng = np.random.default_rng(seed)
-    y = stinespring_kraus(rng, n_trials, dim, k)
-    g = rng.standard_normal((n_trials, dim, dim)) + 1j * rng.standard_normal(
-        (n_trials, dim, dim)
-    )
-    dmat = g @ g.conj().transpose(0, 2, 1)
-    traces = np.einsum("nkij,nji->nk", y, dmat)
-    lhs = np.sum(np.abs(traces) ** 2, axis=1)
-    rhs = np.einsum("nii->n", dmat).real ** 2
-    excess = lhs - rhs
-    failures = [
-        {"trial": int(i), "lhs": float(lhs[i]), "rhs": float(rhs[i])}
-        for i in np.flatnonzero(excess > ALGEBRA_TOL)
-    ]
+
+    def evaluate(rng, count):
+        y = stinespring_kraus(rng, count, dim, k)
+        g = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal(
+            (count, dim, dim)
+        )
+        dmat = g @ g.conj().transpose(0, 2, 1)
+        traces = np.einsum("nkij,nji->nk", y, dmat)
+        lhs = np.sum(np.abs(traces) ** 2, axis=1)
+        rhs = np.einsum("nii->n", dmat).real ** 2
+        return lhs - rhs, {"lhs": lhs, "rhs": rhs}
+
+    excess, _, failures = _run_blocks(n_trials, seed, ALGEBRA_TOL, evaluate)
     return _report(
-        "lemma2",
-        seed,
-        {"dim": dim, "k": k},
-        ALGEBRA_TOL,
-        excess,
-        failures,
+        "lemma2", seed, {"dim": dim, "k": k}, ALGEBRA_TOL, excess, failures
     )
 
 
@@ -254,57 +280,52 @@ def check_theorem1(n_trials: int, seed: int, src: SourceSpec) -> VerificationRep
     """
     p0, p1 = src.p0, src.p1
     sq = np.array([math.sqrt(p0), math.sqrt(p1)])
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n_trials, 2, 2)) + 1j * rng.standard_normal(
-        (n_trials, 2, 2)
-    )
-    b = a * sq[np.newaxis, np.newaxis, :]
-    svals = np.linalg.svd(b, compute_uv=False)
-    dvals = svals / sq[np.newaxis, :]
-
-    out_a = b @ b.conj().transpose(0, 2, 1)
-    eigs = np.linalg.eigvalsh(out_a)
-    lam_a = eigs.sum(axis=1)
-    s_a = quantum.binary_entropy(np.clip(eigs[:, 1] / lam_a, 0.0, 1.0))
-    lam_d = (svals**2).sum(axis=1)
-    s_d = quantum.binary_entropy(np.clip(svals[:, 0] ** 2 / lam_d, 0.0, 1.0))
-
-    tr_a = p0 * a[:, 0, 0] + p1 * a[:, 1, 1]
-    dist_a = 1.0 - np.abs(tr_a) ** 2 / lam_a
-    tr_d = p0 * dvals[:, 0] + p1 * dvals[:, 1]
-    dist_d = 1.0 - tr_d**2 / lam_d
-
     rho = np.diag([p0, p1]).astype(complex)
-    d_mats = np.zeros((n_trials, 2, 2), dtype=complex)
-    d_mats[:, 0, 0] = dvals[:, 0]
-    d_mats[:, 1, 1] = dvals[:, 1]
-    comm = d_mats @ rho - rho @ d_mats
-    comm_max = np.max(np.abs(comm), axis=(1, 2))
-
-    entropy_excess = np.abs(s_a - s_d) - 1e-8
-    weight_excess = np.abs(lam_a - lam_d) - 1e-9
-    distortion_excess = (dist_d - dist_a) - 1e-9
-    commutator_excess = comm_max - 1e-10
-    excess = np.maximum.reduce(
-        [entropy_excess, weight_excess, distortion_excess, commutator_excess]
-    )
-    failures = [
-        {
-            "trial": int(i),
-            "entropy_gap": float(abs(s_a[i] - s_d[i])),
-            "weight_gap": float(abs(lam_a[i] - lam_d[i])),
-            "distortion_increase": float(dist_d[i] - dist_a[i]),
-            "commutator": float(comm_max[i]),
-        }
-        for i in np.flatnonzero(excess > 0.0)
-    ]
-    params = {
-        "p0": p0,
-        "worst_entropy_gap": float(np.abs(s_a - s_d).max()),
-        "worst_weight_gap": float(np.abs(lam_a - lam_d).max()),
-        "worst_distortion_increase": float((dist_d - dist_a).max()),
-        "worst_commutator": float(comm_max.max()),
+    tolerances = {
+        "entropy_gap": 1e-8,
+        "weight_gap": 1e-9,
+        "distortion_increase": 1e-9,
+        "commutator": 1e-10,
     }
+
+    def evaluate(rng, count):
+        a = rng.standard_normal((count, 2, 2)) + 1j * rng.standard_normal(
+            (count, 2, 2)
+        )
+        b = a * sq[np.newaxis, np.newaxis, :]
+        svals = np.linalg.svd(b, compute_uv=False)
+        dvals = svals / sq[np.newaxis, :]
+
+        out_a = b @ b.conj().transpose(0, 2, 1)
+        eigs = np.linalg.eigvalsh(out_a)
+        lam_a = eigs.sum(axis=1)
+        s_a = quantum.binary_entropy(np.clip(eigs[:, 1] / lam_a, 0.0, 1.0))
+        lam_d = (svals**2).sum(axis=1)
+        s_d = quantum.binary_entropy(np.clip(svals[:, 0] ** 2 / lam_d, 0.0, 1.0))
+
+        tr_a = p0 * a[:, 0, 0] + p1 * a[:, 1, 1]
+        dist_a = 1.0 - np.abs(tr_a) ** 2 / lam_a
+        tr_d = p0 * dvals[:, 0] + p1 * dvals[:, 1]
+        dist_d = 1.0 - tr_d**2 / lam_d
+
+        d_mats = np.zeros((count, 2, 2), dtype=complex)
+        d_mats[:, 0, 0] = dvals[:, 0]
+        d_mats[:, 1, 1] = dvals[:, 1]
+        comm = d_mats @ rho - rho @ d_mats
+        fields = {
+            "entropy_gap": np.abs(s_a - s_d),
+            "weight_gap": np.abs(lam_a - lam_d),
+            "distortion_increase": dist_d - dist_a,
+            "commutator": np.max(np.abs(comm), axis=(1, 2)),
+        }
+        excess = np.maximum.reduce(
+            [fields[name] - tol for name, tol in tolerances.items()]
+        )
+        return excess, fields
+
+    excess, worst, failures = _run_blocks(n_trials, seed, 0.0, evaluate, tolerances)
+    params = {"p0": p0}
+    params.update((f"worst_{name}", float(w.max())) for name, w in worst.items())
     return _report("theorem1", seed, params, 0.0, excess, failures)
 
 
@@ -501,37 +522,16 @@ def random_channel_search(
     """
     interp = rate_curve_interpolator(src)
     rho = src.density()
-    rng = np.random.default_rng(seed)
-    kraus = stinespring_kraus(rng, n_trials, 2, 2)
-    sbar = quantum.average_entropies(kraus, rho)
-    d = quantum.block_distortions(kraus, rho)
 
-    excess = np.asarray(interp.reference(d)) - sbar
-    failures = [
-        {"trial": int(i), "d": float(d[i]), "sbar": float(sbar[i])}
-        for i in np.flatnonzero(excess > CURVE_TOL)
-    ]
+    def evaluate(rng, count):
+        kraus = stinespring_kraus(rng, count, 2, 2)
+        sbar = quantum.average_entropies(kraus, rho)
+        d = quantum.block_distortions(kraus, rho)
+        return interp.reference(d) - sbar, {"d": d, "sbar": sbar}
+
+    excess, _, failures = _run_blocks(n_trials, seed, CURVE_TOL, evaluate)
     params = {"p0": src.p0, "interpolation_error_bound": interp.error_bound}
     return _report("search", seed, params, CURVE_TOL, excess, failures)
-
-
-def _stacked_trials(rng: np.random.Generator, n_trials: int, dim: int, draw):
-    """Draw the trials of a block suite as zero-padded Kraus stacks.
-
-    Yields ``(start, ks, kraus)`` per chunk of at most ``BLOCK_CHUNK``
-    trials, ``kraus`` of shape (chunk, MAX_KRAUS, dim, dim). Each trial draws
-    its k and then its elements through ``draw(k)`` before the next trial
-    draws, so the random stream is consumed as by one trial at a time.
-    """
-    for start in range(0, n_trials, BLOCK_CHUNK):
-        count = min(BLOCK_CHUNK, n_trials - start)
-        kraus = np.zeros((count, MAX_KRAUS, dim, dim), dtype=complex)
-        ks = []
-        for trial in range(count):
-            k = int(rng.integers(1, MAX_KRAUS + 1))
-            kraus[trial, :k] = draw(k)
-            ks.append(k)
-        yield start, ks, kraus
 
 
 def check_theorem2_blocks(
@@ -555,32 +555,22 @@ def check_theorem2_blocks(
     interp = rate_curve_interpolator(src)
     rho1 = src.density()
     rho2 = np.kron(rho1.mat, rho1.mat)
-    rng = np.random.default_rng(seed)
 
-    def draw(k):
-        diags = rng.uniform(0.05, 1.0, (k, 4))
-        diags /= np.sqrt((diags**2).sum(axis=0))[np.newaxis, :]
-        return diags[:, :, np.newaxis] * np.eye(4)
-
-    excesses = np.empty(n_trials)
-    failures: list[dict[str, Any]] = []
-    for start, ks, kraus in _stacked_trials(rng, n_trials, 4, draw):
+    def evaluate(rng, count):
+        ks = rng.integers(1, MAX_KRAUS + 1, count)
+        diags = rng.uniform(0.05, 1.0, (count, MAX_KRAUS, 4))
+        diags[np.arange(MAX_KRAUS) >= ks[:, np.newaxis]] = 0.0
+        diags /= np.sqrt((diags**2).sum(axis=1))[:, np.newaxis, :]
+        kraus = diags[..., np.newaxis] * np.eye(4, dtype=complex)
         rate = 0.5 * quantum.average_entropies(kraus, rho2)
         d = quantum.block_distortions(kraus, rho1)
-        excess = interp.reference(d) - rate
-        excesses[start : start + len(ks)] = excess
-        failures.extend(
-            {
-                "trial": start + int(i),
-                "k": ks[i],
-                "d": float(d[i]),
-                "rate": float(rate[i]),
-                "diagonals": np.diagonal(kraus[i, : ks[i]], 0, 1, 2).real.tolist(),
-            }
-            for i in np.flatnonzero(excess > CURVE_TOL)
-        )
+        diagonals = [row[:k] for row, k in zip(diags, ks)]
+        fields = {"k": ks, "d": d, "rate": rate, "diagonals": diagonals}
+        return interp.reference(d) - rate, fields
+
+    excess, _, failures = _run_blocks(n_trials, seed, CURVE_TOL, evaluate)
     params = {"p0": src.p0, "interpolation_error_bound": interp.error_bound}
-    return _report("blocks", seed, params, CURVE_TOL, excesses, failures)
+    return _report("blocks", seed, params, CURVE_TOL, excess, failures)
 
 
 def check_theorem3_isotropic(
@@ -596,29 +586,21 @@ def check_theorem3_isotropic(
         raise DomainError(f"n_qubits must be 2 or 3, got {n_qubits}")
     dim = 2**n_qubits
     rho1 = DensityMatrix(np.eye(2, dtype=complex) / 2)
-    rng = np.random.default_rng(seed)
 
-    def draw(k):
-        return stinespring_kraus(rng, 1, dim, k)[0]
-
-    excesses = np.empty(n_trials)
-    failures: list[dict[str, Any]] = []
-    for start, ks, kraus in _stacked_trials(rng, n_trials, dim, draw):
+    def evaluate(rng, count):
+        ks = rng.integers(1, MAX_KRAUS + 1, count)
+        kraus = np.zeros((count, MAX_KRAUS, dim, dim), dtype=complex)
+        for k in range(1, MAX_KRAUS + 1):
+            trials = np.flatnonzero(ks == k)
+            kraus[trials, :k] = stinespring_kraus(rng, trials.size, dim, k)
         rate = quantum.average_entropies(kraus, np.eye(dim) / dim) / n_qubits
         d = quantum.block_distortions(kraus, rho1)
-        excess = _isotropic_reference(d) - rate
-        excesses[start : start + len(ks)] = excess
-        failures.extend(
-            {
-                "trial": start + int(i),
-                "k": ks[i],
-                "d": float(d[i]),
-                "rate": float(rate[i]),
-            }
-            for i in np.flatnonzero(excess > CURVE_TOL)
-        )
-    params = {"n_qubits": n_qubits}
-    return _report("isotropic", seed, params, CURVE_TOL, excesses, failures)
+        return _isotropic_reference(d) - rate, {"k": ks, "d": d, "rate": rate}
+
+    excess, _, failures = _run_blocks(n_trials, seed, CURVE_TOL, evaluate)
+    return _report(
+        "isotropic", seed, {"n_qubits": n_qubits}, CURVE_TOL, excess, failures
+    )
 
 
 def _isotropic_reference(d: np.ndarray) -> np.ndarray:

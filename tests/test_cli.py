@@ -223,10 +223,10 @@ def test_simulate_domain_error(capsys):
 
 
 def test_solver_failure_exit_code(capsys, monkeypatch):
-    from qubitrd.errors import RootNotFoundError
+    from qubitrd.errors import InternalNumericError
 
     def boom(*args, **kwargs):
-        raise RootNotFoundError("no sign change")
+        raise InternalNumericError("no sign change")
 
     monkeypatch.setattr(cli, "sweep_curve", boom)
     code = cli.main(["curve", "r1", "--points", "5"])

@@ -51,6 +51,16 @@ def test_s1_endpoint_best_guess():
     assert entropy == pytest.approx(0.0, abs=1e-12)
 
 
+def test_s1_array_matches_floats_bit_for_bit():
+    thetas = np.linspace(math.pi / 4, 0.0, 201)
+    d, entropy = rd.s1_curve_point(thetas, SRC7)
+    points = [rd.s1_curve_point(float(theta), SRC7) for theta in thetas]
+    assert d.tolist() == [p[0] for p in points]
+    assert entropy.tolist() == [p[1] for p in points]
+    with pytest.raises(DomainError):
+        rd.s1_curve_point(np.array([0.1, 1.0]), SRC7)
+
+
 def test_s1_isotropic_closed_form():
     for theta in np.linspace(0.0, math.pi / 4, 60):
         d, entropy = rd.s1_curve_point(float(theta), SRC5)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -423,52 +424,88 @@ def test_isotropic_suite(n_qubits):
     assert report.passed and report.n_violations == 0
 
 
-# Reports recorded from the per-trial implementation of the block suites
-# (one KrausChannel, one marginal map per qubit and one interpolant call per
-# trial). The stacked suites must draw every trial's k and elements in the
-# same order, so they replay the same trials, whatever the chunk size. The
-# search row was recorded from the suite's own per-element scoring, before
-# it moved to the stacked kernels (drift 1.6e-15); it has no chunks. The
-# worst violations of the blocks and search rows were recorded again when
-# the reference curve became a Hermite interpolant over delta: each moved by
-# exactly the change of the reference at its worst trial, and the counts,
-# verdicts and failures stayed. A k = 1 trial of the blocks suite is the
-# identity, whose excess is minus the interpolation error bound; seed 63
-# draws none in its 12 trials, so that the worst violation there depends on
-# the trials drawn. Columns: suite,
-# argument, trials, seed, and the recorded n_violations, passed, failure
-# trials and worst_violation.
+# Reports recorded by evaluating each drawn trial on its own through the
+# one-channel route (a KrausChannel, marginal_channel and
+# choi_entanglement_fidelity per qubit, average_entropy, and one reference
+# call per trial), not through the suites' stacked kernels. The draws are
+# those of the keyed streams: block b of BLOCK_CHUNK = 256 trials draws from
+# default_rng((seed, b)), first every trial's k, then its elements. The ids
+# name that block size, which the rows depend on. A k = 1 trial of the
+# blocks suite is the identity, whose excess is minus the interpolation
+# error bound; seed 33, the smallest seed whose 12 trials draw no k = 1, is
+# used so that the worst violation there depends on the trials drawn.
+# Columns: suite, argument, trials, seed, and the recorded n_violations,
+# passed, failure trials and worst_violation.
 RECORDED_BLOCK_REPORTS = [
-    ("blocks", 0.5, 12, 63, 0, True, [], -0.00715643390542442),
-    ("blocks", 0.7, 12, 63, 0, True, [], -0.008486833313508635),
-    ("isotropic", 2, 600, 29, 0, True, [], -0.5984486334741006),
-    ("isotropic", 3, 300, 29, 0, True, [], -0.7717819371682889),
-    ("search", 0.7, 2000, 7, 0, True, [], -0.02595625187980442),
+    ("blocks", 0.5, 12, 33, 0, True, [], -0.0033129337421162752),
+    ("blocks", 0.7, 12, 33, 0, True, [], -0.003175443918379317),
+    ("isotropic", 2, 600, 29, 0, True, [], -0.6155705013548516),
+    ("isotropic", 3, 300, 29, 0, True, [], -0.784461986531631),
+    ("search", 0.7, 2000, 7, 0, True, [], -0.042034379737882266),
 ]
 
 
-@pytest.mark.parametrize("chunk", [verify.BLOCK_CHUNK, 5])
+def _run_suite_by_name(suite, arg, trials, seed):
+    if suite == "lemma1":
+        return verify.check_lemma1(trials, arg, seed)
+    if suite == "lemma2":
+        return verify.check_lemma2(trials, arg, 4, seed)
+    if suite == "blocks":
+        return verify.check_theorem2_blocks(SourceSpec(arg), trials, seed)
+    if suite == "search":
+        return verify.random_channel_search(SourceSpec(arg), trials, seed)
+    return verify.check_theorem3_isotropic(arg, trials, seed)
+
+
 @pytest.mark.parametrize(
     "suite,arg,trials,seed,violations,passed,failed_trials,worst",
     RECORDED_BLOCK_REPORTS,
-    ids=[f"{r[0]}-{r[1]}" for r in RECORDED_BLOCK_REPORTS],
+    ids=[f"{r[0]}-{r[1]}-{verify.BLOCK_CHUNK}" for r in RECORDED_BLOCK_REPORTS],
 )
 def test_block_suites_replay_recorded_reports(
-    monkeypatch, suite, arg, trials, seed, violations, passed, failed_trials, worst,
-    chunk,
+    suite, arg, trials, seed, violations, passed, failed_trials, worst
 ):
-    monkeypatch.setattr(verify, "BLOCK_CHUNK", chunk)
-    if suite == "blocks":
-        report = verify.check_theorem2_blocks(SourceSpec(arg), trials, seed)
-    elif suite == "search":
-        report = verify.random_channel_search(SourceSpec(arg), trials, seed)
-    else:
-        report = verify.check_theorem3_isotropic(arg, trials, seed)
+    report = _run_suite_by_name(suite, arg, trials, seed)
     assert report.n_trials == trials
     assert report.n_violations == violations
     assert report.passed is passed
     assert [f["trial"] for f in report.failures] == failed_trials
     assert abs(report.worst_violation - worst) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "suite,arg",
+    [
+        ("lemma1", 8),
+        ("lemma2", 4),
+        ("blocks", 0.5),
+        ("blocks", 0.7),
+        ("isotropic", 2),
+        ("isotropic", 3),
+        ("search", 0.7),
+    ],
+)
+def test_full_blocks_do_not_depend_on_trials(monkeypatch, suite, arg):
+    # With every trial recorded as a failure, a run of two full blocks
+    # must replay, row for row, the first two blocks of a longer run.
+    monkeypatch.setattr(verify, "ALGEBRA_TOL", -math.inf)
+    monkeypatch.setattr(verify, "CURVE_TOL", -math.inf)
+    monkeypatch.setattr(verify, "MAX_RECORDED_FAILURES", 10**6)
+    full = 2 * verify.BLOCK_CHUNK
+    short = _run_suite_by_name(suite, arg, full, seed=5)
+    longer = _run_suite_by_name(suite, arg, full + 37, seed=5)
+    assert len(short.failures) == full and len(longer.failures) == full + 37
+    assert list(short.failures) == list(longer.failures[:full])
+
+
+def test_lemma1_memory_is_bounded_by_one_block():
+    tracemalloc.start()
+    try:
+        verify.check_lemma1(20000, 8, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # Growth of the phase-0 perturbation per (delta, |x|) in criterion 10's
