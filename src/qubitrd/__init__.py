@@ -12,7 +12,6 @@ from .errors import (
     ContractViolationError,
     DimensionMismatchError,
     DomainError,
-    EndpointSingularityError,
     InternalNumericError,
     ShapeError,
     ToolkitError,
@@ -40,14 +39,13 @@ from .quantum import (
 )
 from .ratedistortion import (
     CurvePoint,
-    KrausPair,
     SourceSpec,
     classical_hamming_baseline,
     isotropic_s1,
+    pair_channel,
     r1_curve_point,
     s1_curve_point,
     solve_alpha,
-    stationarity_residual,
     sweep_curve,
 )
 from .realization import (

@@ -25,9 +25,5 @@ class DomainError(ToolkitError, ValueError):
     """Scalar argument lies outside its permitted range."""
 
 
-class EndpointSingularityError(DomainError):
-    """Evaluation requested at a parameter endpoint where a logarithm diverges."""
-
-
 class InternalNumericError(ToolkitError, RuntimeError):
     """A computed quantity failed an internal consistency check."""

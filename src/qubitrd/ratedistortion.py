@@ -6,10 +6,11 @@ The source emits qubits in the state ``rho = diag(p0, p1)`` with
 * single-element filters ``A = diag(cos t, sin t)`` with ``t in [0, pi/4]``,
   which trace out the entropy-distortion boundary S1(d);
 * trace-preserving pairs ``A1 = diag(cos a, cos(a + D))``,
-  ``A2 = diag(sin a, sin(a + D))`` with ``D in [0, pi/2]``. Their distortion
-  is ``d = 2 p0 p1 (1 - cos D)`` independently of ``a``, so the rate curve
-  R1(d) is obtained by minimizing the average conditional output entropy
-  over the mixing angle ``a`` at each ``D``.
+  ``A2 = diag(sin a, sin(a + D))`` (``pair_channel``) with
+  ``D in [0, pi/2]``. Their distortion is ``d = 2 p0 p1 (1 - cos D)``
+  independently of ``a``, so the rate curve R1(d) is obtained by minimizing
+  the average conditional output entropy over the mixing angle ``a`` at
+  each ``D``.
 
 The minimizing angle solves a stationarity equation (the derivative of the
 average entropy with respect to ``a``). Its residual has closed-form limits
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, DomainError, EndpointSingularityError
+from .errors import DomainError
 from .quantum import DensityMatrix, KrausChannel, binary_entropy
 
 HALF_PI = math.pi / 2
@@ -54,7 +55,6 @@ BISECTION_WIDTH = 1e-12
 # _RTOL |x| + _ATOL.
 _RTOL = 4 * sys.float_info.epsilon
 _ATOL = BISECTION_WIDTH / 2
-PAIR_COMPLETENESS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -97,42 +97,13 @@ class CurvePoint:
     lambda1: float
 
 
-@dataclass(frozen=True)
-class KrausPair:
-    """Diagonal trace-preserving pair of 2x2 operation elements."""
-
-    a1: np.ndarray
-    a2: np.ndarray
-
-    def __post_init__(self):
-        m1 = np.asarray(self.a1, dtype=complex)
-        m2 = np.asarray(self.a2, dtype=complex)
-        if m1.shape != (2, 2) or m2.shape != (2, 2):
-            raise ContractViolationError("pair elements must be 2x2")
-        off = max(
-            abs(m1[0, 1]), abs(m1[1, 0]), abs(m2[0, 1]), abs(m2[1, 0])
-        )
-        if off > PAIR_COMPLETENESS_TOL:
-            raise ContractViolationError("pair elements must be diagonal")
-        total = m1.conj().T @ m1 + m2.conj().T @ m2
-        gap = np.max(np.abs(total - np.eye(2)))
-        if gap > PAIR_COMPLETENESS_TOL:
-            raise ContractViolationError(
-                f"A1†A1 + A2†A2 deviates from identity by {gap:.3e}"
-            )
-        m1.setflags(write=False)
-        m2.setflags(write=False)
-        object.__setattr__(self, "a1", m1)
-        object.__setattr__(self, "a2", m2)
-
-    @classmethod
-    def from_angles(cls, alpha: float, delta: float) -> "KrausPair":
-        a1 = np.diag([math.cos(alpha), math.cos(alpha + delta)]).astype(complex)
-        a2 = np.diag([math.sin(alpha), math.sin(alpha + delta)]).astype(complex)
-        return cls(a1, a2)
-
-    def channel(self) -> KrausChannel:
-        return KrausChannel((self.a1, self.a2), trace_preserving=True)
+def pair_channel(alpha: float, delta: float) -> KrausChannel:
+    """The diagonal pair diag(cos a, cos(a + D)), diag(sin a, sin(a + D)) at
+    mixing angle ``alpha`` and angle gap ``delta``, as a trace-preserving
+    channel."""
+    a1 = np.diag([math.cos(alpha), math.cos(alpha + delta)]).astype(complex)
+    a2 = np.diag([math.sin(alpha), math.sin(alpha + delta)]).astype(complex)
+    return KrausChannel((a1, a2), trace_preserving=True)
 
 
 def _pair_weights(alpha, delta, p0):
@@ -187,29 +158,13 @@ def s1_curve_point(theta, src: SourceSpec):
     p0, p1 = src.p0, src.p1
     c, s = np.cos(t), np.sin(t)
     weight = p0 * c * c + p1 * s * s
-    amplitude = p0 * c + p1 * s
-    d = 1.0 - amplitude * amplitude / weight
+    # 1 - (p0 c + p1 s)^2 / weight, without the cancellation near t = pi/4
+    gap = c - s
+    d = p0 * p1 * gap * gap / weight
     entropy = binary_entropy(p0 * c * c / weight)
     if d.ndim == 0:
         return float(d), entropy
     return d, entropy
-
-
-def stationarity_residual(alpha: float, delta: float, src: SourceSpec) -> float:
-    """Stationarity condition for the mixing angle at fixed delta.
-
-    Returns the derivative of the pair's average output entropy with respect
-    to ``alpha``; the optimal angle is a root. Continuous on the open
-    interval ``0 < alpha < pi/2 - delta``; at the endpoints a logarithm
-    argument diverges, though the residual has finite limits there.
-    """
-    if not 0.0 < delta < HALF_PI:
-        raise DomainError(f"delta must lie in (0, pi/2), got {delta}")
-    if not 0.0 < alpha < HALF_PI - delta:
-        raise EndpointSingularityError(
-            f"alpha {alpha} outside the open interval (0, {HALF_PI - delta})"
-        )
-    return float(_residual_arr(alpha, delta, src.p0))
 
 
 def _end_limits(delta, p0):

@@ -2,7 +2,8 @@
 
 The lossy step is one ancilla qubit prepared in |0>, a 4x4 entangling
 unitary, and a measurement of the ancilla. Outcome 0 applies the first
-element of the optimal pair to the source qubit, outcome 1 the second; the
+element of the optimal pair to the source qubit, outcome 1 the second; a
+circuit carries that pair as its ``KrausChannel`` (``pair_channel``). The
 outcome sequence is the classical side information, whose asymptotic rate is
 h2(lambda1). Qubit rates are accounted analytically at the conditional
 output entropies; no block code is simulated.
@@ -14,15 +15,15 @@ The 4-dimensional basis ordering is ancilla-first:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any
 
 import numpy as np
 
 from . import quantum
 from .errors import DomainError, InternalNumericError
-from .quantum import DensityMatrix
-from .ratedistortion import HALF_PI, KrausPair, SourceSpec, solve_alpha
+from .quantum import DensityMatrix, KrausChannel
+from .ratedistortion import HALF_PI, SourceSpec, pair_channel, solve_alpha
 from .records import record_to_text
 
 OUTCOME_FLOOR = 1e-14
@@ -33,12 +34,16 @@ SAMPLE_CHUNK = 2**20
 
 @dataclass(frozen=True)
 class RealizationCircuit:
-    """One ancilla-source entangling circuit at a solved operating point."""
+    """One ancilla-source entangling circuit at a solved operating point.
+
+    ``channel`` is the operation the circuit induces on the source qubit:
+    the optimal diagonal pair, outcome 0's element first.
+    """
 
     alpha: float
     delta: float
     unitary: np.ndarray
-    kraus_pair: KrausPair
+    channel: KrausChannel
 
     def __post_init__(self):
         u = np.asarray(self.unitary, dtype=complex)
@@ -58,14 +63,7 @@ class StreamResult:
     analytic_distortion: float
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "n_samples": self.n_samples,
-            "type1_count": self.type1_count,
-            "empirical_lambda1": self.empirical_lambda1,
-            "empirical_classical_rate": self.empirical_classical_rate,
-            "quantum_rate": self.quantum_rate,
-            "analytic_distortion": self.analytic_distortion,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_text(self) -> str:
         return record_to_text(list(self.to_dict().items()))
@@ -99,7 +97,7 @@ def build_circuit(delta: float, src: SourceSpec) -> RealizationCircuit:
         alpha=alpha,
         delta=delta,
         unitary=unitary,
-        kraus_pair=KrausPair.from_angles(alpha, delta),
+        channel=pair_channel(alpha, delta),
     )
 
 
@@ -122,14 +120,14 @@ def measure_ancilla(
     """Ancilla measurement statistics and the conditional source states.
 
     Returns (p_type1, post1, post2) where post_i is the normalized source
-    state after outcome i. An outcome with probability at or below 1e-14 is
-    suppressed (its post state is None).
+    state after outcome i, read off the elements of the circuit's channel.
+    An outcome with probability at or below 1e-14 is suppressed (its post
+    state is None).
     """
     rho = src.density().mat
-    pair = circ.kraus_pair
     posts: list[DensityMatrix | None] = []
     weights: list[float] = []
-    for element in (pair.a1, pair.a2):
+    for element in circ.channel.elements:
         out = element @ rho @ element.conj().T
         weight = float(np.trace(out).real)
         weights.append(weight)
@@ -160,7 +158,7 @@ def simulate_stream(
         type1_count += int(np.count_nonzero(draws < p_type1))
     empirical = type1_count / n_samples
     rho = src.density()
-    quantum_rate = quantum.average_entropy(circ.kraus_pair.channel(), rho)
+    quantum_rate = quantum.average_entropy(circ.channel, rho)
     return StreamResult(
         n_samples=n_samples,
         type1_count=type1_count,

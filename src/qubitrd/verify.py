@@ -29,14 +29,17 @@ draw every trial's element count first and zero-pad their Kraus sets into
 preserving) and the reference curve over each stack. Across blocks a
 suite keeps only a few floats per trial, so its memory is one block's
 draws plus those floats, whatever the trial count. The perturbation suite
-draws nothing; it evaluates all of its Kraus sets as one stack.
+draws nothing. It is one array pass over its (delta, |x|, phase) grid: one
+batched angle solve for every delta, the weight quadratic over the whole
+(delta, |x|) grid with its infeasible cells masked, and one stack of Kraus
+sets for every feasible cell.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 import numpy as np
@@ -47,10 +50,9 @@ from .quantum import DensityMatrix, stinespring_kraus
 from .ratedistortion import (
     HALF_PI,
     SourceSpec,
-    KrausPair,
     _pair_weights,
+    _solve_alphas,
     isotropic_s1,
-    solve_alpha,
     sweep_curve,
 )
 from .records import record_to_text
@@ -89,17 +91,9 @@ class VerificationReport:
     failures: tuple[dict[str, Any], ...] = field(default=())
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "suite_name": self.suite_name,
-            "n_trials": self.n_trials,
-            "n_violations": self.n_violations,
-            "worst_violation": self.worst_violation,
-            "seed": self.seed,
-            "params": self.params,
-            "passed": self.passed,
-            "tolerance": self.tolerance,
-            "failures": list(self.failures),
-        }
+        record = {f.name: getattr(self, f.name) for f in fields(self)}
+        record["failures"] = list(self.failures)
+        return record
 
     def to_text(self) -> str:
         return record_to_text(list(self.to_dict().items()))
@@ -329,27 +323,6 @@ def check_theorem1(n_trials: int, seed: int, src: SourceSpec) -> VerificationRep
     return _report("theorem1", seed, params, 0.0, excess, failures)
 
 
-def _solve_perturbation_mixture(
-    cos2: float, sin2: float, k_lin: float, radius: float, lam0: float
-) -> tuple[float, float] | None:
-    """Solve the two weight constraints for (lam, mu) at one |x|.
-
-    Returns None when the quadratic has no real solution. Of the two roots
-    the one continuous with the unperturbed weights is returned.
-    """
-    a_q = cos2 / sin2
-    b_q = -k_lin * cos2 / sin2
-    c_q = k_lin**2 / (4.0 * sin2) - radius
-    disc = b_q**2 - 4.0 * a_q * c_q
-    if disc < 0.0:
-        return None
-    root = math.sqrt(disc)
-    candidates = [(-b_q - root) / (2 * a_q), (-b_q + root) / (2 * a_q)]
-    lam = min(candidates, key=lambda x: abs(x - lam0))
-    mu = (k_lin - 2.0 * lam * cos2) / (2.0 * sin2)
-    return lam, mu
-
-
 def check_perturbation(
     delta_grid,
     x_magnitudes,
@@ -374,137 +347,142 @@ def check_perturbation(
     growth is quartic (ratio near 16); away from it the growth of small |x|
     is quadratic (ratio near 4).
 
-    The base pairs and the pairs of every (delta, |x|, phase) form one
-    stack of Kraus sets, over which the average entropies, the distortion
-    drift and the completeness check are each taken in one call. All 8
-    phases are still evaluated and recorded, although the growth depends on
-    |x| only (their growths agree to about 3e-9 relative): they check that
-    the phase of x is immaterial.
+    The suite is one array pass. The angles at every delta are solved in
+    one batched call (``_solve_alphas``), and the weight quadratic over the
+    whole (delta, |x|) grid; a cell whose quadratic has no real root is
+    infeasible, is masked out and recorded. The base pairs and the pairs of
+    every feasible (delta, |x|, phase) form one stack of Kraus sets, over
+    which the average entropies, the distortion drift and the completeness
+    check are each taken in one call, and the report rows are read off the
+    grid by index. All 8 phases are still evaluated and recorded, although
+    the growth depends on |x| only (their growths agree to about 3e-9
+    relative): they check that the phase of x is immaterial. Every delta
+    must lie in (0, pi/2) and every magnitude in [0, 0.05]; any other
+    value, NaN included, raises ``DomainError``.
     """
-    mags = [float(m) for m in x_magnitudes]
-    if any(m < 0 or m > 0.05 for m in mags):
+    mags = np.asarray(x_magnitudes, dtype=float)
+    if not np.all((mags >= 0.0) & (mags <= 0.05)):
         raise DomainError("perturbation magnitudes must lie in [0, 0.05]")
+    deltas = np.asarray(delta_grid, dtype=float)
+    outside = ~((deltas > 0.0) & (deltas < HALF_PI))
+    if outside.any():
+        raise DomainError(f"delta must lie in (0, pi/2), got {deltas[outside][0]}")
     p0, p1 = src.p0, src.p1
     rho = src.density()
     phases = [2.0 * math.pi * i / 8 for i in range(8)]
     units = np.array([complex(math.cos(phase), math.sin(phase)) for phase in phases])
 
-    weight_shifts: list[dict[str, Any]] = []
-    infeasible: list[dict[str, Any]] = []
-    base_pairs = []
-    perturbed = []
-    # per perturbed pair: (delta, |x|, phase), its base pair, its distortion
-    keys: list[tuple[float, float, float]] = []
-    base_index: list[int] = []
-    targets: list[float] = []
+    # one row per delta: the diagonal optimum and its mixture weights
+    delta = deltas[:, np.newaxis]
+    alpha = _solve_alphas(deltas, src)[:, np.newaxis]
+    c1, c2 = np.cos(alpha), np.cos(alpha + delta)
+    s1, s2 = np.sin(alpha), np.sin(alpha + delta)
+    d_target = src.distortion(delta)
+    f2 = 1.0 - d_target
+    t1, t2 = p0 * c1 + p1 * c2, p0 * s1 + p1 * s2
+    theta = np.arctan2(t2, t1)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    cos2, sin2 = cos_t * cos_t, sin_t * sin_t
+    lam0, mu0 = p0 * c1 / t1, p0 * s1 / t2
+    k_lin = (p0**2 - p1**2) / f2 + 1.0
 
-    for delta in delta_grid:
-        delta = float(delta)
-        alpha = solve_alpha(delta, src)
-        base = KrausPair.from_angles(alpha, delta)
-        base_pairs.append((base.a1, base.a2))
-        d_target = src.distortion(delta)
-        f2 = 1.0 - d_target
-        f = math.sqrt(f2)
-        t1 = p0 * math.cos(alpha) + p1 * math.cos(alpha + delta)
-        t2 = p0 * math.sin(alpha) + p1 * math.sin(alpha + delta)
-        theta = math.atan2(t2, t1)
-        cos_t, sin_t = math.cos(theta), math.sin(theta)
-        cos2, sin2 = cos_t**2, sin_t**2
-        lam0 = p0 * math.cos(alpha) / t1
-        mu0 = p0 * math.sin(alpha) / t2
-        k_lin = (p0**2 - p1**2) / f2 + 1.0
+    # the two weight constraints on the (delta, |x|) grid: a quadratic in
+    # lam, whose root continuous with the unperturbed weights is taken
+    a_q = cos2 / sin2
+    b_q = -k_lin * cos2 / sin2
+    c_q = k_lin**2 / (4.0 * sin2) - (p0**2 / f2 - mags**2)
+    disc = b_q**2 - 4.0 * a_q * c_q
+    feasible = disc >= 0.0
+    root = np.sqrt(np.where(feasible, disc, 0.0))
+    minus, plus = (-b_q - root) / (2 * a_q), (-b_q + root) / (2 * a_q)
+    lam = np.where(np.abs(plus - lam0) < np.abs(minus - lam0), plus, minus)
+    mu = (k_lin - 2.0 * lam * cos2) / (2.0 * sin2)
+    lam_shift, mu_shift = lam - lam0, mu - mu0
 
-        for mag in mags:
-            solved = _solve_perturbation_mixture(
-                cos2, sin2, k_lin, p0**2 / f2 - mag**2, lam0
-            )
-            if solved is None:
-                infeasible.append({"delta": delta, "magnitude": mag})
-                continue
-            lam, mu = solved
-            weight_shifts.append(
-                {
-                    "delta": delta,
-                    "magnitude": mag,
-                    "lambda_shift": lam - lam0,
-                    "mu_shift": mu - mu0,
-                }
-            )
-            # A1 = f [[lam c/p0, x s/p1], [x* s/p0, (1 - lam) c/p1]] and
-            # A2 = f [[mu s/p0, -x c/p1], [-x* c/p0, (1 - mu) s/p1]], per phase
-            x = mag * units
-            pairs = np.empty((len(x), 2, 2, 2), dtype=complex)
-            pairs[:, 0, 0, 0] = lam * cos_t / p0
-            pairs[:, 0, 0, 1] = x * sin_t / p1
-            pairs[:, 0, 1, 0] = x.conj() * sin_t / p0
-            pairs[:, 0, 1, 1] = (1.0 - lam) * cos_t / p1
-            pairs[:, 1, 0, 0] = mu * sin_t / p0
-            pairs[:, 1, 0, 1] = -x * cos_t / p1
-            pairs[:, 1, 1, 0] = -x.conj() * cos_t / p0
-            pairs[:, 1, 1, 1] = (1.0 - mu) * sin_t / p1
-            perturbed.append(f * pairs)
-            keys.extend((delta, mag, phase) for phase in phases)
-            base_index.extend([len(base_pairs) - 1] * len(phases))
-            targets.extend([d_target] * len(phases))
+    # the base pairs, then 8 phases of every feasible cell, as one stack
+    i, j = np.nonzero(feasible)
+    n_base, n_cells = deltas.size, i.size
+    stack = np.zeros((n_base + 8 * n_cells, 2, 2, 2), dtype=complex)
+    stack[:n_base, 0, [0, 1], [0, 1]] = np.hstack([c1, c2])
+    stack[:n_base, 1, [0, 1], [0, 1]] = np.hstack([s1, s2])
+    # A1 = f [[lam c/p0, x s/p1], [x* s/p0, (1 - lam) c/p1]] and
+    # A2 = f [[mu s/p0, -x c/p1], [-x* c/p0, (1 - mu) s/p1]], per phase
+    pairs = stack[n_base:].reshape(n_cells, 8, 2, 2, 2)
+    x = mags[j, np.newaxis] * units
+    lam_c, mu_c = lam[i, j, np.newaxis], mu[i, j, np.newaxis]
+    c, s = cos_t[i], sin_t[i]
+    pairs[..., 0, 0, 0] = lam_c * c / p0
+    pairs[..., 0, 0, 1] = x * s / p1
+    pairs[..., 0, 1, 0] = x.conj() * s / p0
+    pairs[..., 0, 1, 1] = (1.0 - lam_c) * c / p1
+    pairs[..., 1, 0, 0] = mu_c * s / p0
+    pairs[..., 1, 0, 1] = -x * c / p1
+    pairs[..., 1, 1, 0] = -x.conj() * c / p0
+    pairs[..., 1, 1, 1] = (1.0 - mu_c) * s / p1
+    pairs *= np.sqrt(f2[i])[..., np.newaxis, np.newaxis, np.newaxis]
 
-    # the base pairs, then the perturbed ones, as one stack
-    n_base = len(base_pairs)
-    stack = np.concatenate([np.reshape(base_pairs, (n_base, 2, 2, 2)), *perturbed])
     sbar = quantum.average_entropies(stack, rho)
-    drift = np.abs(quantum.block_distortions(stack, rho)[n_base:] - targets)
-    growth_values = sbar[n_base:] - sbar[base_index]
-    worst_distortion_drift = float(drift.max()) if drift.size else 0.0
+    distortions = quantum.block_distortions(stack, rho)[n_base:].reshape(n_cells, 8)
+    drift = np.abs(distortions - d_target[i])
+    cell_growth = sbar[n_base:].reshape(n_cells, 8) - sbar[i, np.newaxis]
+    # by (delta, |x|, phase); NaN in infeasible cells
+    growth = np.full(feasible.shape + (8,), np.nan)
+    growth[feasible] = cell_growth
 
+    dl, ml = deltas.tolist(), mags.tolist()
+    cells = list(zip(i.tolist(), j.tolist()))
     growths = [
-        {"delta": delta, "magnitude": mag, "phase": phase, "growth": float(growth)}
-        for (delta, mag, phase), growth in zip(keys, growth_values)
+        {"delta": dl[a], "magnitude": ml[b], "phase": phase, "growth": g}
+        for (a, b), row in zip(cells, cell_growth.tolist())
+        for phase, g in zip(phases, row)
     ]
     failures = [dict(g) for g in growths if -g["growth"] > ALGEBRA_TOL]
+    weight_shifts = [
+        {"delta": dl[a], "magnitude": ml[b], "lambda_shift": ls, "mu_shift": ms}
+        for (a, b), ls, ms in zip(
+            cells, lam_shift[feasible].tolist(), mu_shift[feasible].tolist()
+        )
+    ]
+    infeasible = [
+        {"delta": dl[a], "magnitude": ml[b]} for a, b in zip(*np.nonzero(~feasible))
+    ]
 
     ratios: list[dict[str, Any]] = []
     shift_ratios: list[dict[str, Any]] = []
-    distinct = sorted({m for m in mags if m > 0})
+    distinct = sorted({m for m in ml if m > 0})
     if len(distinct) == 2:
-        lo, hi = distinct
-        by_key = {
-            (g["delta"], g["magnitude"], g["phase"]): g["growth"] for g in growths
-        }
-        for delta in delta_grid:
-            for phase in phases:
-                g_lo = by_key.get((float(delta), lo, phase))
-                g_hi = by_key.get((float(delta), hi, phase))
-                if g_lo is not None and g_hi is not None and g_lo > 0:
-                    ratios.append(
-                        {"delta": float(delta), "phase": phase, "ratio": g_hi / g_lo}
-                    )
-        shifts_by_key = {(w["delta"], w["magnitude"]): w for w in weight_shifts}
-        for delta in delta_grid:
-            w_lo = shifts_by_key.get((float(delta), lo))
-            w_hi = shifts_by_key.get((float(delta), hi))
-            if w_lo is not None and w_hi is not None and w_lo["lambda_shift"] != 0:
-                shift_ratios.append(
-                    {
-                        "delta": float(delta),
-                        "lambda_ratio": w_hi["lambda_shift"] / w_lo["lambda_shift"],
-                        "mu_ratio": w_hi["mu_shift"] / w_lo["mu_shift"],
-                    }
-                )
+        lo, hi = (ml.index(m) for m in distinct)
+        rows, cols = np.nonzero((growth[:, lo] > 0) & feasible[:, hi, np.newaxis])
+        ratio = growth[rows, hi, cols] / growth[rows, lo, cols]
+        ratios = [
+            {"delta": dl[d], "phase": phases[k], "ratio": r}
+            for d, k, r in zip(rows.tolist(), cols.tolist(), ratio.tolist())
+        ]
+        both = feasible[:, lo] & feasible[:, hi]
+        rows = np.flatnonzero(both & (lam_shift[:, lo] != 0))
+        shift_ratios = [
+            {"delta": dl[d], "lambda_ratio": lr, "mu_ratio": mr}
+            for d, lr, mr in zip(
+                rows.tolist(),
+                (lam_shift[rows, hi] / lam_shift[rows, lo]).tolist(),
+                (mu_shift[rows, hi] / mu_shift[rows, lo]).tolist(),
+            )
+        ]
 
     params = {
         "p0": p0,
-        "deltas": [float(d) for d in delta_grid],
-        "magnitudes": mags,
+        "deltas": dl,
+        "magnitudes": ml,
         "n_phases": len(phases),
         "growths": growths,
         "growth_ratios": ratios,
         "weight_shifts": weight_shifts,
         "weight_shift_ratios": shift_ratios,
         "infeasible_points": infeasible,
-        "worst_distortion_drift": worst_distortion_drift,
+        "worst_distortion_drift": float(drift.max()) if drift.size else 0.0,
     }
     return _report(
-        "perturbation", seed, params, ALGEBRA_TOL, -growth_values, failures
+        "perturbation", seed, params, ALGEBRA_TOL, -cell_growth.ravel(), failures
     )
 
 

@@ -19,9 +19,9 @@ import pytest
 from qubitrd import linalg, quantum, realization, verify
 from qubitrd.quantum import DensityMatrix, KrausChannel
 from qubitrd.ratedistortion import (
-    KrausPair,
     SourceSpec,
     isotropic_s1,
+    pair_channel,
     r1_curve_point,
     solve_alpha,
     sweep_curve,
@@ -68,8 +68,8 @@ def test_criterion_03_distortion_identity():
         rho = src.density()
         for delta in np.linspace(0.02, math.pi / 2 - 0.02, 50):
             alpha = solve_alpha(float(delta), src)
-            pair = KrausPair.from_angles(alpha, float(delta))
-            d = quantum.distortion(rho, pair.channel())
+            pair = pair_channel(alpha, float(delta))
+            d = quantum.distortion(rho, pair)
             closed = 2 * p0 * (1 - p0) * (1 - math.cos(float(delta)))
             worst = max(worst, abs(d - closed))
     ok = worst <= 1e-10
@@ -177,11 +177,11 @@ def test_criterion_09_block_dominance():
     for p0, delta in ((0.5, 0.8), (0.7, 0.5), (0.7, 1.1)):
         src = SourceSpec(p0)
         pt = r1_curve_point(delta, src)
-        pair = KrausPair.from_angles(pt.alpha, delta)
+        pair = pair_channel(pt.alpha, delta)
         elements = tuple(
             np.kron(a, b)
-            for a in (pair.a1, pair.a2)
-            for b in (pair.a1, pair.a2)
+            for a in pair.elements
+            for b in pair.elements
         )
         channel = KrausChannel(elements, trace_preserving=True)
         rho2 = DensityMatrix(np.kron(src.density().mat, src.density().mat))
@@ -244,7 +244,7 @@ def test_criterion_11_realization_consistency():
             proj[outcome, outcome] = 1.0
             proj4 = np.kron(proj, np.eye(2, dtype=complex))
             reconstructed += linalg.partial_trace(proj4 @ joint @ proj4, {2})
-        direct, _ = quantum.apply(circ.kraus_pair.channel(), src.density())
+        direct, _ = quantum.apply(circ.channel, src.density())
         worst_gap = max(worst_gap, float(np.max(np.abs(reconstructed - direct))))
 
     src5 = SourceSpec(0.5)
@@ -272,8 +272,8 @@ def test_criterion_12_entropy_exchange_claims():
         rho = src.density()
         for delta in np.linspace(0.1, math.pi / 2 - 0.1, 9):
             alpha = solve_alpha(float(delta), src)
-            pair = KrausPair.from_angles(alpha, float(delta))
-            for element in (pair.a1, pair.a2):
+            pair = pair_channel(alpha, float(delta))
+            for element in pair.elements:
                 worst_exchange = max(
                     worst_exchange,
                     quantum.entropy_exchange(rho, KrausChannel((element,))),

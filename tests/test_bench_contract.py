@@ -36,6 +36,16 @@ def test_cli_warm_up_content_checks_pass():
     assert {cmd: failures for cmd, (_, failures) in wl.references.items() if failures} == {}
 
 
+def test_verify_workload_perturbation_passes_at_every_p0():
+    # The benchmark's own perturbation inputs and checks, at every p0 it
+    # runs, so a suite that fails on one of them fails here first.
+    wl = workloads.WORKLOADS["verify"](1)
+    inputs = [inp for inp in next(wl.cycles()) if inp[0] == "perturbation"]
+    assert [p0 for _, p0, _ in inputs] == list(workloads.VERIFY_P0S)
+    ops = [(inp, wl.run(qubitrd, inp)) for inp in inputs]
+    assert wl.failures(ops) == [[] for _ in ops]
+
+
 def test_span_tracer_installs_and_undoes():
     original = qubitrd.ratedistortion.solve_alpha
     undo = spans.install(spans.Recorder(), qubitrd)

@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from qubitrd import quantum, ratedistortion as rd
-from qubitrd.errors import (
-    ContractViolationError,
-    DomainError,
-    EndpointSingularityError,
-)
-from qubitrd.ratedistortion import KrausPair, SourceSpec
+from qubitrd.errors import DomainError
+from qubitrd.ratedistortion import SourceSpec, pair_channel
 
 SRC5 = SourceSpec(0.5)
 SRC7 = SourceSpec(0.7)
@@ -29,13 +25,11 @@ def test_source_spec_validation():
 
 
 def test_kraus_pair_completeness():
-    pair = KrausPair.from_angles(0.3, 0.7)
-    total = (
-        pair.a1.conj().T @ pair.a1 + pair.a2.conj().T @ pair.a2
-    )
+    # An incomplete set is rejected by KrausChannel itself (test_quantum).
+    pair = pair_channel(0.3, 0.7)
+    assert pair.trace_preserving
+    total = sum(a.conj().T @ a for a in pair.elements)
     assert np.max(np.abs(total - np.eye(2))) <= 1e-15
-    with pytest.raises(ContractViolationError):
-        KrausPair(np.diag([1.0, 1.0]).astype(complex), np.diag([0.5, 0.5]).astype(complex))
 
 
 def test_s1_endpoint_identity_filter():
@@ -67,19 +61,27 @@ def test_s1_isotropic_closed_form():
         assert entropy == pytest.approx(rd.isotropic_s1(d), abs=1e-10)
 
 
+@pytest.mark.parametrize("p0", [0.5, 0.7, 0.9])
+def test_s1_distortion_is_never_negative(p0):
+    # d = p0 p1 (c - s)^2 / weight has no cancellation: at theta = pi/4,
+    # where c and s differ in the last bit, 1 - amplitude^2 / weight read
+    # -2.2e-16 at p0 0.7 and 0.9.
+    d, _ = rd.s1_curve_point(np.linspace(math.pi / 4, 0.0, 201), SourceSpec(p0))
+    assert np.all(d >= 0.0)
+    assert d[0] < 1e-30
+
+
 def test_stationarity_symmetric_root():
     for delta in np.linspace(0.05, math.pi / 2 - 0.05, 25):
-        residual = rd.stationarity_residual(
-            math.pi / 4 - float(delta) / 2, float(delta), SRC5
-        )
+        residual = rd._residual_arr(math.pi / 4 - float(delta) / 2, float(delta), 0.5)
         assert abs(residual) <= 1e-10
 
 
 def test_stationarity_brackets_root():
     for delta in (0.3, 0.8, 1.3):
         sym = math.pi / 4 - delta / 2
-        below = rd.stationarity_residual(sym - 0.1, delta, SRC5)
-        above = rd.stationarity_residual(sym + 0.1, delta, SRC5)
+        below = rd._residual_arr(sym - 0.1, delta, 0.5)
+        above = rd._residual_arr(sym + 0.1, delta, 0.5)
         assert below < 0 < above
 
 
@@ -96,20 +98,11 @@ def test_stationarity_matches_finite_difference():
         rho = src.density()
 
         def sbar(a):
-            return quantum.average_entropy(
-                KrausPair.from_angles(a, delta).channel(), rho
-            )
+            return quantum.average_entropy(pair_channel(a, delta), rho)
 
         fd = (sbar(alpha + step) - sbar(alpha - step)) / (2 * step)
-        residual = rd.stationarity_residual(alpha, delta, src)
+        residual = rd._residual_arr(alpha, delta, p0)
         assert abs(residual - fd) <= 1e-6 * max(1.0, abs(residual))
-
-
-def test_stationarity_endpoint_singularity():
-    with pytest.raises(EndpointSingularityError):
-        rd.stationarity_residual(0.0, 0.5, SRC7)
-    with pytest.raises(EndpointSingularityError):
-        rd.stationarity_residual(math.pi / 2 - 0.5, 0.5, SRC7)
 
 
 def test_solve_alpha_symmetric():
@@ -135,14 +128,10 @@ def test_solve_alpha_minimizes_average_entropy():
     for src, rho in ((SRC5, rho5), (SRC7, rho7)):
         for delta in (0.2, 0.6, 1.0, 1.4):
             root = rd.solve_alpha(delta, src)
-            best = quantum.average_entropy(
-                KrausPair.from_angles(root, delta).channel(), rho
-            )
+            best = quantum.average_entropy(pair_channel(root, delta), rho)
             hi = math.pi / 2 - delta
             for alpha in rng.uniform(hi * 1e-3, hi * (1 - 1e-3), 50):
-                other = quantum.average_entropy(
-                    KrausPair.from_angles(float(alpha), delta).channel(), rho
-                )
+                other = quantum.average_entropy(pair_channel(float(alpha), delta), rho)
                 assert best <= other + 1e-12
 
 
@@ -185,8 +174,8 @@ def test_distortion_identity_alpha_independent():
             closed = 2 * p0 * (1 - p0) * (1 - math.cos(delta))
             hi = math.pi / 2 - delta
             for alpha in rng.uniform(hi * 0.01, hi * 0.99, 3):
-                pair = KrausPair.from_angles(float(alpha), float(delta))
-                d = quantum.distortion(rho, pair.channel())
+                pair = pair_channel(float(alpha), float(delta))
+                d = quantum.distortion(rho, pair)
                 assert abs(d - closed) <= 1e-10
 
 
@@ -341,13 +330,14 @@ def test_r1_matches_average_entropy_of_pair():
         src = SourceSpec(p0)
         rho = src.density()
         for pt in rd.sweep_curve(src, 64)[1:-1]:
-            pair = KrausPair.from_angles(pt.alpha, pt.delta)
-            channel = pair.channel()
+            pair = pair_channel(pt.alpha, pt.delta)
+            channel = pair
             assert quantum.average_entropy(channel, rho) == pytest.approx(
                 pt.R, abs=1e-12
             )
             assert quantum.distortion(rho, channel) == pytest.approx(
                 pt.d, abs=1e-10
             )
-            lam1 = float(np.trace(pair.a1 @ rho.mat @ pair.a1.conj().T).real)
+            a1 = pair.elements[0]
+            lam1 = float(np.trace(a1 @ rho.mat @ a1.conj().T).real)
             assert pt.lambda1 == pytest.approx(lam1, abs=1e-12)

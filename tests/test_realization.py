@@ -5,7 +5,7 @@ import pytest
 
 from qubitrd import linalg, quantum, realization
 from qubitrd.errors import DomainError
-from qubitrd.ratedistortion import KrausPair, SourceSpec, r1_curve_point
+from qubitrd.ratedistortion import SourceSpec, pair_channel, r1_curve_point
 
 SRC5 = SourceSpec(0.5)
 SRC7 = SourceSpec(0.7)
@@ -38,7 +38,7 @@ def test_joint_output_blocks():
         circ = realization.build_circuit(delta, src)
         joint = realization.joint_output(circ, src)
         rho = src.density().mat
-        a1, a2 = circ.kraus_pair.a1, circ.kraus_pair.a2
+        a1, a2 = circ.channel.elements
         assert np.allclose(joint[0:2, 0:2], a1 @ rho @ a1.conj().T, atol=1e-12)
         assert np.allclose(joint[0:2, 2:4], a1 @ rho @ a2.conj().T, atol=1e-12)
         assert np.allclose(joint[2:4, 0:2], a2 @ rho @ a1.conj().T, atol=1e-12)
@@ -48,7 +48,7 @@ def test_joint_output_blocks():
 def test_small_delta_circuit_acts_as_probabilistic_identity():
     circ = realization.build_circuit(1e-3, SRC7)
     rho = SRC7.density()
-    out, weight = quantum.apply(circ.kraus_pair.channel(), rho)
+    out, weight = quantum.apply(circ.channel, rho)
     assert weight == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(out - rho.mat)) <= 1e-5
 
@@ -65,7 +65,7 @@ def test_induced_channel_matches_pair():
             proj4 = np.kron(proj, np.eye(2, dtype=complex))
             reduced = linalg.partial_trace(proj4 @ joint @ proj4, {2})
             reconstructed += reduced
-        direct, _ = quantum.apply(circ.kraus_pair.channel(), src.density())
+        direct, _ = quantum.apply(circ.channel, src.density())
         assert np.max(np.abs(reconstructed - direct)) <= 1e-11
 
 
@@ -79,7 +79,7 @@ def test_measure_ancilla_statistics():
     circ = realization.build_circuit(0.7, SRC7)
     p1, _, _ = realization.measure_ancilla(circ, SRC7)
     rho = SRC7.density().mat
-    a1 = circ.kraus_pair.a1
+    a1 = circ.channel.elements[0]
     assert p1 == pytest.approx(
         float(np.trace(a1 @ rho @ a1.conj().T).real), abs=1e-12
     )
@@ -97,9 +97,9 @@ def test_outcome_probabilities_sum_to_one():
     for src, delta in _random_operating_points(30, seed=4):
         circ = realization.build_circuit(delta, src)
         rho = src.density().mat
-        pair = circ.kraus_pair
-        w1 = float(np.trace(pair.a1 @ rho @ pair.a1.conj().T).real)
-        w2 = float(np.trace(pair.a2 @ rho @ pair.a2.conj().T).real)
+        a1, a2 = circ.channel.elements
+        w1 = float(np.trace(a1 @ rho @ a1.conj().T).real)
+        w2 = float(np.trace(a2 @ rho @ a2.conj().T).real)
         assert w1 + w2 == pytest.approx(1.0, abs=1e-12)
 
 
@@ -146,7 +146,7 @@ def test_measure_ancilla_suppresses_dead_outcome():
         alpha=0.0,
         delta=delta,
         unitary=np.eye(4, dtype=complex),
-        kraus_pair=KrausPair.from_angles(0.0, delta),
+        channel=pair_channel(0.0, delta),
     )
     p1, post1, post2 = realization.measure_ancilla(circ, SRC7)
     assert p1 == pytest.approx(1.0, abs=1e-12)
@@ -164,6 +164,10 @@ def test_stream_result_serialization():
     circ = realization.build_circuit(0.6, SRC7)
     result = realization.simulate_stream(circ, SRC7, 1000, seed=5)
     record = result.to_dict()
+    assert list(record) == [
+        "n_samples", "type1_count", "empirical_lambda1",
+        "empirical_classical_rate", "quantum_rate", "analytic_distortion",
+    ]
     assert record["n_samples"] == 1000
     assert record["type1_count"] == result.type1_count
     text = result.to_text()

@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicHermiteSpline
 
-from qubitrd import linalg, quantum, verify
+from qubitrd import linalg, quantum, ratedistortion as rd, verify
 from qubitrd.errors import DomainError
 from qubitrd.quantum import DensityMatrix, KrausChannel
 from qubitrd.ratedistortion import (
-    KrausPair,
     SourceSpec,
+    _residual_arr,
     isotropic_s1,
+    pair_channel,
     r1_curve_point,
     solve_alpha,
-    stationarity_residual,
     sweep_curve,
 )
 
@@ -118,7 +118,13 @@ def test_reports_are_deterministic():
 
 def test_report_serialization_roundtrip():
     report = verify.check_lemma2(200, 2, 2, seed=3)
-    blob = json.dumps(report.to_dict())
+    record = report.to_dict()
+    assert list(record) == [
+        "suite_name", "n_trials", "n_violations", "worst_violation", "seed",
+        "params", "passed", "tolerance", "failures",
+    ]
+    assert isinstance(record["failures"], list)
+    blob = json.dumps(record)
     back = json.loads(blob)
     assert back["suite_name"] == "lemma2"
     assert back["passed"] is True
@@ -155,6 +161,43 @@ def test_perturbation_growth_nonnegative_and_quartic():
 def test_perturbation_rejects_large_magnitude():
     with pytest.raises(DomainError):
         verify.check_perturbation((0.5,), (0.06,), SRC7, seed=0)
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.1, math.pi / 2, 2.0])
+def test_perturbation_rejects_delta_outside_open_interval(delta):
+    with pytest.raises(DomainError):
+        verify.check_perturbation((0.6, delta), (0.01,), SRC7, seed=0)
+
+
+def test_perturbation_masks_infeasible_cells():
+    # At p0 0.9 the weight quadratic of (0.15, 0.02) has no real root: the
+    # cell is recorded, its 8 phases are not trials, and neither ratio
+    # table has a row at its delta.
+    report = verify.run_suite("perturbation", SourceSpec(0.9), 1, seed=0)[0]
+    params = report.params
+    assert report.passed
+    assert report.n_trials == 152
+    assert params["infeasible_points"] == [{"delta": 0.15, "magnitude": 0.02}]
+    assert len(params["growths"]) == 152 and len(params["weight_shifts"]) == 19
+    assert all(r["delta"] != 0.15 for r in params["growth_ratios"])
+    assert all(r["delta"] != 0.15 for r in params["weight_shift_ratios"])
+
+
+def test_perturbation_solves_every_angle_in_one_batch(monkeypatch):
+    calls = []
+    solve_alphas = verify._solve_alphas
+
+    def spy(deltas, src):
+        calls.append(len(deltas))
+        return solve_alphas(deltas, src)
+
+    def forbidden(delta, src):
+        raise AssertionError("solve_alpha called")
+
+    monkeypatch.setattr(verify, "_solve_alphas", spy)
+    monkeypatch.setattr(rd, "solve_alpha", forbidden)
+    verify.run_suite("perturbation", SRC7, 1, seed=0)
+    assert calls == [len(verify.DEFAULT_PERTURBATION_DELTAS)]
 
 
 def _oracle_average_entropy(mp, p0, alpha, delta, x):
@@ -221,7 +264,7 @@ def test_perturbation_growth_matches_mpmath_oracle(delta):
         for offset in (-0.01, 0.01):
             g_off, ratio_off = doubling_ratio(alpha + offset)
             assert abs(ratio_off - 4) <= 0.01
-            residual = stationarity_residual(alpha + offset, delta, SRC7)
+            residual = float(_residual_arr(alpha + offset, delta, 0.7))
             assert residual != 0 and g_off * residual < 0
 
         report = verify.check_perturbation((delta,), (0.01, 0.02), SRC7, seed=0)
@@ -311,8 +354,8 @@ def test_search_optimal_pair_sits_on_curve():
     rho = SRC7.density()
     for delta in (0.4, 0.9):
         pt = r1_curve_point(delta, SRC7)
-        pair = KrausPair.from_angles(pt.alpha, delta)
-        sbar = quantum.average_entropy(pair.channel(), rho)
+        pair = pair_channel(pt.alpha, delta)
+        sbar = quantum.average_entropy(pair, rho)
         assert sbar >= float(interp.reference(pt.d)) - 1e-12
 
 
@@ -337,11 +380,11 @@ def test_blocks_tensor_square_on_curve():
     for p0, delta in ((0.7, 0.5), (0.7, 1.0), (0.5, 0.8)):
         src = SourceSpec(p0)
         pt = r1_curve_point(delta, src)
-        pair = KrausPair.from_angles(pt.alpha, delta)
+        pair = pair_channel(pt.alpha, delta)
         elements = tuple(
             np.kron(a, b)
-            for a in (pair.a1, pair.a2)
-            for b in (pair.a1, pair.a2)
+            for a in pair.elements
+            for b in pair.elements
         )
         ch = KrausChannel(elements, trace_preserving=True)
         rho2 = DensityMatrix(np.kron(src.density().mat, src.density().mat))
@@ -405,9 +448,9 @@ def test_isotropic_identity_endpoint():
 
 def test_isotropic_tensored_pair_on_curve():
     pt = r1_curve_point(0.8, SRC5)
-    pair = KrausPair.from_angles(pt.alpha, 0.8)
+    pair = pair_channel(pt.alpha, 0.8)
     elements = tuple(
-        np.kron(a, b) for a in (pair.a1, pair.a2) for b in (pair.a1, pair.a2)
+        np.kron(a, b) for a in pair.elements for b in pair.elements
     )
     ch = KrausChannel(elements, trace_preserving=True)
     rho1 = DensityMatrix(np.eye(2, dtype=complex) / 2)
@@ -556,8 +599,8 @@ def test_optimal_pair_elements_have_zero_entropy_exchange():
     rho = SRC7.density()
     for delta in (0.3, 0.9, 1.4):
         pt = r1_curve_point(delta, SRC7)
-        pair = KrausPair.from_angles(pt.alpha, delta)
-        for element in (pair.a1, pair.a2):
+        pair = pair_channel(pt.alpha, delta)
+        for element in pair.elements:
             single = KrausChannel((element,))
             exchange = quantum.entropy_exchange(rho, single)
             assert exchange <= 1e-12
