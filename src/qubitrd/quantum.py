@@ -188,25 +188,29 @@ def von_neumann_entropy(rho) -> float:
 def binary_entropy(p):
     """Binary entropy h2(p) in bits, of a float or of each entry of an array.
 
-    (p ln p + q ln q) / -ln 2 with q = 1 - p, each log taking its argument
-    floored at the smallest positive double: 0 ln 0 = 0 without a warning,
-    and h2(0) = h2(1) = +0.0. A float gives a float, with the bits of the
-    same entry of an array. Entries within 1e-12 outside [0, 1] are clipped;
-    any other, NaN included, raises ``DomainError``. A float is checked and
-    clipped as a float, which is cheaper than as a 0-d array.
+    (m ln m + (1 - m) log1p(-m)) / -ln 2 with m = min(p, 1 - p), ln m
+    taking its argument floored at the smallest positive double: 0 ln 0 = 0
+    without a warning, and h2(0) = h2(1) = +0.0. This keeps full relative
+    precision for a small m; a p near 1 has already lost the digits of
+    1 - p, so a caller who knows 1 - p in closed form passes that. A float
+    gives a float, with the bits of the same entry of an array. Entries
+    within 1e-12 outside [0, 1] are clipped; any other, NaN included,
+    raises ``DomainError``. A float is checked and clipped as a float,
+    which is cheaper than as a 0-d array.
     """
     if isinstance(p, (int, float)):
         if not -1e-12 <= p <= 1 + 1e-12:
             raise DomainError(f"probability {p} outside [0, 1]")
         p = min(max(float(p), 0.0), 1.0)
+        m = min(p, 1.0 - p)
     else:
         p = np.asarray(p, dtype=float)
         inside = (p >= -1e-12) & (p <= 1 + 1e-12)
         if not inside.all():
             raise DomainError(f"probability {p[~inside][0]} outside [0, 1]")
         p = np.minimum(np.maximum(p, 0.0), 1.0)
-    q = 1.0 - p
-    nats = p * np.log(np.maximum(p, _TINY)) + q * np.log(np.maximum(q, _TINY))
+        m = np.minimum(p, 1.0 - p)
+    nats = m * np.log(np.maximum(m, _TINY)) + (1.0 - m) * np.log1p(-m)
     h = 0.0 - nats / math.log(2.0)
     return h if isinstance(h, np.ndarray) else float(h)
 

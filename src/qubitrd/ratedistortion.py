@@ -17,7 +17,8 @@ average entropy with respect to ``a``). Its residual has closed-form limits
 of opposite signs at the two ends of (0, pi/2 - D), so one bracketed root
 finder (Chandrupatla's) on that interval finds it. A single D runs it on
 floats and a sweep runs the same update over all its interior D at once,
-so both return the same angle. Every other quantity of a
+so both return the same angle; at D = 0 and D = pi/2 the angle is its
+exact limit, solved for nowhere. Every other quantity of a
 curve point is closed form in (a, D): the distortion above, the average
 entropy ``lambda1 h2(p0 cos^2 a / lambda1) + lambda2 h2(p0 sin^2 a / lambda2)``,
 the type-1 weight ``lambda1 = p0 cos^2 a + p1 cos^2(a + D)``, with
@@ -39,16 +40,11 @@ from .errors import DomainError
 from .quantum import DensityMatrix, KrausChannel, binary_entropy
 
 HALF_PI = math.pi / 2
-# Inset in Delta for sweep grids; keeps every logarithm argument positive.
+# Inset in Delta for sweep grids; keeps every interior row above the
+# delta ~ 1e-7 floor where round-off swamps the residual's sign.
 DELTA_EPS = 1e-6
-# Delta values this close to 0 or pi/2 are handled by analytic limits.
+# Delta values this close to 0 or pi/2 take the curve's exact limits.
 ENDPOINT_CUTOFF = 1e-12
-# Offsets at which the endpoint limits of alpha and lambda1 are evaluated.
-# Near delta = 0 the stationarity residual vanishes as delta^3, and below
-# about 1e-7 round-off swamps its sign; the pi/2 side stays well
-# conditioned down to 1e-6.
-ZERO_LIMIT_OFFSET = 1e-3
-MAX_LIMIT_OFFSET = 1e-6
 # Width to which the bracket of the mixing angle is narrowed.
 BISECTION_WIDTH = 1e-12
 # The root finder stops once the bracket is narrower than twice
@@ -118,9 +114,17 @@ def _pair_weights(alpha, delta, p0):
 
 
 def _average_entropy_arr(alpha, delta, p0):
-    """Average output entropy of the diagonal pair; vectorized over alpha."""
-    c1, _, s1, _, lam1, lam2 = _pair_weights(alpha, delta, p0)
-    return lam1 * binary_entropy(p0 * c1 / lam1) + lam2 * binary_entropy(p0 * s1 / lam2)
+    """Average output entropy of the diagonal pair; vectorized over alpha.
+
+    lambda1 h2(p1 c2 / lambda1) + lambda2 h2(min(p0 s1, p1 s2) / lambda2):
+    each h2 takes the smaller of its two closed-form arguments (p0 c1 is
+    never below p1 c2), which keeps full precision at p0 near 1.
+    """
+    p1 = 1.0 - p0
+    _, c2, s1, s2, lam1, lam2 = _pair_weights(alpha, delta, p0)
+    return lam1 * binary_entropy(p1 * c2 / lam1) + lam2 * binary_entropy(
+        np.minimum(p0 * s1, p1 * s2) / lam2
+    )
 
 
 def _residual_arr(alpha, delta, p0):
@@ -276,33 +280,29 @@ def r1_curve_point(delta: float, src: SourceSpec) -> CurvePoint:
     Solves for the optimal mixing angle (``solve_alpha``, to a bracket of
     about 1e-12), then takes the distortion
     2 p0 p1 (1 - cos delta), the average output entropy of the pair and its
-    type-1 weight lambda1 from their closed forms. The degenerate endpoints
-    keep their exact distortion and rate, (0, h2(p0)) and (d_max, 0); their
-    angle and lambda1 are limits solved at a small offset inside the
-    interval.
+    type-1 weight lambda1 from their closed forms. The endpoints solve
+    nothing; each column there is its exact limit. As delta -> 0,
+    alpha / delta -> p1 / (p0 - p1), so (0, h2(p0)) has alpha = 0 and
+    lambda1 = 1, except at p0 = 1/2, where alpha = pi/4 - delta/2 gives
+    pi/4 and 1/2. The limit jumps there: alpha stays near pi/4 - delta/2
+    until delta is well past p0 - p1, so at p0 = 0.5000001 the delta = 0
+    row has r = 0 and the next row of a 101-point sweep r near 1. At
+    delta = pi/2, (0, pi/2 - delta) closes on alpha = 0, so (d_max, 0) has
+    lambda1 = p0.
     """
     if not -1e-12 <= delta <= HALF_PI + 1e-12:
         raise DomainError(f"delta must lie in [0, pi/2], got {delta}")
     p0 = src.p0
     if delta <= ENDPOINT_CUTOFF:
-        delta, solve_at = 0.0, ZERO_LIMIT_OFFSET
-    elif delta >= HALF_PI - ENDPOINT_CUTOFF:
-        delta, solve_at = HALF_PI, HALF_PI - MAX_LIMIT_OFFSET
-    else:
-        solve_at = delta
-
-    alpha = solve_alpha(solve_at, src)
-    lam1 = float(_pair_weights(alpha, solve_at, p0)[4])
-    if delta == 0.0:
-        d, rate = 0.0, binary_entropy(p0)
-    elif delta == HALF_PI:
-        d, rate = src.d_max, 0.0
-    else:
-        d = src.distortion(delta)
-        rate = float(_average_entropy_arr(alpha, delta, p0))
-    return CurvePoint(
-        delta=delta, alpha=alpha, d=d, R=rate, r=binary_entropy(lam1), lambda1=lam1
-    )
+        alpha, lam1 = (math.pi / 4, 0.5) if p0 == 0.5 else (0.0, 1.0)
+        return CurvePoint(0.0, alpha, 0.0, binary_entropy(p0), binary_entropy(lam1), lam1)
+    if delta >= HALF_PI - ENDPOINT_CUTOFF:
+        return CurvePoint(HALF_PI, 0.0, src.d_max, 0.0, binary_entropy(p0), p0)
+    alpha = solve_alpha(delta, src)
+    lam1, lam2 = _pair_weights(alpha, delta, p0)[4:]
+    rate = float(_average_entropy_arr(alpha, delta, p0))
+    r = binary_entropy(min(lam1, lam2))
+    return CurvePoint(delta, alpha, src.distortion(delta), rate, r, float(lam1))
 
 
 def sweep_curve(src: SourceSpec, n_points: int) -> list[CurvePoint]:
@@ -310,10 +310,11 @@ def sweep_curve(src: SourceSpec, n_points: int) -> list[CurvePoint]:
 
     Points come back ordered by ascending distortion; the rate is
     non-increasing along the sweep. The endpoints are ``r1_curve_point``'s
-    limits. The interior angles are solved together (``_solve_alphas``, the
-    update of ``solve_alpha`` over arrays), and d, R, r and lambda1 come
-    from the closed forms over the whole array, so every interior point
-    equals ``r1_curve_point`` at its delta bit for bit.
+    exact limits, which solve nothing. The interior angles are solved
+    together (``_solve_alphas``, the update of ``solve_alpha`` over
+    arrays), and d, R, r and lambda1 come from the closed forms over the
+    whole array, so every interior point equals ``r1_curve_point`` at its
+    delta bit for bit.
     """
     if n_points < 2:
         raise DomainError(f"n_points must be at least 2, got {n_points}")
@@ -323,8 +324,9 @@ def sweep_curve(src: SourceSpec, n_points: int) -> list[CurvePoint]:
     first = r1_curve_point(0.0, src)
     alpha = _solve_alphas(deltas, src)
     rate = _average_entropy_arr(alpha, deltas, p0)
-    lam1 = _pair_weights(alpha, deltas, p0)[4]
-    columns = (deltas, alpha, src.distortion(deltas), rate, binary_entropy(lam1), lam1)
+    lam1, lam2 = _pair_weights(alpha, deltas, p0)[4:]
+    r = binary_entropy(np.minimum(lam1, lam2))
+    columns = (deltas, alpha, src.distortion(deltas), rate, r, lam1)
     interior = [CurvePoint(*row) for row in zip(*(c.tolist() for c in columns))]
     return [first, *interior, r1_curve_point(HALF_PI, src)]
 

@@ -6,12 +6,13 @@ checks an inequality or identity on every trial, and returns a
 any violating trial is recorded so a counterexample can be replayed rather
 than lost. Curve-dominance suites compare against a cubic Hermite
 interpolant of the swept rate curve over the angle gap delta, with exact
-node slopes, lowered by its measured interpolation error, with a violation
+node slopes (the end nodes take the curve's exact limits, slope 0
+included), lowered by its measured interpolation error, with a violation
 tolerance of 1e-6; algebraic identities use 1e-9 or tighter.
 
 The error bound is an estimate taken at the cell midpoints only. On a dense
 delta grid the gap in the last cell, where delta nears pi/2, exceeds it
-(3.55e-7 against 3.37e-7 at p0 = 0.5). There the interpolant lies below the
+(3.46e-7 against 3.29e-7 at p0 = 0.5). There the interpolant lies below the
 curve, so the lowered reference stays below it too; the tests check that
 the reference never rises above the curve by more than a tenth of the
 tolerance on such a grid.
@@ -166,9 +167,12 @@ class RateCurveInterpolator:
     interpolant and the odd points, the delta midpoints of the nodes. The
     node slopes are exact. At the optimal angle dR/d delta is the partial
     derivative of the average entropy in delta (envelope theorem), which is
-    the second term of the stationarity residual. ``reference`` returns the
-    interpolant lowered by the bound, which is what dominance checks compare
-    against. Beyond d_max the curve is identically zero.
+    the second term of the stationarity residual. At both end nodes it
+    tends to 0 (sin 2(alpha + delta) does, while the log ratio stays
+    finite), which is the end slope; the formula reads 0/0 at delta = 0.
+    ``reference`` returns the interpolant lowered by the bound, which is
+    what dominance checks compare against. Beyond d_max the curve is
+    identically zero.
     """
 
     def __init__(self, src: SourceSpec):
@@ -178,12 +182,12 @@ class RateCurveInterpolator:
         nodes, mids = points[::2], points[1::2]
         self._delta = np.array([p.delta for p in nodes])
         self._rate = np.array([p.R for p in nodes])
-        alpha = np.array([p.alpha for p in nodes])
-        _, c2, _, s2, lam1, lam2 = _pair_weights(alpha, self._delta, src.p0)
-        self._slope = (
-            src.p1
-            * np.sin(2 * (alpha + self._delta))
-            * np.log2(c2 * lam2 / (s2 * lam1))
+        alpha = np.array([p.alpha for p in nodes[1:-1]])
+        delta = self._delta[1:-1]
+        _, c2, _, s2, lam1, lam2 = _pair_weights(alpha, delta, src.p0)
+        self._slope = np.zeros_like(self._delta)
+        self._slope[1:-1] = (
+            src.p1 * np.sin(2 * (alpha + delta)) * np.log2(c2 * lam2 / (s2 * lam1))
         )
         gaps = self._hermite(np.array([p.delta for p in mids])) - [p.R for p in mids]
         self.error_bound = float(np.max(np.abs(gaps)))
@@ -356,9 +360,12 @@ def check_perturbation(
     check are each taken in one call, and the report rows are read off the
     grid by index. All 8 phases are still evaluated and recorded, although
     the growth depends on |x| only (their growths agree to about 3e-9
-    relative): they check that the phase of x is immaterial. Every delta
-    must lie in (0, pi/2) and every magnitude in [0, 0.05]; any other
-    value, NaN included, raises ``DomainError``.
+    relative): they check that the phase of x is immaterial. Growth ratios
+    are taken only where the smaller growth exceeds 1e-12, so round-off
+    (every growth at p0 = 1/2) gives none. Every delta must lie in
+    (0, pi/2) and every magnitude in [0, 0.05]; any other value, NaN
+    included, raises ``DomainError``, as does a grid with no feasible cell
+    (the default grid at p0 >= 0.99).
     """
     mags = np.asarray(x_magnitudes, dtype=float)
     if not np.all((mags >= 0.0) & (mags <= 0.05)):
@@ -401,6 +408,8 @@ def check_perturbation(
 
     # the base pairs, then 8 phases of every feasible cell, as one stack
     i, j = np.nonzero(feasible)
+    if not i.size:
+        raise DomainError(f"no (delta, |x|) cell of the grid is feasible at p0 = {p0}")
     n_base, n_cells = deltas.size, i.size
     stack = np.zeros((n_base + 8 * n_cells, 2, 2, 2), dtype=complex)
     stack[:n_base, 0, [0, 1], [0, 1]] = np.hstack([c1, c2])
@@ -420,6 +429,13 @@ def check_perturbation(
     pairs[..., 1, 1, 0] = -x.conj() * c / p0
     pairs[..., 1, 1, 1] = (1.0 - mu_c) * s / p1
     pairs *= np.sqrt(f2[i])[..., np.newaxis, np.newaxis, np.newaxis]
+    # sum A_i† A_i is the identity in exact arithmetic (its off-diagonal
+    # +-x s c / (p0 p1) terms cancel), but the weight solve leaves round-off
+    # on its diagonal that the 1/p1 entries amplify (4e-9 at p0 0.9875), so
+    # each column of [A1; A2] is scaled to unit norm; the report keeps the
+    # largest correction as worst_column_norm_gap.
+    norms = np.sqrt(np.sum(np.abs(pairs) ** 2, axis=(2, 3)))
+    pairs /= norms[:, :, np.newaxis, np.newaxis, :]
 
     sbar = quantum.average_entropies(stack, rho)
     distortions = quantum.block_distortions(stack, rho)[n_base:].reshape(n_cells, 8)
@@ -452,7 +468,7 @@ def check_perturbation(
     distinct = sorted({m for m in ml if m > 0})
     if len(distinct) == 2:
         lo, hi = (ml.index(m) for m in distinct)
-        rows, cols = np.nonzero((growth[:, lo] > 0) & feasible[:, hi, np.newaxis])
+        rows, cols = np.nonzero((growth[:, lo] > 1e-12) & feasible[:, hi, np.newaxis])
         ratio = growth[rows, hi, cols] / growth[rows, lo, cols]
         ratios = [
             {"delta": dl[d], "phase": phases[k], "ratio": r}
@@ -479,7 +495,8 @@ def check_perturbation(
         "weight_shifts": weight_shifts,
         "weight_shift_ratios": shift_ratios,
         "infeasible_points": infeasible,
-        "worst_distortion_drift": float(drift.max()) if drift.size else 0.0,
+        "worst_distortion_drift": float(drift.max()),
+        "worst_column_norm_gap": float(np.abs(norms - 1.0).max()),
     }
     return _report(
         "perturbation", seed, params, ALGEBRA_TOL, -cell_growth.ravel(), failures

@@ -222,6 +222,13 @@ def test_simulate_domain_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("p0, code", [("0.96", 0), ("0.9875", 0), ("0.99", 2)])
+def test_verify_perturbation_exit_code_at_high_p0(capsys, p0, code):
+    assert cli.main(["verify", "perturbation", "--p0", p0]) == code
+    if code == 2:
+        assert "no (delta, |x|) cell" in capsys.readouterr().err
+
+
 def test_solver_failure_exit_code(capsys, monkeypatch):
     from qubitrd.errors import InternalNumericError
 

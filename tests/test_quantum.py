@@ -137,6 +137,17 @@ def test_binary_entropy_float_is_its_array_entry(ps):
         assert np.float64(one).tobytes() == h.tobytes()
 
 
+@pytest.mark.parametrize("p", [1e-15, 1e-8, 1e-3, 0.3, 1.0 - 2.0**-20])
+def test_binary_entropy_keeps_relative_precision(p):
+    # h2 of m = min(p, 1 - p) with the complement's log as log1p(-m): taking
+    # log(1 - p) by subtraction read h2(1e-15) 2.2e-5 high.
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        m = mp.mpf(min(p, 1.0 - p))
+        exact = -(m * mp.log(m, 2) + (1 - m) * mp.log(1 - m, 2))
+        assert abs(quantum.binary_entropy(p) - exact) <= 4e-16 * exact
+
+
 @pytest.mark.parametrize("bad", [-2e-12, 1.0 + 2e-12, -0.5, 1.5, 2, math.inf, math.nan])
 def test_binary_entropy_rejects_any_entry_outside_unit_interval(bad):
     # NaN is not a probability: it raises like any other entry outside [0, 1].

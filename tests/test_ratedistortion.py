@@ -150,6 +150,45 @@ def test_r1_point_max_endpoint():
     assert pt.lambda1 == pytest.approx(0.7, abs=1e-9)
 
 
+@pytest.mark.parametrize("p0", [0.5, 0.7, 0.9, 0.999])
+def test_r1_endpoints_are_exact_limits(p0):
+    # As delta -> 0, alpha / delta -> p1 / (p0 - p1), so alpha -> 0 and
+    # lambda1 -> 1, except at p0 = 1/2, where alpha = pi/4 - delta/2. At
+    # delta = pi/2 the interval (0, pi/2 - delta) closes on alpha = 0.
+    src = SourceSpec(p0)
+    h = quantum.binary_entropy(p0)
+    alpha, r, lam1 = (math.pi / 4, 1.0, 0.5) if p0 == 0.5 else (0.0, 0.0, 1.0)
+    assert rd.r1_curve_point(0.0, src) == rd.CurvePoint(0.0, alpha, 0.0, h, r, lam1)
+    end = rd.CurvePoint(math.pi / 2, 0.0, src.d_max, 0.0, h, p0)
+    assert rd.r1_curve_point(math.pi / 2, src) == end
+    assert rd.sweep_curve(src, 11)[-1] == end
+
+
+def test_r1_endpoints_solve_nothing(monkeypatch):
+    calls = []
+    solve_alpha = rd.solve_alpha
+
+    def spy(delta, src):
+        calls.append(delta)
+        return solve_alpha(delta, src)
+
+    monkeypatch.setattr(rd, "solve_alpha", spy)
+    for delta in (0.0, 1e-13, math.pi / 2 - 1e-13, math.pi / 2):
+        rd.r1_curve_point(delta, SRC7)
+    assert calls == []
+    rd.r1_curve_point(0.8, SRC7)
+    assert calls == [0.8]
+
+
+@pytest.mark.parametrize("p0", [0.6, 0.7, 0.9, 0.99])
+def test_small_delta_angle_tends_to_its_limit_slope(p0):
+    # The delta = 0 row takes alpha = 0 because alpha / delta tends to
+    # p1 / (p0 - p1), not to an interior angle.
+    p1 = 1.0 - p0
+    alpha = rd.solve_alpha(1e-4, SourceSpec(p0))
+    assert alpha / 1e-4 == pytest.approx(p1 / (p0 - p1), rel=1e-6)
+
+
 def test_r1_isotropic_symmetric_values():
     for delta in (0.2, 0.7, 1.2):
         pt = rd.r1_curve_point(delta, SRC5)
@@ -265,11 +304,11 @@ def _oracle_entropy_slope(mp, p0, delta, alpha):
 
 # (p0, delta): three roots below the old 512-point grid's inset of
 # (pi/2 - delta) * 1e-6, among them a draw of the benchmark's point pool and
-# the delta = 0 endpoint offset, and an ordinary interior root.
+# a small delta, and an ordinary interior root.
 ORACLE_ROOTS = [
     (0.999999, 1.0),
     (0.9999983833606245, 0.6276912795730949),
-    (0.999, rd.ZERO_LIMIT_OFFSET),
+    (0.999, 1e-3),
     (0.7, 0.8),
 ]
 
@@ -341,3 +380,29 @@ def test_r1_matches_average_entropy_of_pair():
             a1 = pair.elements[0]
             lam1 = float(np.trace(a1 @ rho.mat @ a1.conj().T).real)
             assert pt.lambda1 == pytest.approx(lam1, abs=1e-12)
+
+
+@pytest.mark.parametrize("p0", [1.0 - 1e-13, 0.999999, 0.99])
+def test_rate_columns_match_mpmath_near_p0_one(p0):
+    # R and r of the pair at the returned angle, against a 60-digit
+    # evaluation of the same pair: every h2 takes an argument at most 1/2
+    # from closed forms, so no digits are lost to 1 - p near p0 = 1.
+    mp = pytest.importorskip("mpmath")
+    src = SourceSpec(p0)
+    with mp.workdps(60):
+        p0_ = mp.mpf(p0)
+        for delta in (1e-3, 0.1, 0.5, 0.8, 1.2, 1.5):
+            pt = rd.r1_curve_point(delta, src)
+            a, b = mp.mpf(pt.alpha), mp.mpf(pt.alpha) + mp.mpf(delta)
+            w = (
+                p0_ * mp.cos(a) ** 2,
+                (1 - p0_) * mp.cos(b) ** 2,
+                p0_ * mp.sin(a) ** 2,
+                (1 - p0_) * mp.sin(b) ** 2,
+            )
+            xlog = [v * mp.log(v, 2) if v else mp.mpf(0) for v in w]
+            lam = (w[0] + w[1], w[2] + w[3])
+            side = -sum(v * mp.log(v, 2) for v in lam)
+            rate = -sum(xlog) - side
+            assert abs(pt.R - rate) <= 1e-12 * rate
+            assert abs(pt.r - side) <= 1e-12 * side
