@@ -17,30 +17,21 @@ from .errors import (
     ToolkitError,
 )
 from .quantum import (
-    ChoiMatrix,
     DensityMatrix,
     KrausChannel,
     apply,
     average_entropies,
     average_entropy,
     binary_entropy,
-    block_distortion,
     block_distortions,
-    choi_entanglement_fidelity,
-    coherent_information,
     distortion,
     eigenvalue_entropy,
     entanglement_fidelity,
     entropy_exchange,
-    marginal_channel,
-    random_channel,
-    random_density,
-    von_neumann_entropy,
 )
 from .ratedistortion import (
     CurvePoint,
     SourceSpec,
-    classical_hamming_baseline,
     isotropic_s1,
     pair_channel,
     r1_curve_point,

@@ -2,13 +2,13 @@
 
 A quantum operation is a set of elements {A_i} acting as
 ``rho -> sum_i A_i rho A_i†``; it is trace preserving when
-``sum_i A_i† A_i = I``. On top of that this module provides the von Neumann
-entropy, entanglement fidelity, the induced distortion ``1 - F_e``, entropy
-exchange, coherent information, the average conditional output entropy, and
-the machinery (marginal channels, Choi matrices) needed to score multi-qubit
-operations one qubit at a time. ``average_entropies`` and
-``block_distortions`` score a whole (N, k, dim, dim) stack of Kraus sets in
-one call; the one-channel forms remain as their references.
+``sum_i A_i† A_i = I``. On top of that this module provides the paper's
+three quantities: entanglement fidelity with the induced distortion
+``1 - F_e``, entropy exchange, and the average conditional output entropy.
+``average_entropies`` and ``block_distortions`` score a whole
+(N, k, dim, dim) stack of Kraus sets in one call; ``block_distortions`` is
+the per-qubit distortion of multi-qubit operations, and
+``stinespring_kraus`` draws random Kraus sets.
 """
 
 from __future__ import annotations
@@ -65,10 +65,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    @property
-    def n_qubits(self) -> int:
-        return self.dim.bit_length() - 1
-
 
 def _require_complete(kraus: np.ndarray) -> None:
     """Raise unless every set in a (N, k, dim, dim) stack has sum A_i† A_i = I."""
@@ -107,22 +103,6 @@ class KrausChannel:
     @property
     def k(self) -> int:
         return len(self.elements)
-
-
-@dataclass(frozen=True)
-class ChoiMatrix:
-    """Single-qubit map T stored blockwise: block (i, j) holds T(|i><j|)."""
-
-    mat: np.ndarray
-
-    def __post_init__(self):
-        m = linalg.as_matrix(self.mat)
-        if m.shape[0] != 4:
-            raise ShapeError("Choi matrices are supported for single-qubit maps only")
-        object.__setattr__(self, "mat", _frozen(m))
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        return self.mat[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
 
 
 def _state_matrix(rho) -> np.ndarray:
@@ -172,17 +152,6 @@ def eigenvalue_entropy(eigs) -> np.ndarray:
 def _entropy_of_psd(mat: np.ndarray) -> float:
     """Entropy in bits of a unit-trace PSD matrix, tolerant of eigenvalue dust."""
     return float(eigenvalue_entropy(np.linalg.eigvalsh(mat)))
-
-
-def von_neumann_entropy(rho) -> float:
-    """S(rho) = -tr(rho log2 rho) in bits; 0·log 0 is treated as 0."""
-    m = _state_matrix(rho)
-    if not linalg.is_hermitian(m, 1e-8):
-        raise ContractViolationError("state must be Hermitian within 1e-8")
-    eigs = np.linalg.eigvalsh(m)
-    if eigs[0] < -1e-8 or abs(np.sum(eigs) - 1.0) > 1e-8:
-        raise ContractViolationError("state must be PSD with unit trace within 1e-8")
-    return float(eigenvalue_entropy(eigs))
 
 
 def binary_entropy(p):
@@ -260,12 +229,6 @@ def entropy_exchange(rho, ch: KrausChannel) -> float:
     return _entropy_of_psd(exchange_matrix(rho, ch))
 
 
-def coherent_information(rho, ch: KrausChannel) -> float:
-    """I_c = S(normalized output) - S_e; may be negative."""
-    out, weight = apply(ch, rho)
-    return _entropy_of_psd(out / weight) - entropy_exchange(rho, ch)
-
-
 def average_entropy(ch: KrausChannel, rho) -> float:
     """Average conditional output entropy sum_i lambda_i S(A_i rho A_i† / lambda_i).
 
@@ -305,77 +268,13 @@ def average_entropies(kraus, state) -> np.ndarray:
     return np.sum(np.where(live, lam * eigenvalue_entropy(eigs), 0.0), axis=1)
 
 
-def marginal_channel(ch: KrausChannel, rho: DensityMatrix, alpha: int) -> ChoiMatrix:
-    """Marginal map seen by qubit ``alpha`` (1-based) of an n-qubit operation.
-
-    Each single-qubit basis operator |i><j| is placed in slot alpha with
-    ``rho`` in every other slot; the channel output is then reduced back to
-    that qubit. Supports n <= 3.
-    """
-    n = ch.dim.bit_length() - 1
-    if 2**n != ch.dim:
-        raise ShapeError(f"channel dimension {ch.dim} is not a power of 2")
-    if n > 3:
-        raise DomainError(f"marginal channels are supported for n <= 3, got n={n}")
-    if not 1 <= alpha <= n:
-        raise DomainError(f"qubit index {alpha} outside 1..{n}")
-    if rho.dim != 2:
-        raise DimensionMismatchError("rho must be a single-qubit state")
-    choi = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            basis_op = np.zeros((2, 2), dtype=complex)
-            basis_op[i, j] = 1.0
-            slots = [rho.mat] * n
-            slots[alpha - 1] = basis_op
-            joint = slots[0]
-            for s in slots[1:]:
-                joint = np.kron(joint, s)
-            reduced = linalg.partial_trace(_apply_raw(ch, joint), keep={alpha})
-            choi[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = reduced
-    return ChoiMatrix(choi)
-
-
-def choi_entanglement_fidelity(choi: ChoiMatrix, rho: DensityMatrix) -> float:
-    """Entanglement fidelity of the map held in ``choi`` on the state ``rho``.
-
-    Evaluated through the purification |Psi> = sum_i sqrt(l_i) |e_i>|e_i> in
-    the eigenbasis of rho and normalized by the map's output trace, so it
-    agrees with the Kraus-form expression whenever the map admits one.
-    """
-    if rho.dim != 2:
-        raise DimensionMismatchError("rho must be a single-qubit state")
-    eigvals, eigvecs = np.linalg.eigh(rho.mat)
-    eigvals = np.clip(eigvals, 0.0, None)
-
-    def mapped(x: np.ndarray) -> np.ndarray:
-        # T(x) by linearity over the stored basis blocks.
-        out = np.zeros((2, 2), dtype=complex)
-        for a in range(2):
-            for b in range(2):
-                out += x[a, b] * choi.block(a, b)
-        return out
-
-    numerator = 0.0 + 0.0j
-    for i in range(2):
-        for j in range(2):
-            ei, ej = eigvecs[:, i], eigvecs[:, j]
-            t_ij = mapped(np.outer(ei, ej.conj()))
-            numerator += eigvals[i] * eigvals[j] * (ei.conj() @ t_ij @ ej)
-    weight = float(np.trace(mapped(rho.mat)).real)
-    if weight <= WEIGHT_FLOOR:
-        raise AnnihilationError(
-            f"map annihilates the state (weight {weight:.3e})"
-        )
-    return float(np.real(numerator) / weight)
-
-
 def block_distortions(kraus, rho: DensityMatrix) -> np.ndarray:
     """Per-qubit block distortion of every Kraus set in a (N, k, 2^n, 2^n) stack.
 
     Entry m is the average over the n <= 3 qubits of 1 - F_e(rho, marginal
-    map of set m on that qubit): the quantity that ``marginal_channel`` and
-    ``choi_entanglement_fidelity`` give one qubit and one channel at a time.
+    map of set m on that qubit). ``tests/reference.py`` takes the same
+    quantity one qubit and one channel at a time, through the marginal
+    map's Choi matrix.
     Sets with fewer elements are padded with zero elements, which change
     nothing. Every set must be complete within ``COMPLETENESS_TOL``.
 
@@ -415,14 +314,6 @@ def block_distortions(kraus, rho: DensityMatrix) -> np.ndarray:
     return total / n
 
 
-def block_distortion(ch: KrausChannel, rho: DensityMatrix) -> float:
-    """Average over qubits of 1 - F_e(rho, marginal map on that qubit).
-
-    ``block_distortions`` of the one channel, which must be trace preserving.
-    """
-    return float(block_distortions(np.stack(ch.elements)[np.newaxis], rho)[0])
-
-
 def stinespring_kraus(
     rng: np.random.Generator, count: int, dim: int, k: int
 ) -> np.ndarray:
@@ -439,18 +330,3 @@ def stinespring_kraus(
     d = np.diagonal(r, axis1=-2, axis2=-1)
     q = q * (d / np.abs(d))[:, np.newaxis, :]
     return q.reshape(count, k, dim, dim)
-
-
-def random_channel(dim: int, k: int, seed: int) -> KrausChannel:
-    """Random trace-preserving channel with k elements, deterministic per seed."""
-    rng = np.random.default_rng(seed)
-    kraus = stinespring_kraus(rng, 1, dim, k)[0]
-    return KrausChannel(tuple(kraus), trace_preserving=True)
-
-
-def random_density(dim: int, seed: int) -> DensityMatrix:
-    """Random density matrix (normalized Wishart), deterministic per seed."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    w = g @ g.conj().T
-    return DensityMatrix(w / np.trace(w))

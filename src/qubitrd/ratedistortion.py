@@ -150,9 +150,10 @@ def s1_curve_point(theta, src: SourceSpec):
 
     At ``t = pi/4`` the filter is proportional to the identity (zero
     distortion, entropy h2(p0)); at ``t = 0`` it replaces the source with its
-    best-guess pure state (entropy 0). Takes a float, giving floats, or an
-    array, giving arrays; entries beyond 1e-12 outside [0, pi/4], or NaN,
-    raise ``DomainError``.
+    best-guess pure state (entropy 0). The entropy is h2 of the output's
+    smaller eigenvalue p1 sin^2 t / (p0 cos^2 t + p1 sin^2 t), never above
+    the other on [0, pi/4], which keeps full precision at p0 near 1. Takes a float, giving floats, or an array, giving arrays;
+    entries beyond 1e-12 outside [0, pi/4], or NaN, raise ``DomainError``.
     """
     t = np.asarray(theta, dtype=float)
     inside = (t >= -1e-12) & (t <= math.pi / 4 + 1e-12)
@@ -165,7 +166,7 @@ def s1_curve_point(theta, src: SourceSpec):
     # 1 - (p0 c + p1 s)^2 / weight, without the cancellation near t = pi/4
     gap = c - s
     d = p0 * p1 * gap * gap / weight
-    entropy = binary_entropy(p0 * c * c / weight)
+    entropy = binary_entropy(p1 * s * s / weight)
     if d.ndim == 0:
         return float(d), entropy
     return d, entropy
@@ -329,14 +330,6 @@ def sweep_curve(src: SourceSpec, n_points: int) -> list[CurvePoint]:
     columns = (deltas, alpha, src.distortion(deltas), rate, r, lam1)
     interior = [CurvePoint(*row) for row in zip(*(c.tolist() for c in columns))]
     return [first, *interior, r1_curve_point(HALF_PI, src)]
-
-
-def classical_hamming_baseline(src: SourceSpec, d: float) -> float:
-    """Rate of the classical Hamming-distortion baseline, max(0, h2(p0) - h2(d))."""
-    if not -1e-12 <= d <= 0.5 + 1e-12:
-        raise DomainError(f"distortion must lie in [0, 1/2], got {d}")
-    d = min(max(d, 0.0), 0.5)
-    return max(0.0, binary_entropy(src.p0) - binary_entropy(d))
 
 
 def isotropic_s1(d):

@@ -9,12 +9,12 @@ h2(lambda1). Qubit rates are accounted analytically at the conditional
 output entropies; no block code is simulated.
 
 The 4-dimensional basis ordering is ancilla-first:
-{|0>A|0>Q, |0>A|1>Q, |1>A|0>Q, |1>A|1>Q}.
+{|0>A|0>Q, |0>A|1>Q, |1>A|0>Q, |1>A|1>Q}. In it the unitary is the block
+matrix [[A1, -A2], [A2, A1]] of the pair's elements.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from typing import Any
 
@@ -23,10 +23,8 @@ import numpy as np
 from . import quantum
 from .errors import DomainError, InternalNumericError
 from .quantum import DensityMatrix, KrausChannel
-from .ratedistortion import HALF_PI, SourceSpec, pair_channel, solve_alpha
-from .records import record_to_text
+from .ratedistortion import SourceSpec, pair_channel, solve_alpha
 
-OUTCOME_FLOOR = 1e-14
 # Outcomes are drawn and counted in chunks of this many samples, so the
 # memory a stream takes does not grow with its length.
 SAMPLE_CHUNK = 2**20
@@ -65,53 +63,24 @@ class StreamResult:
     def to_dict(self) -> dict[str, Any]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    def to_text(self) -> str:
-        return record_to_text(list(self.to_dict().items()))
-
 
 def build_circuit(delta: float, src: SourceSpec) -> RealizationCircuit:
     """Assemble the entangling unitary at the solved mixing angle.
 
-    The unitary rotates within the two even/odd parity planes by alpha and
-    alpha + delta respectively, so the induced operation on the source qubit
-    is exactly the optimal diagonal pair.
+    ``solve_alpha`` checks that 0 < delta < pi/2. The unitary
+    [[A1, -A2], [A2, A1]] is built from the elements of the optimal pair
+    (``pair_channel``): it rotates within the two even/odd parity planes by
+    alpha and alpha + delta respectively, so the induced operation on the
+    source qubit is exactly that pair.
     """
-    if not 0.0 < delta < HALF_PI:
-        raise DomainError(f"delta must lie in (0, pi/2), got {delta}")
     alpha = solve_alpha(delta, src)
-    c1, c2 = math.cos(alpha), math.cos(alpha + delta)
-    s1, s2 = math.sin(alpha), math.sin(alpha + delta)
-    unitary = np.array(
-        [
-            [c1, 0.0, -s1, 0.0],
-            [0.0, c2, 0.0, -s2],
-            [s1, 0.0, c1, 0.0],
-            [0.0, s2, 0.0, c2],
-        ],
-        dtype=complex,
-    )
+    channel = pair_channel(alpha, delta)
+    a1, a2 = channel.elements
+    unitary = np.block([[a1, -a2], [a2, a1]])
     gap = np.max(np.abs(unitary.conj().T @ unitary - np.eye(4)))
     if gap > 1e-12:
         raise InternalNumericError(f"assembled circuit deviates from unitary by {gap:.3e}")
-    return RealizationCircuit(
-        alpha=alpha,
-        delta=delta,
-        unitary=unitary,
-        channel=pair_channel(alpha, delta),
-    )
-
-
-def ancilla_source_state(src: SourceSpec) -> np.ndarray:
-    """Joint initial state |0><0|_A x rho_Q in the ancilla-first ordering."""
-    ancilla = np.zeros((2, 2), dtype=complex)
-    ancilla[0, 0] = 1.0
-    return np.kron(ancilla, src.density().mat)
-
-
-def joint_output(circ: RealizationCircuit, src: SourceSpec) -> np.ndarray:
-    """U Xi U†: block (i, j) holds A_i rho A_j†."""
-    xi = ancilla_source_state(src)
-    return circ.unitary @ xi @ circ.unitary.conj().T
+    return RealizationCircuit(alpha=alpha, delta=delta, unitary=unitary, channel=channel)
 
 
 def measure_ancilla(
@@ -121,8 +90,8 @@ def measure_ancilla(
 
     Returns (p_type1, post1, post2) where post_i is the normalized source
     state after outcome i, read off the elements of the circuit's channel.
-    An outcome with probability at or below 1e-14 is suppressed (its post
-    state is None).
+    An outcome with probability at or below ``quantum.WEIGHT_FLOOR`` (1e-14)
+    is suppressed (its post state is None).
     """
     rho = src.density().mat
     posts: list[DensityMatrix | None] = []
@@ -131,7 +100,7 @@ def measure_ancilla(
         out = element @ rho @ element.conj().T
         weight = float(np.trace(out).real)
         weights.append(weight)
-        posts.append(DensityMatrix(out / weight) if weight > OUTCOME_FLOOR else None)
+        posts.append(DensityMatrix(out / weight) if weight > quantum.WEIGHT_FLOOR else None)
     return weights[0], posts[0], posts[1]
 
 

@@ -16,7 +16,8 @@ import time
 import numpy as np
 import pytest
 
-from qubitrd import linalg, quantum, realization, verify
+import reference
+from qubitrd import quantum, realization, verify
 from qubitrd.quantum import DensityMatrix, KrausChannel
 from qubitrd.ratedistortion import (
     SourceSpec,
@@ -186,7 +187,7 @@ def test_criterion_09_block_dominance():
         channel = KrausChannel(elements, trace_preserving=True)
         rho2 = DensityMatrix(np.kron(src.density().mat, src.density().mat))
         rate = 0.5 * quantum.average_entropy(channel, rho2)
-        d = quantum.block_distortion(channel, src.density())
+        d = quantum.block_distortions([channel.elements], src.density())[0]
         worst_membership = max(
             worst_membership, abs(rate - pt.R), abs(d - pt.d)
         )
@@ -237,13 +238,13 @@ def test_criterion_11_realization_consistency():
         src = SourceSpec(float(rng.uniform(0.5, 0.95)))
         delta = float(rng.uniform(0.05, math.pi / 2 - 0.05))
         circ = realization.build_circuit(delta, src)
-        joint = realization.joint_output(circ, src)
+        joint = reference.joint_output(circ, src)
         reconstructed = np.zeros((2, 2), dtype=complex)
         for outcome in (0, 1):
             proj = np.zeros((2, 2), dtype=complex)
             proj[outcome, outcome] = 1.0
             proj4 = np.kron(proj, np.eye(2, dtype=complex))
-            reconstructed += linalg.partial_trace(proj4 @ joint @ proj4, {2})
+            reconstructed += reference.partial_trace(proj4 @ joint @ proj4, {2})
         direct, _ = quantum.apply(circ.channel, src.density())
         worst_gap = max(worst_gap, float(np.max(np.abs(reconstructed - direct))))
 
@@ -285,9 +286,9 @@ def test_criterion_12_entropy_exchange_claims():
         k = trial % 4 + 1
         kraus = quantum.stinespring_kraus(rng, 1, 2, k)[0]
         channel = KrausChannel(tuple(kraus), trace_preserving=True)
-        rho = quantum.random_density(2, 10_000 + trial)
+        rho = reference.random_density(2, 10_000 + trial)
         out, weight = quantum.apply(channel, rho)
-        gap = quantum.average_entropy(channel, rho) - quantum.von_neumann_entropy(
+        gap = quantum.average_entropy(channel, rho) - reference.von_neumann_entropy(
             out / weight
         )
         worst_chain = max(worst_chain, gap)

@@ -1,17 +1,20 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qubitrd import quantum
+import reference
+from qubitrd import errors, quantum
 from qubitrd.errors import (
     AnnihilationError,
     ContractViolationError,
     DomainError,
 )
-from qubitrd.quantum import ChoiMatrix, DensityMatrix, KrausChannel
+from qubitrd.quantum import DensityMatrix, KrausChannel
 
 I2 = np.eye(2, dtype=complex)
 P0 = np.diag([1.0, 0.0]).astype(complex)
@@ -39,8 +42,6 @@ def test_density_matrix_validation():
 
 def test_density_matrix_properties():
     assert RHO_73.dim == 2
-    assert RHO_73.n_qubits == 1
-    assert DensityMatrix(np.eye(4, dtype=complex) / 4).n_qubits == 2
 
 
 def test_kraus_channel_trace_preserving_claim():
@@ -75,16 +76,16 @@ def test_apply_annihilation():
 
 
 def test_von_neumann_entropy_values():
-    assert quantum.von_neumann_entropy(MIXED) == pytest.approx(1.0, abs=1e-12)
-    assert quantum.von_neumann_entropy(DensityMatrix(P0)) == pytest.approx(
+    assert reference.von_neumann_entropy(MIXED) == pytest.approx(1.0, abs=1e-12)
+    assert reference.von_neumann_entropy(DensityMatrix(P0)) == pytest.approx(
         0.0, abs=1e-12
     )
-    assert quantum.von_neumann_entropy(RHO_73) == pytest.approx(H2_03, abs=1e-12)
+    assert reference.von_neumann_entropy(RHO_73) == pytest.approx(H2_03, abs=1e-12)
 
 
 def test_von_neumann_entropy_rejects_invalid():
     with pytest.raises(ContractViolationError):
-        quantum.von_neumann_entropy(np.diag([0.5, 0.4]).astype(complex))
+        reference.von_neumann_entropy(np.diag([0.5, 0.4]).astype(complex))
 
 
 def test_binary_entropy():
@@ -193,8 +194,8 @@ def test_distortion_examples():
 
 def test_distortion_is_one_minus_fidelity_exactly():
     for seed in range(30):
-        ch = quantum.random_channel(2, seed % 3 + 1, seed)
-        rho = quantum.random_density(2, 500 + seed)
+        ch = reference.random_channel(2, seed % 3 + 1, seed)
+        rho = reference.random_density(2, 500 + seed)
         assert quantum.distortion(rho, ch) == 1.0 - quantum.entanglement_fidelity(
             rho, ch
         )
@@ -216,7 +217,7 @@ def test_entropy_exchange_unitary_channel_is_zero():
     for seed in range(20):
         u = quantum.stinespring_kraus(np.random.default_rng(seed), 1, 2, 1)[0, 0]
         ch = KrausChannel((u,), trace_preserving=True)
-        rho = quantum.random_density(2, seed)
+        rho = reference.random_density(2, seed)
         assert quantum.entropy_exchange(rho, ch) <= 1e-10
 
 
@@ -225,8 +226,8 @@ def test_entropy_exchange_matches_explicit_dilation():
     # environment qubit and take the environment's entropy directly.
     rng = np.random.default_rng(23)
     for trial in range(200):
-        rho = quantum.random_density(2, 1000 + trial)
-        ch = quantum.random_channel(2, 2, 2000 + trial)
+        rho = reference.random_density(2, 1000 + trial)
+        ch = reference.random_channel(2, 2, 2000 + trial)
         eigvals, eigvecs = np.linalg.eigh(rho.mat)
         amp = np.zeros((2, 2, 2), dtype=complex)  # [r, q, e]
         for i in range(2):
@@ -236,32 +237,10 @@ def test_entropy_exchange_matches_explicit_dilation():
         # which is fine since entropy is basis independent
         flat = amp.reshape(4, 2)
         rho_env = flat.conj().T @ flat
-        env_entropy = quantum.von_neumann_entropy(rho_env / np.trace(rho_env))
+        env_entropy = reference.von_neumann_entropy(rho_env / np.trace(rho_env))
         assert quantum.entropy_exchange(rho, ch) == pytest.approx(
             env_entropy, abs=1e-8
         )
-
-
-def test_coherent_information_examples():
-    assert quantum.coherent_information(MIXED, IDENTITY) == pytest.approx(
-        1.0, abs=1e-12
-    )
-    assert quantum.coherent_information(MIXED, DEPHASING) == pytest.approx(
-        0.0, abs=1e-12
-    )
-    assert quantum.coherent_information(RHO_73, KrausChannel((P0,))) == pytest.approx(
-        0.0, abs=1e-12
-    )
-
-
-def test_coherent_information_can_be_negative():
-    # Complete replacement by |0><0| erases all entanglement.
-    replace = KrausChannel(
-        (np.array([[1, 0], [0, 0]], dtype=complex),
-         np.array([[0, 1], [0, 0]], dtype=complex)),
-        trace_preserving=True,
-    )
-    assert quantum.coherent_information(MIXED, replace) < -0.9
 
 
 def test_average_entropy_identity():
@@ -299,26 +278,26 @@ def _choi_from_kraus(ch):
             basis[i, j] = 1.0
             block = sum(a @ basis @ a.conj().T for a in ch.elements)
             mat[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = block
-    return ChoiMatrix(mat)
+    return reference.ChoiMatrix(mat)
 
 
 def test_marginal_channel_of_product_channel():
-    ch1 = quantum.random_channel(2, 2, 31)
-    ch2 = quantum.random_channel(2, 3, 32)
+    ch1 = reference.random_channel(2, 2, 31)
+    ch2 = reference.random_channel(2, 3, 32)
     elements = tuple(
         np.kron(a, b) for a in ch1.elements for b in ch2.elements
     )
     joint = KrausChannel(elements, trace_preserving=True)
-    got = quantum.marginal_channel(joint, RHO_73, 1)
+    got = reference.marginal_channel(joint, RHO_73, 1)
     assert np.allclose(got.mat, _choi_from_kraus(ch1).mat, atol=1e-10)
-    got2 = quantum.marginal_channel(joint, RHO_73, 2)
+    got2 = reference.marginal_channel(joint, RHO_73, 2)
     assert np.allclose(got2.mat, _choi_from_kraus(ch2).mat, atol=1e-10)
 
 
 def test_marginal_channel_of_identity():
     ident4 = KrausChannel((np.eye(4, dtype=complex),), trace_preserving=True)
     for alpha in (1, 2):
-        got = quantum.marginal_channel(ident4, RHO_73, alpha)
+        got = reference.marginal_channel(ident4, RHO_73, alpha)
         assert np.allclose(got.mat, _choi_from_kraus(IDENTITY).mat, atol=1e-12)
 
 
@@ -326,7 +305,7 @@ def test_marginal_channel_of_swap_is_replacement():
     swap = np.zeros((4, 4), dtype=complex)
     swap[0, 0] = swap[3, 3] = swap[1, 2] = swap[2, 1] = 1.0
     ch = KrausChannel((swap,), trace_preserving=True)
-    got = quantum.marginal_channel(ch, RHO_73, 1)
+    got = reference.marginal_channel(ch, RHO_73, 1)
     expected = np.zeros((4, 4), dtype=complex)
     expected[0:2, 0:2] = RHO_73.mat
     expected[2:4, 2:4] = RHO_73.mat
@@ -336,12 +315,12 @@ def test_marginal_channel_of_swap_is_replacement():
 def test_marginal_channel_index_out_of_range():
     ident4 = KrausChannel((np.eye(4, dtype=complex),), trace_preserving=True)
     with pytest.raises(DomainError):
-        quantum.marginal_channel(ident4, RHO_73, 3)
+        reference.marginal_channel(ident4, RHO_73, 3)
 
 
 def test_choi_fidelity_of_identity():
     choi = _choi_from_kraus(IDENTITY)
-    assert quantum.choi_entanglement_fidelity(choi, RHO_73) == pytest.approx(
+    assert reference.choi_entanglement_fidelity(choi, RHO_73) == pytest.approx(
         1.0, abs=1e-12
     )
 
@@ -353,14 +332,14 @@ def test_choi_fidelity_of_replacement_map():
     mat[0:2, 0:2] = RHO_73.mat
     mat[2:4, 2:4] = RHO_73.mat
     expected = 0.7**3 + 0.3**3
-    assert quantum.choi_entanglement_fidelity(
-        ChoiMatrix(mat), RHO_73
+    assert reference.choi_entanglement_fidelity(
+        reference.ChoiMatrix(mat), RHO_73
     ) == pytest.approx(expected, abs=1e-12)
 
 
 def test_choi_fidelity_of_dephasing_cross_check():
     choi = _choi_from_kraus(DEPHASING)
-    assert quantum.choi_entanglement_fidelity(choi, RHO_73) == pytest.approx(
+    assert reference.choi_entanglement_fidelity(choi, RHO_73) == pytest.approx(
         0.58, abs=1e-12
     )
 
@@ -368,23 +347,25 @@ def test_choi_fidelity_of_dephasing_cross_check():
 def test_choi_fidelity_matches_kraus_route():
     rng = np.random.default_rng(41)
     for trial in range(100):
-        ch = quantum.random_channel(2, int(rng.integers(1, 5)), 5000 + trial)
-        rho = quantum.random_density(2, 6000 + trial)
+        ch = reference.random_channel(2, int(rng.integers(1, 5)), 5000 + trial)
+        rho = reference.random_density(2, 6000 + trial)
         direct = quantum.entanglement_fidelity(rho, ch)
-        via_choi = quantum.choi_entanglement_fidelity(_choi_from_kraus(ch), rho)
+        via_choi = reference.choi_entanglement_fidelity(_choi_from_kraus(ch), rho)
         assert abs(direct - via_choi) <= 1e-9
 
 
 def test_block_distortion_identity():
     ident4 = KrausChannel((np.eye(4, dtype=complex),), trace_preserving=True)
-    assert quantum.block_distortion(ident4, RHO_73) == pytest.approx(0.0, abs=1e-12)
+    assert quantum.block_distortions([ident4.elements], RHO_73)[0] == pytest.approx(
+        0.0, abs=1e-12
+    )
 
 
 def test_block_distortion_product_channel():
-    ch = quantum.random_channel(2, 2, 55)
+    ch = reference.random_channel(2, 2, 55)
     elements = tuple(np.kron(a, b) for a in ch.elements for b in ch.elements)
     joint = KrausChannel(elements, trace_preserving=True)
-    assert quantum.block_distortion(joint, RHO_73) == pytest.approx(
+    assert quantum.block_distortions([joint.elements], RHO_73)[0] == pytest.approx(
         quantum.distortion(RHO_73, ch), abs=1e-10
     )
 
@@ -396,7 +377,9 @@ def test_block_distortion_two_qubit_dephasing():
         e[i, i] = 1.0
         elements.append(e)
     ch = KrausChannel(tuple(elements), trace_preserving=True)
-    assert quantum.block_distortion(ch, RHO_73) == pytest.approx(0.42, abs=1e-12)
+    assert quantum.block_distortions([ch.elements], RHO_73)[0] == pytest.approx(
+        0.42, abs=1e-12
+    )
 
 
 def _padded_random_stack(rng, dim, ks):
@@ -409,24 +392,26 @@ def _padded_random_stack(rng, dim, ks):
 @pytest.mark.parametrize("rho", [RHO_73, MIXED], ids=["diag-0.7-0.3", "mixed"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_block_distortions_match_marginal_loop(n, rho):
-    # the stacked kernel against the reference route, one channel and one
-    # qubit at a time: marginal_channel, then choi_entanglement_fidelity
+    # the stacked kernel against the reference route of tests/reference.py,
+    # one channel and one qubit at a time: marginal_channel, then
+    # choi_entanglement_fidelity
     ks = [1, 2, 3, 4, 3, 1, 4, 2]
     stack = _padded_random_stack(np.random.default_rng(40 + n), 2**n, ks)
     got = quantum.block_distortions(stack, rho)
     assert got.shape == (len(ks),)
     for m, k in enumerate(ks):
         ch = KrausChannel(tuple(stack[m, :k]), trace_preserving=True)
-        reference = np.mean(
+        expected = np.mean(
             [
-                1.0 - quantum.choi_entanglement_fidelity(
-                    quantum.marginal_channel(ch, rho, alpha), rho
+                1.0 - reference.choi_entanglement_fidelity(
+                    reference.marginal_channel(ch, rho, alpha), rho
                 )
                 for alpha in range(1, n + 1)
             ]
         )
-        assert abs(got[m] - reference) <= 1e-14
-        assert abs(quantum.block_distortion(ch, rho) - reference) <= 1e-14
+        assert abs(got[m] - expected) <= 1e-14
+        # one channel as a one-set stack
+        assert abs(quantum.block_distortions([ch.elements], rho)[0] - expected) <= 1e-14
 
 
 def test_block_distortions_reject_incomplete_set():
@@ -461,7 +446,7 @@ def test_eigenvalue_entropy_clamps_dust_on_stacks():
 
 def test_random_channel_is_trace_preserving():
     for seed in range(10):
-        ch = quantum.random_channel(4, 3, seed)
+        ch = reference.random_channel(4, 3, seed)
         total = sum(a.conj().T @ a for a in ch.elements)
         assert np.max(np.abs(total - np.eye(4))) <= 1e-12
 
@@ -474,14 +459,35 @@ def test_concavity_chain_on_random_channels():
         k = trial % 4 + 1
         kraus = quantum.stinespring_kraus(rng, 1, 2, k)[0]
         ch = KrausChannel(tuple(kraus), trace_preserving=True)
-        rho = quantum.random_density(2, 9000 + trial)
+        rho = reference.random_density(2, 9000 + trial)
         fid = quantum.entanglement_fidelity(rho, ch)
         assert -1e-12 <= fid <= 1 + 1e-10
         exchange = quantum.entropy_exchange(rho, ch)
         assert exchange >= -1e-12
         out, weight = quantum.apply(ch, rho)
-        gap = quantum.average_entropy(ch, rho) - quantum.von_neumann_entropy(
+        gap = quantum.average_entropy(ch, rho) - reference.von_neumann_entropy(
             out / weight
         )
         worst = max(worst, gap)
     assert worst <= 1e-9
+
+
+def test_reference_route_imports_only_containers():
+    # tests/reference.py stays independent of the functionals it checks:
+    # from qubitrd it takes the containers, the random Kraus draw and the
+    # error types, nothing else.
+    source = Path(reference.__file__).read_text(encoding="utf-8")
+    allowed = {
+        "qubitrd.quantum": {"DensityMatrix", "KrausChannel", "stinespring_kraus"},
+        "qubitrd.errors": {name for name in vars(errors) if name.endswith("Error")},
+    }
+    imported = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported += [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [(node.module, alias.name) for alias in node.names]
+    from_package = [(m, n) for m, n in imported if m.split(".")[0] == "qubitrd"]
+    assert from_package
+    for module, name in from_package:
+        assert name in allowed.get(module, ()), f"{module}.{name}"

@@ -10,9 +10,8 @@ from qubitrd.ratedistortion import SourceSpec, pair_channel
 SRC5 = SourceSpec(0.5)
 SRC7 = SourceSpec(0.7)
 
-# 40-digit evaluations of the binary entropy.
+# A 40-digit evaluation of the binary entropy.
 H2_03 = 0.8812908992306926182
-H2_01 = 0.4689955935892812213
 
 
 def test_source_spec_validation():
@@ -350,18 +349,6 @@ def test_sweep_curve_rejects_short_grid():
         rd.sweep_curve(SRC7, 1)
 
 
-def test_classical_hamming_baseline():
-    assert rd.classical_hamming_baseline(SRC7, 0.0) == pytest.approx(
-        H2_03, abs=1e-12
-    )
-    assert rd.classical_hamming_baseline(SRC5, 0.5) == pytest.approx(0.0, abs=1e-12)
-    assert rd.classical_hamming_baseline(SRC7, 0.1) == pytest.approx(
-        H2_03 - H2_01, abs=1e-12
-    )
-    with pytest.raises(DomainError):
-        rd.classical_hamming_baseline(SRC7, 0.6)
-
-
 def test_r1_matches_average_entropy_of_pair():
     # The closed-form curve points against the channel functionals of the
     # pair they describe, at every interior point of a sweep.
@@ -406,3 +393,22 @@ def test_rate_columns_match_mpmath_near_p0_one(p0):
             rate = -sum(xlog) - side
             assert abs(pt.R - rate) <= 1e-12 * rate
             assert abs(pt.r - side) <= 1e-12 * side
+
+
+@pytest.mark.parametrize("p0", [1.0 - 1e-13, 0.999999, 0.99])
+def test_s1_entropy_matches_mpmath_near_p0_one(p0):
+    # S of the filter against a 60-digit evaluation: h2 takes the output's
+    # smaller eigenvalue p1 sin^2 t / weight, so no digits are lost to
+    # 1 - p near p0 = 1 (taking p0 cos^2 t / weight read S 7.5e-3 off
+    # at p0 = 1 - 1e-13 and t = 0.1).
+    mp = pytest.importorskip("mpmath")
+    src = SourceSpec(p0)
+    thetas = (1e-3, 0.1, 0.4, 0.7, math.pi / 4)
+    _, entropies = rd.s1_curve_point(np.array(thetas), src)
+    with mp.workdps(60):
+        p0_ = mp.mpf(p0)
+        for theta, entropy in zip(thetas, entropies):
+            c2, s2 = mp.cos(mp.mpf(theta)) ** 2, mp.sin(mp.mpf(theta)) ** 2
+            m = (1 - p0_) * s2 / (p0_ * c2 + (1 - p0_) * s2)
+            exact = -(m * mp.log(m, 2) + (1 - m) * mp.log(1 - m, 2))
+            assert abs(entropy - exact) <= 1e-12 * exact

