@@ -31,6 +31,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -48,13 +49,13 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _csv(header: list[str], rows: list[list[float]]) -> str:
+def _csv(header: list[str], rows: Sequence[Sequence[float]]) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
-def _json_rows(header: list[str], rows: list[list[float]]) -> str:
+def _json_rows(header: list[str], rows: Sequence[Sequence[float]]) -> str:
     return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
 
 
@@ -77,8 +78,7 @@ def run_curve(args: argparse.Namespace) -> int:
         rows = np.column_stack([thetas, d, entropy]).tolist()
     else:
         header = ["delta", "alpha", "d", "R", "r", "lambda1"]
-        points = sweep_curve(src, args.points)
-        rows = [[p.delta, p.alpha, p.d, p.R, p.r, p.lambda1] for p in points]
+        rows = sweep_curve(src, args.points)
     text = _csv(header, rows) if args.format == "csv" else _json_rows(header, rows)
     _emit(args.out, text)
     return 0

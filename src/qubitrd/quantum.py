@@ -164,14 +164,16 @@ def binary_entropy(p):
     1 - p, so a caller who knows 1 - p in closed form passes that. A float
     gives a float, with the bits of the same entry of an array. Entries
     within 1e-12 outside [0, 1] are clipped; any other, NaN included,
-    raises ``DomainError``. A float is checked and clipped as a float,
-    which is cheaper than as a 0-d array.
+    raises ``DomainError``. A float is checked, clipped and floored as a
+    float, which is cheaper than as a 0-d array; its logarithms stay
+    numpy's, whose bits math.log and math.log1p do not always give.
     """
     if isinstance(p, (int, float)):
         if not -1e-12 <= p <= 1 + 1e-12:
             raise DomainError(f"probability {p} outside [0, 1]")
         p = min(max(float(p), 0.0), 1.0)
         m = min(p, 1.0 - p)
+        floored = max(m, _TINY)
     else:
         p = np.asarray(p, dtype=float)
         inside = (p >= -1e-12) & (p <= 1 + 1e-12)
@@ -179,7 +181,8 @@ def binary_entropy(p):
             raise DomainError(f"probability {p[~inside][0]} outside [0, 1]")
         p = np.minimum(np.maximum(p, 0.0), 1.0)
         m = np.minimum(p, 1.0 - p)
-    nats = m * np.log(np.maximum(m, _TINY)) + (1.0 - m) * np.log1p(-m)
+        floored = np.maximum(m, _TINY)
+    nats = m * np.log(floored) + (1.0 - m) * np.log1p(-m)
     h = 0.0 - nats / math.log(2.0)
     return h if isinstance(h, np.ndarray) else float(h)
 

@@ -16,15 +16,18 @@ The minimizing angle solves a stationarity equation (the derivative of the
 average entropy with respect to ``a``). Its residual has closed-form limits
 of opposite signs at the two ends of (0, pi/2 - D), so one bracketed root
 finder (Chandrupatla's) on that interval finds it. A single D runs it on
-floats and a sweep runs the same update over all its interior D at once,
-so both return the same angle; at D = 0 and D = pi/2 the angle is its
-exact limit, solved for nowhere. Every other quantity of a
-curve point is closed form in (a, D): the distortion above, the average
+Python floats and a sweep runs the same update over all its interior D at
+once, so both return the same angle; at D = 0 and D = pi/2 the angle is
+its exact limit, solved for nowhere. Every other quantity of a curve point
+is closed form in (a, D): the distortion above, the average
 entropy ``lambda1 h2(p0 cos^2 a / lambda1) + lambda2 h2(p0 sin^2 a / lambda2)``,
 the type-1 weight ``lambda1 = p0 cos^2 a + p1 cos^2(a + D)``, with
 ``lambda2 = 1 - lambda1``, and the side-channel rate h2(lambda1). A sweep
 takes them over whole arrays by the formulas of a single point, so its rows
-equal ``r1_curve_point``'s bit for bit. The channel functionals of
+equal ``r1_curve_point``'s bit for bit. Each formula is written once, in a
+kernel that takes the namespace of the functions it calls: numpy over
+arrays, or ``_FLOATS`` on the Python floats of one point, whose functions
+give numpy's bits. The channel functionals of
 ``quantum`` give the same numbers and serve the tests as a cross-check.
 """
 
@@ -33,6 +36,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +56,11 @@ BISECTION_WIDTH = 1e-12
 # _RTOL |x| + _ATOL.
 _RTOL = 4 * sys.float_info.epsilon
 _ATOL = BISECTION_WIDTH / 2
+_LN2 = math.log(2.0)
+# The kernels' functions for one point on Python floats. math's sin and cos
+# give numpy's bits on [0, pi], which holds every argument the kernels
+# pass (a test pins this); math.log1p does not, so log1p stays numpy's.
+_FLOATS = SimpleNamespace(sin=math.sin, cos=math.cos, log1p=np.log1p, minimum=min)
 
 
 @dataclass(frozen=True)
@@ -62,6 +72,8 @@ class SourceSpec:
     def __post_init__(self):
         if not 0.5 <= self.p0 < 1.0:
             raise DomainError(f"p0 must lie in [0.5, 1), got {self.p0}")
+        # Kept as a Python float, so that one curve point runs on floats.
+        object.__setattr__(self, "p0", float(self.p0))
 
     @property
     def p1(self) -> float:
@@ -74,15 +86,15 @@ class SourceSpec:
 
     def distortion(self, delta):
         """Distortion 2 p0 p1 (1 - cos delta) at angle gap delta (float or array)."""
-        d = self.d_max * (1.0 - np.cos(delta))
+        xp = _FLOATS if isinstance(delta, (int, float)) else np
+        d = self.d_max * (1.0 - xp.cos(delta))
         return d if isinstance(d, np.ndarray) else float(d)
 
     def density(self) -> DensityMatrix:
         return DensityMatrix(np.diag([self.p0, self.p1]).astype(complex))
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     """One sample of the rate-distortion sweep."""
 
     delta: float
@@ -102,32 +114,33 @@ def pair_channel(alpha: float, delta: float) -> KrausChannel:
     return KrausChannel((a1, a2), trace_preserving=True)
 
 
-def _pair_weights(alpha, delta, p0):
+def _pair_weights(alpha, delta, p0, xp=np):
     """The squares c1, c2 of cos alpha, cos(alpha + delta) and s1, s2 of the
-    sines, then lambda1 and lambda2. Each square is a product, which numpy
-    rounds alike on floats and arrays (it squares a float with pow)."""
+    sines, then lambda1 and lambda2, by the functions of ``xp`` (numpy, or
+    ``_FLOATS`` on floats). Each square is a product, which rounds alike on
+    Python floats and arrays."""
     p1 = 1.0 - p0
-    c1, c2 = np.cos(alpha), np.cos(alpha + delta)
-    s1, s2 = np.sin(alpha), np.sin(alpha + delta)
+    c1, c2 = xp.cos(alpha), xp.cos(alpha + delta)
+    s1, s2 = xp.sin(alpha), xp.sin(alpha + delta)
     c1, c2, s1, s2 = c1 * c1, c2 * c2, s1 * s1, s2 * s2
     return c1, c2, s1, s2, p0 * c1 + p1 * c2, p0 * s1 + p1 * s2
 
 
-def _average_entropy_arr(alpha, delta, p0):
-    """Average output entropy of the diagonal pair; vectorized over alpha.
+def _average_entropy_arr(alpha, delta, p0, xp=np):
+    """Average output entropy of the diagonal pair, of floats or arrays.
 
     lambda1 h2(p1 c2 / lambda1) + lambda2 h2(min(p0 s1, p1 s2) / lambda2):
     each h2 takes the smaller of its two closed-form arguments (p0 c1 is
     never below p1 c2), which keeps full precision at p0 near 1.
     """
     p1 = 1.0 - p0
-    _, c2, s1, s2, lam1, lam2 = _pair_weights(alpha, delta, p0)
+    _, c2, s1, s2, lam1, lam2 = _pair_weights(alpha, delta, p0, xp)
     return lam1 * binary_entropy(p1 * c2 / lam1) + lam2 * binary_entropy(
-        np.minimum(p0 * s1, p1 * s2) / lam2
+        xp.minimum(p0 * s1, p1 * s2) / lam2
     )
 
 
-def _residual_arr(alpha, delta, p0):
+def _residual_arr(alpha, delta, p0, xp=np):
     """Derivative of the average output entropy with respect to alpha.
 
     p0 sin 2a log2(c1 lam2 / (s1 lam1)) - p1 sin 2(a + D) log2(s2 lam1 / (c2 lam2)).
@@ -137,12 +150,12 @@ def _residual_arr(alpha, delta, p0):
     relative precision where a ratio is near 1 (small D, or p0 near 1).
     """
     p1 = 1.0 - p0
-    _, c2, s1, _, lam1, lam2 = _pair_weights(alpha, delta, p0)
-    k = np.sin(delta) * np.sin(2 * alpha + delta)
+    _, c2, s1, _, lam1, lam2 = _pair_weights(alpha, delta, p0, xp)
+    k = xp.sin(delta) * xp.sin(2 * alpha + delta)
     return (
-        p0 * np.sin(2 * alpha) * np.log1p(p1 * k / (s1 * lam1))
-        - p1 * np.sin(2 * (alpha + delta)) * np.log1p(p0 * k / (c2 * lam2))
-    ) / math.log(2.0)
+        p0 * xp.sin(2 * alpha) * xp.log1p(p1 * k / (s1 * lam1))
+        - p1 * xp.sin(2 * (alpha + delta)) * xp.log1p(p0 * k / (c2 * lam2))
+    ) / _LN2
 
 
 def s1_curve_point(theta, src: SourceSpec):
@@ -172,7 +185,7 @@ def s1_curve_point(theta, src: SourceSpec):
     return d, entropy
 
 
-def _end_limits(delta, p0):
+def _end_limits(delta, p0, xp=np):
     """The residual's limits at alpha -> 0 and alpha -> pi/2 - delta.
 
     -p1 sin 2D log2(1 + p0 / (p1 cos^2 D)) < 0 and
@@ -180,12 +193,12 @@ def _end_limits(delta, p0):
     0 < p0 < 1, so the interval always holds a root.
     """
     p1 = 1.0 - p0
-    cos2 = np.cos(delta)
+    cos2 = xp.cos(delta)
     cos2 = cos2 * cos2
-    sin2 = np.sin(2 * delta)
+    sin2 = xp.sin(2 * delta)
     return (
-        -p1 * sin2 * np.log1p(p0 / (p1 * cos2)) / math.log(2.0),
-        p0 * sin2 * np.log1p(p1 / (p0 * cos2)) / math.log(2.0),
+        -p1 * sin2 * xp.log1p(p0 / (p1 * cos2)) / _LN2,
+        p0 * sin2 * xp.log1p(p1 / (p0 * cos2)) / _LN2,
     )
 
 
@@ -208,19 +221,19 @@ def solve_alpha(delta: float, src: SourceSpec) -> float:
     root always exists and no grid is scanned. The search stops when the
     bracket is narrower than twice 4 eps |x| + ``BISECTION_WIDTH`` / 2 or
     the residual reads 0, and returns the bracket end with the smaller
-    residual. This runs on floats, which is fastest for one delta;
-    ``_solve_alphas`` runs the same update over arrays and gives the same
-    bits.
+    residual. Update and residual run on Python floats (the kernels take
+    ``_FLOATS``), which is fastest for one delta; ``_solve_alphas`` runs the
+    same update and kernels over arrays and gives the same bits.
     """
     if not 0.0 < delta < HALF_PI:
         raise DomainError(f"delta must lie in (0, pi/2), got {delta}")
     p0 = src.p0
-    f_lo, f_hi = _end_limits(delta, p0)
+    f_lo, f_hi = _end_limits(delta, p0, _FLOATS)
     a, fa, b, fb = 0.0, float(f_lo), HALF_PI - delta, float(f_hi)
     t = 0.5
     while True:
         x = a + t * (b - a)
-        fx = float(_residual_arr(x, delta, p0))
+        fx = float(_residual_arr(x, delta, p0, _FLOATS))
         if (fx < 0) == (fa < 0):
             c, fc = a, fa
         else:
@@ -300,10 +313,10 @@ def r1_curve_point(delta: float, src: SourceSpec) -> CurvePoint:
     if delta >= HALF_PI - ENDPOINT_CUTOFF:
         return CurvePoint(HALF_PI, 0.0, src.d_max, 0.0, binary_entropy(p0), p0)
     alpha = solve_alpha(delta, src)
-    lam1, lam2 = _pair_weights(alpha, delta, p0)[4:]
-    rate = float(_average_entropy_arr(alpha, delta, p0))
+    lam1, lam2 = _pair_weights(alpha, delta, p0, _FLOATS)[4:]
+    rate = _average_entropy_arr(alpha, delta, p0, _FLOATS)
     r = binary_entropy(min(lam1, lam2))
-    return CurvePoint(delta, alpha, src.distortion(delta), rate, r, float(lam1))
+    return CurvePoint(delta, alpha, src.distortion(delta), rate, r, lam1)
 
 
 def sweep_curve(src: SourceSpec, n_points: int) -> list[CurvePoint]:
@@ -328,7 +341,7 @@ def sweep_curve(src: SourceSpec, n_points: int) -> list[CurvePoint]:
     lam1, lam2 = _pair_weights(alpha, deltas, p0)[4:]
     r = binary_entropy(np.minimum(lam1, lam2))
     columns = (deltas, alpha, src.distortion(deltas), rate, r, lam1)
-    interior = [CurvePoint(*row) for row in zip(*(c.tolist() for c in columns))]
+    interior = map(CurvePoint._make, zip(*(c.tolist() for c in columns)))
     return [first, *interior, r1_curve_point(HALF_PI, src)]
 
 

@@ -21,6 +21,10 @@ def test_source_spec_validation():
         SourceSpec(1.0)
     assert SRC7.p1 == pytest.approx(0.3)
     assert SRC7.d_max == pytest.approx(0.42)
+    # A numpy p0 is kept as a Python float, so a point still runs on floats.
+    src = SourceSpec(np.float64(0.7))
+    assert type(src.p0) is float
+    assert all(type(x) is float for x in rd.r1_curve_point(0.8, src))
 
 
 def test_kraus_pair_completeness():
@@ -233,11 +237,12 @@ def test_sweep_curve_shape():
 @pytest.mark.parametrize("n", [101, 512, 1023])
 @pytest.mark.parametrize("p0", [0.5, 0.6, 0.7, 0.8, 0.9, 0.99])
 def test_sweep_matches_per_point_solve(p0, n):
-    # The sweep solves its interior angles together on solve_alpha's grid
-    # cells and takes d, R, lambda1 and r over the whole array; a single
-    # point takes them from the same formulas on floats. Every square is a
-    # product (numpy squares a float64 scalar with pow, an array by
-    # multiplying) and h2 has one formula, so the two agree bit for bit.
+    # The sweep solves its interior angles together with solve_alpha's
+    # update and takes d, R, lambda1 and r over the whole array; a single
+    # point runs the same kernels on Python floats, with math's sin and cos
+    # (numpy's bits: test_float_kernels_equal_array_kernels_bit_for_bit)
+    # and numpy's log1p. Every square is a product and h2 has one formula,
+    # so the two agree bit for bit.
     src = SourceSpec(p0)
     for pt in rd.sweep_curve(src, n)[1:-1]:
         assert pt == rd.r1_curve_point(pt.delta, src)
@@ -281,6 +286,56 @@ def test_sweep_solve_equals_solve_alpha_bit_for_bit():
         alphas = rd._solve_alphas(deltas, src)
         expected = [rd.solve_alpha(float(d), src) for d in deltas]
         assert alphas.tobytes() == np.array(expected).tobytes()
+    # The benchmark's point pool: r1_curve_point equals the array route (the
+    # batched solve, then the closed forms over arrays) field for field, and
+    # every field of a point, endpoints included, is a Python float.
+    pool = np.random.default_rng(0)
+    p0s = pool.uniform(0.5, 1.0, 8192)
+    deltas = pool.uniform(0.0, math.pi / 2, 8192)
+    sources = [SourceSpec(p0) for p0 in p0s.tolist()]
+    ones = [deltas[i : i + 1] for i in range(deltas.size)]
+    alphas = np.concatenate([rd._solve_alphas(d, src) for d, src in zip(ones, sources)])
+    dist = np.concatenate([src.distortion(d) for d, src in zip(ones, sources)])
+    rate = rd._average_entropy_arr(alphas, deltas, p0s)
+    lam1, lam2 = rd._pair_weights(alphas, deltas, p0s)[4:]
+    r = quantum.binary_entropy(np.minimum(lam1, lam2))
+    points = [rd.r1_curve_point(d, src) for d, src in zip(deltas.tolist(), sources)]
+    expected = np.column_stack((deltas, alphas, dist, rate, r, lam1))
+    assert np.array(points).tobytes() == expected.tobytes()
+    for src in sources:
+        points += (rd.r1_curve_point(0.0, src), rd.r1_curve_point(math.pi / 2, src))
+    assert all(type(x) is float for pt in points for x in pt)
+
+
+def test_float_kernels_equal_array_kernels_bit_for_bit():
+    # r1_curve_point runs the kernels on Python floats, taking sin and cos
+    # from math (rd._FLOATS); a sweep runs them over arrays with numpy's.
+    # Every argument the kernels pass lies in [0, pi].
+    rng = np.random.default_rng(43)
+    x = np.concatenate([rng.uniform(0.0, math.pi, 100_000), [0.0, math.pi]])
+    for name in ("sin", "cos"):
+        floats = np.array([getattr(math, name)(v) for v in x.tolist()])
+        differ = np.flatnonzero(floats.view(np.int64) != getattr(np, name)(x).view(np.int64))
+        assert not differ.size, (
+            f"math.{name} and np.{name} differ at {x[differ[:3]]}: a single "
+            "curve point no longer gets a sweep's bits, since its float path "
+            "rests on their agreement"
+        )
+    n = 2000
+    p0 = 1.0 - 10.0 ** rng.uniform(-12.0, math.log10(0.5), n)
+    delta = np.exp(rng.uniform(math.log(1e-8), math.log(math.pi / 2 - 1e-8), n))
+    alpha = rng.uniform(0.0, 1.0, n) * (math.pi / 2 - delta)
+    kernels = {
+        "_pair_weights": lambda xp, a, d, p: rd._pair_weights(a, d, p, xp),
+        "_residual_arr": lambda xp, a, d, p: (rd._residual_arr(a, d, p, xp),),
+        "_end_limits": lambda xp, a, d, p: rd._end_limits(d, p, xp),
+        "_average_entropy_arr": lambda xp, a, d, p: (rd._average_entropy_arr(a, d, p, xp),),
+    }
+    inputs = list(zip(alpha.tolist(), delta.tolist(), p0.tolist()))
+    for name, kernel in kernels.items():
+        arrays = np.array(kernel(np, alpha, delta, p0)).T
+        floats = np.array([kernel(rd._FLOATS, *v) for v in inputs], dtype=float)
+        assert floats.tobytes() == arrays.tobytes(), name
 
 
 def _oracle_entropy_slope(mp, p0, delta, alpha):
