@@ -14,11 +14,16 @@ The source emits qubits in the state ``rho = diag(p0, p1)`` with
 
 The minimizing angle solves a stationarity equation (the derivative of the
 average entropy with respect to ``a``). Its residual has closed-form limits
-of opposite signs at the two ends of (0, pi/2 - D), so one bracketed root
-finder (Chandrupatla's) on that interval finds it. A single D runs it on
-Python floats and a sweep runs the same update over all its interior D at
-once, so both return the same angle; at D = 0 and D = pi/2 the angle is
-its exact limit, solved for nowhere. Every other quantity of a curve point
+of opposite signs at the two ends of (0, pi/2 - D), so a root always lies
+between them, and one bracketed root finder (Chandrupatla's) finds it. The
+finder does not start from the whole interval: two reads, at a closed-form
+guess g and at g / 1.5 or 1.5 g, cut it to the one of four pieces that
+holds the sign change. The guess joins the angle's limits at both ends of
+D, and is the exact angle pi/4 - D/2 at p0 = 1/2, which is returned
+without a read. A single D runs the finder on Python floats and a sweep
+runs the same start and update over all its interior D at once, so both
+return the same angle; at D = 0 and D = pi/2 the angle is its exact limit,
+solved for nowhere. Every other quantity of a curve point
 is closed form in (a, D): the distortion above, the average
 entropy ``lambda1 h2(p0 cos^2 a / lambda1) + lambda2 h2(p0 sin^2 a / lambda2)``,
 the type-1 weight ``lambda1 = p0 cos^2 a + p1 cos^2(a + D)``, with
@@ -57,10 +62,24 @@ BISECTION_WIDTH = 1e-12
 _RTOL = 4 * sys.float_info.epsilon
 _ATOL = BISECTION_WIDTH / 2
 _LN2 = math.log(2.0)
+# Ratio between the guess of the mixing angle and the solver's second read.
+# The guess lies below half of pi/2 - delta, so any ratio in (1, 2] keeps
+# both g / ratio and g * ratio inside the interval.
+_GUESS_RATIO = 1.5
+# Least guess; keeps sin^2 of every read angle clear of underflow at a
+# delta far below anything a curve takes.
+_GUESS_FLOOR = 1e-100
 # The kernels' functions for one point on Python floats. math's sin and cos
 # give numpy's bits on [0, pi], which holds every argument the kernels
 # pass (a test pins this); math.log1p does not, so log1p stays numpy's.
-_FLOATS = SimpleNamespace(sin=math.sin, cos=math.cos, log1p=np.log1p, minimum=min)
+_FLOATS = SimpleNamespace(
+    sin=math.sin,
+    cos=math.cos,
+    log1p=np.log1p,
+    minimum=min,
+    maximum=max,
+    where=lambda cond, x, y: x if cond else y,
+)
 
 
 @dataclass(frozen=True)
@@ -85,9 +104,14 @@ class SourceSpec:
         return 2.0 * self.p0 * self.p1
 
     def distortion(self, delta):
-        """Distortion 2 p0 p1 (1 - cos delta) at angle gap delta (float or array)."""
+        """Distortion 2 p0 p1 (1 - cos delta) at angle gap delta (float or array).
+
+        Taken as 2 d_max sin^2(delta / 2), which equals it and does not cancel
+        at small delta, where 1 - cos delta loses every digit.
+        """
         xp = _FLOATS if isinstance(delta, (int, float)) else np
-        d = self.d_max * (1.0 - xp.cos(delta))
+        s = xp.sin(0.5 * delta)
+        d = 2.0 * self.d_max * (s * s)
         return d if isinstance(d, np.ndarray) else float(d)
 
     def density(self) -> DensityMatrix:
@@ -209,36 +233,73 @@ def _interpolated_step(a, fa, b, fb, c, fc):
     return fa / (fb - fa) * fc / (fb - fc) + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb)
 
 
+def _advance(a, fa, b, fb, x, fx, xp=np):
+    """Chandrupatla's bookkeeping after a read fx at x inside the bracket
+    from a to b: x becomes the newest point a, the old end whose residual
+    has the sign of fx is dropped to c, and the other stays b."""
+    same = (fx < 0) == (fa < 0)
+    w = xp.where
+    return x, fx, w(same, b, a), w(same, fb, fa), w(same, a, b), w(same, fa, fb)
+
+
+def _guess(delta, p0, xp=np):
+    """Closed-form guess of the mixing angle, g0 g1 / (g0 + g1).
+
+    g0 = p1 D / (p0 - p1) is the angle's limit as D -> 0 and
+    g1 = p1 (pi/2 - D) its limit as D -> pi/2. Taken as
+    g1 D / (D + (p0 - p1)(pi/2 - D)), which is g1 exactly at p0 = 1/2,
+    where it is the angle pi/4 - D/2 itself. It never exceeds
+    g1 <= (pi/2 - D) / 2, and is floored at ``_GUESS_FLOOR``.
+    """
+    p1 = 1.0 - p0
+    top = HALF_PI - delta
+    return xp.maximum(p1 * top * (delta / (delta + (p0 - p1) * top)), _GUESS_FLOOR)
+
+
+def _bracket(g, delta, p0, xp=np):
+    """The solver's state after its first two reads, at the guess g and then
+    at g / r where the residual at g is positive, or at g r where it is
+    negative (r = ``_GUESS_RATIO``). Both reads take the update of every
+    later one (``_advance``) from the whole interval (0, pi/2 - D), whose
+    ends keep their closed-form limits. So the bracket left is the one of
+    (0, g / r), (g / r, g), (g, g r) and (g r, pi/2 - D) that holds the sign
+    change, and the point c dropped last is known, so the next step may
+    interpolate."""
+    f_lo, f_hi = _end_limits(delta, p0, xp)
+    state = _advance(0.0, f_lo, HALF_PI - delta, f_hi, g, _residual_arr(g, delta, p0, xp), xp)
+    x = xp.where(state[1] < 0, g * _GUESS_RATIO, g / _GUESS_RATIO)
+    return _advance(*state[:4], x, _residual_arr(x, delta, p0, xp), xp)
+
+
 def solve_alpha(delta: float, src: SourceSpec) -> float:
     """Mixing angle minimizing the average output entropy at fixed delta.
 
-    The root of the stationarity residual on the whole feasible interval
+    The root of the stationarity residual on the feasible interval
     (0, pi/2 - delta), by Chandrupatla's method (Adv. Eng. Software 28,
     1997): inverse quadratic interpolation where the last three points
-    allow it, bisection otherwise, about ten residual reads in all. The
-    bracket is the interval itself, with the residual's closed-form limits
-    at its ends, whose signs differ for every accepted delta and p0, so a
-    root always exists and no grid is scanned. The search stops when the
-    bracket is narrower than twice 4 eps |x| + ``BISECTION_WIDTH`` / 2 or
-    the residual reads 0, and returns the bracket end with the smaller
-    residual. Update and residual run on Python floats (the kernels take
-    ``_FLOATS``), which is fastest for one delta; ``_solve_alphas`` runs the
-    same update and kernels over arrays and gives the same bits.
+    allow it, bisection otherwise. The residual's closed-form limits at
+    the ends of the interval differ in sign for every accepted delta and
+    p0, so a root always exists and no grid is scanned. The first two reads
+    go to a closed-form guess g and to g / 1.5 or 1.5 g (``_bracket``),
+    which leaves a bracket about the root a fraction of the interval wide,
+    so the search takes about seven reads in all. (From the interval itself,
+    small-delta roots near 0 sent it to bisection.) At p0 = 1/2 the guess
+    is the exact angle pi/4 - delta/2 and is returned without a read. The
+    search stops when the bracket is narrower than twice
+    4 eps |x| + ``BISECTION_WIDTH`` / 2 or the residual reads 0, and returns
+    the bracket end with the smaller residual. Start, update and residual
+    run on Python floats (the kernels take ``_FLOATS``), which is fastest
+    for one delta; ``_solve_alphas`` runs the same start, update and kernels
+    over arrays and gives the same bits.
     """
     if not 0.0 < delta < HALF_PI:
         raise DomainError(f"delta must lie in (0, pi/2), got {delta}")
     p0 = src.p0
-    f_lo, f_hi = _end_limits(delta, p0, _FLOATS)
-    a, fa, b, fb = 0.0, float(f_lo), HALF_PI - delta, float(f_hi)
-    t = 0.5
+    g = _guess(delta, p0, _FLOATS)
+    if p0 == 0.5:
+        return g
+    a, fa, b, fb, c, fc = map(float, _bracket(g, delta, p0, _FLOATS))
     while True:
-        x = a + t * (b - a)
-        fx = float(_residual_arr(x, delta, p0, _FLOATS))
-        if (fx < 0) == (fa < 0):
-            c, fc = a, fa
-        else:
-            c, fc, b, fb = b, fb, a, fa
-        a, fa = x, fx
         xm, fm = (a, fa) if abs(fa) < abs(fb) else (b, fb)
         tl = (_RTOL * abs(xm) + _ATOL) / abs(b - a)
         if tl > 0.5 or fm == 0.0:
@@ -249,43 +310,49 @@ def solve_alpha(delta: float, src: SourceSpec) -> float:
         if phi * phi < xi and (1 - phi) * (1 - phi) < 1 - xi:
             t = _interpolated_step(a, fa, b, fb, c, fc)
         t = min(max(t, tl), 1 - tl)
+        x = a + t * (b - a)
+        fx = float(_residual_arr(x, delta, p0, _FLOATS))
+        if (fx < 0) == (fa < 0):
+            c, fc = a, fa
+        else:
+            c, fc, b, fb = b, fb, a, fa
+        a, fa = x, fx
 
 
-def _solve_alphas(deltas: np.ndarray, src: SourceSpec) -> np.ndarray:
+def _solve_alphas(deltas: np.ndarray, p0) -> np.ndarray:
     """``solve_alpha`` at every delta of an array, with the same bits.
 
-    Runs ``solve_alpha``'s update, in the same order, on all rows at once,
-    and drops each row from the iteration once it has converged.
+    ``p0`` is one float or an array of one per delta. Runs ``solve_alpha``'s
+    set-up and update, in the same order, on all rows at once, and drops
+    each row, its p0 included, from the iteration once it has converged.
     """
-    p0 = src.p0
-    alpha = np.empty_like(deltas)
-    fa, fb = _end_limits(deltas, p0)
-    a, b = np.zeros_like(deltas), HALF_PI - deltas
-    t = np.full_like(deltas, 0.5)
-    delta, rows = deltas, np.arange(deltas.size)
-    while rows.size:
-        x = a + t * (b - a)
-        fx = _residual_arr(x, delta, p0)
-        same = (fx < 0) == (fa < 0)
-        c, fc = np.where(same, a, b), np.where(same, fa, fb)
-        b, fb = np.where(same, b, a), np.where(same, fb, fa)
-        a, fa = x, fx
+    p0 = np.broadcast_to(np.asarray(p0, dtype=float), deltas.shape)
+    alpha = _guess(deltas, p0)
+    rows = np.flatnonzero(p0 != 0.5)
+    if not rows.size:
+        return alpha
+    delta, p0 = deltas[rows], p0[rows]
+    a, fa, b, fb, c, fc = _bracket(alpha[rows], delta, p0)
+    while True:
         near = np.abs(fa) < np.abs(fb)
         xm, fm = np.where(near, a, b), np.where(near, fa, fb)
         tl = (_RTOL * np.abs(xm) + _ATOL) / np.abs(b - a)
         done = (tl > 0.5) | (fm == 0.0)
         alpha[rows[done]] = xm[done]
         keep = ~done
-        a, fa, b, fb, c, fc, tl, delta, rows = (
-            v[keep] for v in (a, fa, b, fb, c, fc, tl, delta, rows)
+        a, fa, b, fb, c, fc, tl, delta, p0, rows = (
+            v[keep] for v in (a, fa, b, fb, c, fc, tl, delta, p0, rows)
         )
+        if not rows.size:
+            return alpha
         xi = (a - b) / (c - b)
         phi = (fa - fb) / (fc - fb)
         i = (phi * phi < xi) & ((1 - phi) * (1 - phi) < 1 - xi)
         t = np.full_like(a, 0.5)
         t[i] = _interpolated_step(*(v[i] for v in (a, fa, b, fb, c, fc)))
         t = np.minimum(np.maximum(t, tl), 1 - tl)
-    return alpha
+        x = a + t * (b - a)
+        a, fa, b, fb, c, fc = _advance(a, fa, b, fb, x, _residual_arr(x, delta, p0))
 
 
 def r1_curve_point(delta: float, src: SourceSpec) -> CurvePoint:
@@ -306,7 +373,7 @@ def r1_curve_point(delta: float, src: SourceSpec) -> CurvePoint:
     """
     if not -1e-12 <= delta <= HALF_PI + 1e-12:
         raise DomainError(f"delta must lie in [0, pi/2], got {delta}")
-    p0 = src.p0
+    delta, p0 = float(delta), src.p0
     if delta <= ENDPOINT_CUTOFF:
         alpha, lam1 = (math.pi / 4, 0.5) if p0 == 0.5 else (0.0, 1.0)
         return CurvePoint(0.0, alpha, 0.0, binary_entropy(p0), binary_entropy(lam1), lam1)
@@ -336,7 +403,7 @@ def sweep_curve(src: SourceSpec, n_points: int) -> list[CurvePoint]:
     deltas = np.linspace(0.0, HALF_PI, n_points)[1:-1]
     deltas = np.clip(deltas, DELTA_EPS, HALF_PI - DELTA_EPS)
     first = r1_curve_point(0.0, src)
-    alpha = _solve_alphas(deltas, src)
+    alpha = _solve_alphas(deltas, p0)
     rate = _average_entropy_arr(alpha, deltas, p0)
     lam1, lam2 = _pair_weights(alpha, deltas, p0)[4:]
     r = binary_entropy(np.minimum(lam1, lam2))

@@ -381,7 +381,7 @@ def check_perturbation(
 
     # one row per delta: the diagonal optimum and its mixture weights
     delta = deltas[:, np.newaxis]
-    alpha = _solve_alphas(deltas, src)[:, np.newaxis]
+    alpha = _solve_alphas(deltas, p0)[:, np.newaxis]
     c1, c2 = np.cos(alpha), np.cos(alpha + delta)
     s1, s2 = np.sin(alpha), np.sin(alpha + delta)
     d_target = src.distortion(delta)

@@ -138,6 +138,97 @@ def test_solve_alpha_minimizes_average_entropy():
                 assert best <= other + 1e-12
 
 
+def test_solver_reads_from_the_guessed_bracket(monkeypatch):
+    # A timing-free guard on the solver's start: two reads about the
+    # closed-form guess leave a bracket a fraction of (0, pi/2 - delta)
+    # wide. From the whole interval, the slowest rows of a 512-point sweep
+    # took 16-22 batch iterations at p0 >= 0.6 and a single delta about 9.5
+    # reads on average.
+    reads = []
+    residual = rd._residual_arr
+
+    def spy(alpha, delta, p0, xp=np):
+        reads.append(np.size(alpha))
+        return residual(alpha, delta, p0, xp)
+
+    monkeypatch.setattr(rd, "_residual_arr", spy)
+    for p0 in (0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999):
+        reads.clear()
+        rd.sweep_curve(SourceSpec(p0), 512)
+        assert len(reads) <= (0 if p0 == 0.5 else 10), p0
+    pool = np.random.default_rng(47)
+    p0s = pool.uniform(0.5, 1.0, 2000)
+    deltas = pool.uniform(0.0, math.pi / 2, 2000)
+    reads.clear()
+    for p0, delta in zip(p0s.tolist(), deltas.tolist()):
+        rd.solve_alpha(delta, SourceSpec(p0))
+    assert len(reads) / 2000 <= 8
+
+
+def test_isotropic_angle_is_the_guess_exactly():
+    # At p0 = 1/2 the guess is the optimum pi/4 - delta/2, taken as
+    # p1 (pi/2 - delta); it is returned without a residual read.
+    for n in (512, 4097):
+        for pt in rd.sweep_curve(SRC5, n)[1:-1]:
+            assert pt.alpha == 0.5 * (math.pi / 2 - pt.delta)
+    assert rd.solve_alpha(0.3, SRC5) == 0.5 * (math.pi / 2 - 0.3)
+
+
+def test_solver_survives_deltas_far_below_any_grid():
+    # sin^2 of a guess near delta would underflow to 0 in the residual; the
+    # guess is floored, so every read stays finite. The angles here are
+    # round-off (the residual vanishes as delta^3), not roots.
+    deltas = np.array([5e-324, 1e-300, 1e-200, 1e-160])
+    for p0 in (0.5000001, 0.7, 0.9, 1.0 - 1e-12):
+        alphas = rd._solve_alphas(deltas, p0)
+        expected = [rd.solve_alpha(float(d), SourceSpec(p0)) for d in deltas]
+        assert alphas.tobytes() == np.array(expected).tobytes()
+        assert np.all((alphas >= 0.0) & (alphas <= math.pi / 2 - deltas))
+
+
+@pytest.mark.parametrize("n", [512, 4097])
+@pytest.mark.parametrize("p0", [0.55, 0.7, 0.9, 0.999])
+def test_sweep_angles_match_mpmath_roots(p0, n):
+    # Twelve-odd rows spread over each sweep, against the 50-digit root
+    # inside a sign change of +-1e-9 about the returned angle.
+    mp = pytest.importorskip("mpmath")
+    points = rd.sweep_curve(SourceSpec(p0), n)[1:-1]
+    with mp.workdps(50):
+        p0_ = mp.mpf(p0)
+        for pt in points[:: len(points) // 12]:
+            delta_, alpha = mp.mpf(pt.delta), pt.alpha
+            f = lambda x: _oracle_entropy_slope(mp, p0_, delta_, x)  # noqa: E731
+            lo = mp.mpf(alpha - 1e-9 if alpha > 2e-9 else alpha / 2)
+            hi = mp.mpf(alpha + 1e-9)
+            assert f(lo) < 0 < f(hi)
+            root = mp.findroot(f, (lo, hi), solver="anderson")
+            assert abs(alpha - float(root)) <= 1e-12
+
+
+def test_r1_point_delta_is_a_float():
+    for delta in (1, np.float64(0.8), np.array(0.8)):
+        pt = rd.r1_curve_point(delta, SRC7)
+        assert type(pt.delta) is float and pt.delta == float(delta)
+        assert pt == rd.r1_curve_point(float(delta), SRC7)
+    assert type(rd.r1_curve_point(0, SRC7).delta) is float
+
+
+@pytest.mark.parametrize("p0", [0.5, 0.7, 0.9, 0.999999])
+def test_distortion_matches_mpmath_at_small_delta(p0):
+    # 2 d_max sin^2(delta / 2) has no cancellation: d_max (1 - cos delta)
+    # read 0.0 at delta = 1e-8 and was 8.9e-5 off (relative) at 1e-6.
+    mp = pytest.importorskip("mpmath")
+    src = SourceSpec(p0)
+    deltas = [1e-8, 1e-6, 1e-4, 0.1, 1.5]
+    arrays = src.distortion(np.array(deltas))
+    with mp.workdps(50):
+        p0_ = mp.mpf(p0)
+        for delta, d in zip(deltas, arrays):
+            exact = 2 * p0_ * (1 - p0_) * (1 - mp.cos(mp.mpf(delta)))
+            assert src.distortion(delta) == d
+            assert abs(d - exact) <= 1e-15 * exact
+
+
 def test_r1_point_zero_endpoint():
     pt = rd.r1_curve_point(0.0, SRC7)
     assert pt.d == 0.0
@@ -283,18 +374,19 @@ def test_sweep_solve_equals_solve_alpha_bit_for_bit():
     for _ in range(20):
         src = SourceSpec(1.0 - 10.0 ** rng.uniform(-12.0, math.log10(0.5)))
         deltas = np.exp(rng.uniform(math.log(1e-8), math.log(math.pi / 2 - 1e-8), 100))
-        alphas = rd._solve_alphas(deltas, src)
+        alphas = rd._solve_alphas(deltas, src.p0)
         expected = [rd.solve_alpha(float(d), src) for d in deltas]
         assert alphas.tobytes() == np.array(expected).tobytes()
-    # The benchmark's point pool: r1_curve_point equals the array route (the
-    # batched solve, then the closed forms over arrays) field for field, and
-    # every field of a point, endpoints included, is a Python float.
+    # The benchmark's point pool: r1_curve_point equals the array route (one
+    # batched solve with a p0 per row, then the closed forms over arrays)
+    # field for field, and every field of a point, endpoints included, is a
+    # Python float.
     pool = np.random.default_rng(0)
     p0s = pool.uniform(0.5, 1.0, 8192)
     deltas = pool.uniform(0.0, math.pi / 2, 8192)
     sources = [SourceSpec(p0) for p0 in p0s.tolist()]
     ones = [deltas[i : i + 1] for i in range(deltas.size)]
-    alphas = np.concatenate([rd._solve_alphas(d, src) for d, src in zip(ones, sources)])
+    alphas = rd._solve_alphas(deltas, p0s)
     dist = np.concatenate([src.distortion(d) for d, src in zip(ones, sources)])
     rate = rd._average_entropy_arr(alphas, deltas, p0s)
     lam1, lam2 = rd._pair_weights(alphas, deltas, p0s)[4:]
