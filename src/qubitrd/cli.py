@@ -103,7 +103,7 @@ def run_simulate(args: argparse.Namespace) -> int:
     src = SourceSpec(args.p0)
     circuit = realization.build_circuit(args.delta, src)
     stream = realization.simulate_stream(circuit, src, args.samples, args.seed)
-    lambda1, _, _ = realization.measure_ancilla(circuit, src)
+    lambda1 = realization._type1_weight(circuit, src)
     record = {
         "p0": args.p0,
         "delta": args.delta,

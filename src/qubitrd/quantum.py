@@ -4,11 +4,13 @@ A quantum operation is a set of elements {A_i} acting as
 ``rho -> sum_i A_i rho A_i†``; it is trace preserving when
 ``sum_i A_i† A_i = I``. On top of that this module provides the paper's
 three quantities: entanglement fidelity with the induced distortion
-``1 - F_e``, entropy exchange, and the average conditional output entropy.
-``average_entropies`` and ``block_distortions`` score a whole
-(N, k, dim, dim) stack of Kraus sets in one call; ``block_distortions`` is
-the per-qubit distortion of multi-qubit operations, and
-``stinespring_kraus`` draws random Kraus sets.
+``1 - F_e``, entropy exchange, and the average conditional output entropy,
+each one way. ``average_entropies`` and ``block_distortions`` score a whole
+(N, k, dim, dim) stack of Kraus sets in one call; ``average_entropy`` and
+``distortion`` are their one-set case. ``block_distortions``, the per-qubit
+distortion of multi-qubit operations at a single-qubit rho, takes 1 - F_e as
+the sum of squares sum_i ||(A_i - tr(rho A_i) I) rho^{1/2}||_F^2 / tr E(rho),
+which does not cancel near F_e = 1. ``stinespring_kraus`` draws random Kraus sets.
 """
 
 from __future__ import annotations
@@ -109,11 +111,21 @@ def _state_matrix(rho) -> np.ndarray:
     return rho.mat if isinstance(rho, DensityMatrix) else linalg.as_matrix(rho)
 
 
-def _apply_raw(ch: KrausChannel, mat: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(mat)
-    for a in ch.elements:
-        out += a @ mat @ a.conj().T
-    return out
+def _channel_state(ch: KrausChannel, rho) -> np.ndarray:
+    """The matrix of rho, which must have the channel's dimension."""
+    m = _state_matrix(rho)
+    if m.shape[0] != ch.dim:
+        raise DimensionMismatchError(
+            f"state dimension {m.shape[0]} != channel dimension {ch.dim}"
+        )
+    return m
+
+
+def _nonzero_weight(weight: float) -> float:
+    """The output weight tr E(rho), which must exceed ``WEIGHT_FLOOR``."""
+    if weight <= WEIGHT_FLOOR:
+        raise AnnihilationError(f"operation annihilates the state (weight {weight:.3e})")
+    return weight
 
 
 def apply(ch: KrausChannel, rho) -> tuple[np.ndarray, float]:
@@ -122,18 +134,11 @@ def apply(ch: KrausChannel, rho) -> tuple[np.ndarray, float]:
     The normalized state is ``out / weight``. For subnormalized operations the
     weight is the probability that this operation occurs.
     """
-    m = _state_matrix(rho)
-    if m.shape[0] != ch.dim:
-        raise DimensionMismatchError(
-            f"state dimension {m.shape[0]} != channel dimension {ch.dim}"
-        )
-    out = _apply_raw(ch, m)
-    weight = float(np.trace(out).real)
-    if weight <= WEIGHT_FLOOR:
-        raise AnnihilationError(
-            f"operation annihilates the state (weight {weight:.3e})"
-        )
-    return out, weight
+    m = _channel_state(ch, rho)
+    out = np.zeros_like(m)
+    for a in ch.elements:
+        out += a @ m @ a.conj().T
+    return out, _nonzero_weight(float(np.trace(out).real))
 
 
 def eigenvalue_entropy(eigs) -> np.ndarray:
@@ -147,11 +152,6 @@ def eigenvalue_entropy(eigs) -> np.ndarray:
     eigs = np.asarray(eigs, dtype=float)
     eigs = np.where(eigs > EIGENVALUE_FLOOR, eigs, 1.0)  # 1 log 1 = 0
     return 0.0 - np.sum(eigs * np.log2(eigs), axis=-1)
-
-
-def _entropy_of_psd(mat: np.ndarray) -> float:
-    """Entropy in bits of a unit-trace PSD matrix, tolerant of eigenvalue dust."""
-    return float(eigenvalue_entropy(np.linalg.eigvalsh(mat)))
 
 
 def binary_entropy(p):
@@ -188,40 +188,32 @@ def binary_entropy(p):
 
 
 def entanglement_fidelity(rho, ch: KrausChannel) -> float:
-    """F_e = sum_i |tr(A_i rho)|^2 / tr(E(rho)).
+    """F_e = sum_i |tr(A_i rho)|^2 / tr(E(rho)), taken as 1 - ``distortion``.
 
     Measures how well the channel preserves the state together with its
     entanglement to any purifying reference system.
     """
-    m = _state_matrix(rho)
-    if m.shape[0] != ch.dim:
-        raise DimensionMismatchError(
-            f"state dimension {m.shape[0]} != channel dimension {ch.dim}"
-        )
-    _, weight = apply(ch, m)
-    numerator = sum(abs(np.trace(a @ m)) ** 2 for a in ch.elements)
-    return float(numerator / weight)
+    return 1.0 - distortion(rho, ch)
 
 
 def distortion(rho, ch: KrausChannel) -> float:
-    """d = 1 - F_e(rho, ch)."""
-    return 1.0 - entanglement_fidelity(rho, ch)
+    """d = 1 - F_e(rho, ch) for a single-qubit state rho, by the sum of squares
+    of ``block_distortions`` at n = 1, which does not cancel where F_e is
+    near 1. The set need not be trace preserving; a weight tr(E(rho)) at or
+    below ``WEIGHT_FLOOR`` raises ``AnnihilationError``.
+    """
+    m = _channel_state(ch, rho)
+    if m.shape[0] != 2:
+        raise DimensionMismatchError("rho must be a single-qubit state")
+    squares, weight = _distortion_terms(np.stack(ch.elements)[np.newaxis], m)
+    return float(squares[0] / _nonzero_weight(weight[0]))
 
 
 def exchange_matrix(rho, ch: KrausChannel) -> np.ndarray:
     """The k x k matrix W with W_ij = tr(A_i rho A_j†) / tr(E(rho))."""
-    m = _state_matrix(rho)
-    k = ch.k
-    w = np.empty((k, k), dtype=complex)
-    for i, ai in enumerate(ch.elements):
-        for j, aj in enumerate(ch.elements):
-            w[i, j] = np.trace(ai @ m @ aj.conj().T)
-    weight = float(np.trace(w).real)
-    if weight <= WEIGHT_FLOOR:
-        raise AnnihilationError(
-            f"operation annihilates the state (weight {weight:.3e})"
-        )
-    return w / weight
+    a = np.stack(ch.elements)
+    w = np.einsum("iab,bc,jac->ij", a, _channel_state(ch, rho), a.conj())
+    return w / _nonzero_weight(float(np.trace(w).real))
 
 
 def entropy_exchange(rho, ch: KrausChannel) -> float:
@@ -229,7 +221,7 @@ def entropy_exchange(rho, ch: KrausChannel) -> float:
 
     Zero whenever the channel has a single operation element.
     """
-    return _entropy_of_psd(exchange_matrix(rho, ch))
+    return float(eigenvalue_entropy(np.linalg.eigvalsh(exchange_matrix(rho, ch))))
 
 
 def average_entropy(ch: KrausChannel, rho) -> float:
@@ -237,23 +229,13 @@ def average_entropy(ch: KrausChannel, rho) -> float:
 
     This is the qubit rate charged to a trace-preserving operation when the
     index of the realized element is known: each conditional output is
-    compressed losslessly at its own entropy.
+    compressed losslessly at its own entropy. The one-set case of
+    ``average_entropies``.
     """
     if not ch.trace_preserving:
         raise ContractViolationError("average_entropy needs a trace-preserving channel")
-    m = _state_matrix(rho)
-    if m.shape[0] != ch.dim:
-        raise DimensionMismatchError(
-            f"state dimension {m.shape[0]} != channel dimension {ch.dim}"
-        )
-    total = 0.0
-    for a in ch.elements:
-        cond = a @ m @ a.conj().T
-        lam = float(np.trace(cond).real)
-        if lam <= WEIGHT_FLOOR:
-            continue
-        total += lam * _entropy_of_psd(cond / lam)
-    return total
+    m = _channel_state(ch, rho)
+    return float(average_entropies(np.stack(ch.elements)[np.newaxis], m)[0])
 
 
 def average_entropies(kraus, state) -> np.ndarray:
@@ -271,21 +253,45 @@ def average_entropies(kraus, state) -> np.ndarray:
     return np.sum(np.where(live, lam * eigenvalue_entropy(eigs), 0.0), axis=1)
 
 
+def _distortion_terms(kraus: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of squares S and weights W = tr E(rho^{⊗n}) of a (N, k, 2^n, 2^n)
+    stack at a 2x2 state rho, unchecked. S / W sums over the qubits
+    1 - F_e = sum_j ||(M_j - tr(rho M_j) I) rho^{1/2}||_F^2 / W of the marginal
+    map {M_j}, in rho's eigenbasis (eigenvalues l0, l1)
+    sum_j (l0 l1 |M00 - M11|^2 + l1 |M01|^2 + l0 |M10|^2) / W: no term cancels.
+    The other qubits sit in the diagonal state q_c = prod l, so the marginal
+    map has the elements sqrt(q_c) <r|A|c> over their rows r and columns c.
+    """
+    dim = kraus.shape[-1]
+    n = dim.bit_length() - 1
+    eigvals, eigvecs = np.linalg.eigh(rho)
+    l0, l1 = eigvals = np.clip(eigvals, 0.0, None)
+    basis = functools.reduce(np.kron, [eigvecs] * n)
+    rotated = basis.conj().T @ kraus @ basis
+    columns = functools.reduce(np.kron, [eigvals] * n)
+    weight = np.einsum("nkrc,c->n", np.abs(rotated) ** 2, columns)
+    others = functools.reduce(np.kron, [eigvals] * (n - 1), np.ones(1))
+    tensor = rotated.reshape(kraus.shape[:2] + (2,) * (2 * n))
+    squares = np.zeros(len(kraus))
+    for alpha in range(n):
+        # qubit alpha's row and column last, the other qubits' before them
+        m = np.moveaxis(tensor, (2 + alpha, 2 + n + alpha), (-2, -1))
+        terms = l0 * l1 * np.abs(m[..., 0, 0] - m[..., 1, 1]) ** 2
+        terms += l1 * np.abs(m[..., 0, 1]) ** 2 + l0 * np.abs(m[..., 1, 0]) ** 2
+        terms = terms.reshape(kraus.shape[:2] + (dim // 2, dim // 2))
+        squares += np.einsum("nkrc,c->n", terms, others)
+    return squares, weight
+
+
 def block_distortions(kraus, rho: DensityMatrix) -> np.ndarray:
     """Per-qubit block distortion of every Kraus set in a (N, k, 2^n, 2^n) stack.
 
     Entry m is the average over the n <= 3 qubits of 1 - F_e(rho, marginal
-    map of set m on that qubit). ``tests/reference.py`` takes the same
-    quantity one qubit and one channel at a time, through the marginal
-    map's Choi matrix.
-    Sets with fewer elements are padded with zero elements, which change
-    nothing. Every set must be complete within ``COMPLETENESS_TOL``.
-
-    In the eigenbasis {|e_i>} of rho (eigenvalues l_i) the other qubits sit
-    in the diagonal state with weights q_c = prod l, so the marginal map on
-    qubit alpha has the elements sqrt(q_c) <r|A|c> for the other qubits'
-    basis rows r and columns c. Its F_e is the sum of
-    q_c |sum_i l_i <i r|A|i c>|^2 over them, divided by tr E(rho^{⊗n}).
+    map of set m on that qubit), a sum of squares (``_distortion_terms``).
+    ``tests/reference.py`` takes the same quantity one qubit and one channel
+    at a time, through the marginal map's Choi matrix. Sets with fewer
+    elements are padded with zero elements, which change nothing. Every set
+    must be complete within ``COMPLETENESS_TOL``.
     """
     kraus = np.asarray(kraus, dtype=complex)
     if kraus.ndim != 4 or kraus.shape[-1] != kraus.shape[-2]:
@@ -299,22 +305,8 @@ def block_distortions(kraus, rho: DensityMatrix) -> np.ndarray:
     if rho.dim != 2:
         raise DimensionMismatchError("rho must be a single-qubit state")
     _require_complete(kraus)
-    eigvals, eigvecs = np.linalg.eigh(rho.mat)
-    eigvals = np.clip(eigvals, 0.0, None)
-    basis = functools.reduce(np.kron, [eigvecs] * n)
-    rotated = basis.conj().T @ kraus @ basis
-    weight = np.einsum(
-        "nkrc,c->n", np.abs(rotated) ** 2, functools.reduce(np.kron, [eigvals] * n)
-    )
-    others = functools.reduce(np.kron, [eigvals] * (n - 1), np.ones(1))
-    tensor = rotated.reshape(kraus.shape[:2] + (2,) * (2 * n))
-    total = np.zeros(len(kraus))
-    for alpha in range(n):
-        # sum_i l_i <i|.|i> on qubit alpha leaves the (row, column) blocks
-        traced = np.diagonal(tensor, axis1=2 + alpha, axis2=2 + n + alpha) @ eigvals
-        blocks = traced.reshape(kraus.shape[:2] + (dim // 2, dim // 2))
-        total += 1.0 - np.einsum("nkrc,c->n", np.abs(blocks) ** 2, others) / weight
-    return total / n
+    squares, weight = _distortion_terms(kraus, rho.mat)
+    return squares / weight / n
 
 
 def stinespring_kraus(

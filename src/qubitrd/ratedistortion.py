@@ -32,8 +32,8 @@ takes them over whole arrays by the formulas of a single point, so its rows
 equal ``r1_curve_point``'s bit for bit. Each formula is written once, in a
 kernel that takes the namespace of the functions it calls: numpy over
 arrays, or ``_FLOATS`` on the Python floats of one point, whose functions
-give numpy's bits. The channel functionals of
-``quantum`` give the same numbers and serve the tests as a cross-check.
+give numpy's bits. ``simulate`` takes R and lambda1 from these kernels
+too; the channel functionals of ``quantum`` serve the tests as a cross-check.
 """
 
 from __future__ import annotations

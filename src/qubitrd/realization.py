@@ -6,7 +6,7 @@ element of the optimal pair to the source qubit, outcome 1 the second; a
 circuit carries that pair as its ``KrausChannel`` (``pair_channel``). The
 outcome sequence is the classical side information, whose asymptotic rate is
 h2(lambda1). Qubit rates are accounted analytically at the conditional
-output entropies; no block code is simulated.
+output entropies (``r1_curve_point``'s closed forms); no block code is simulated.
 
 The 4-dimensional basis ordering is ancilla-first:
 {|0>A|0>Q, |0>A|1>Q, |1>A|0>Q, |1>A|1>Q}. In it the unitary is the block
@@ -23,7 +23,8 @@ import numpy as np
 from . import quantum
 from .errors import DomainError, InternalNumericError
 from .quantum import DensityMatrix, KrausChannel
-from .ratedistortion import SourceSpec, pair_channel, solve_alpha
+from .ratedistortion import _FLOATS, SourceSpec, _average_entropy_arr, _pair_weights
+from .ratedistortion import pair_channel, solve_alpha
 
 # Outcomes are drawn and counted in chunks of this many samples, so the
 # memory a stream takes does not grow with its length.
@@ -104,6 +105,11 @@ def measure_ancilla(
     return weights[0], posts[0], posts[1]
 
 
+def _type1_weight(circ: RealizationCircuit, src: SourceSpec) -> float:
+    """lambda1 of the circuit's pair, by ``r1_curve_point``'s closed form."""
+    return _pair_weights(circ.alpha, circ.delta, src.p0, _FLOATS)[4]
+
+
 def simulate_stream(
     circ: RealizationCircuit, src: SourceSpec, n_samples: int, seed: int
 ) -> StreamResult:
@@ -113,26 +119,25 @@ def simulate_stream(
     by a counter-based generator keyed on the seed, so the i-th sample is a
     pure function of (seed, i) and results are bit-identical across runs.
     They are counted ``SAMPLE_CHUNK`` at a time; chunked draws from the
-    generator are the same numbers as one draw of all samples.
+    generator are the same numbers as one draw of all samples. lambda1 and
+    R are ``r1_curve_point``'s closed forms, with its bits at that delta.
     """
     if n_samples < 1:
         raise DomainError(f"n_samples must be at least 1, got {n_samples}")
     if not 0 <= seed < 2**128:
         raise DomainError(f"seed must lie in [0, 2**128), got {seed}")
-    p_type1, _, _ = measure_ancilla(circ, src)
+    p_type1 = _type1_weight(circ, src)
     rng = np.random.Generator(np.random.Philox(key=seed))
     type1_count = 0
     for start in range(0, n_samples, SAMPLE_CHUNK):
         draws = rng.random(min(SAMPLE_CHUNK, n_samples - start))
         type1_count += int(np.count_nonzero(draws < p_type1))
     empirical = type1_count / n_samples
-    rho = src.density()
-    quantum_rate = quantum.average_entropy(circ.channel, rho)
     return StreamResult(
         n_samples=n_samples,
         type1_count=type1_count,
         empirical_lambda1=empirical,
         empirical_classical_rate=quantum.binary_entropy(empirical),
-        quantum_rate=quantum_rate,
+        quantum_rate=_average_entropy_arr(circ.alpha, circ.delta, src.p0, _FLOATS),
         analytic_distortion=src.distortion(circ.delta),
     )

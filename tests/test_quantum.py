@@ -15,6 +15,7 @@ from qubitrd.errors import (
     DomainError,
 )
 from qubitrd.quantum import DensityMatrix, KrausChannel
+from qubitrd.ratedistortion import SourceSpec, pair_channel, solve_alpha
 
 I2 = np.eye(2, dtype=complex)
 P0 = np.diag([1.0, 0.0]).astype(complex)
@@ -196,9 +197,75 @@ def test_distortion_is_one_minus_fidelity_exactly():
     for seed in range(30):
         ch = reference.random_channel(2, seed % 3 + 1, seed)
         rho = reference.random_density(2, 500 + seed)
-        assert quantum.distortion(rho, ch) == 1.0 - quantum.entanglement_fidelity(
+        assert quantum.entanglement_fidelity(rho, ch) == 1.0 - quantum.distortion(
             rho, ch
         )
+
+
+def test_distortion_annihilation():
+    with pytest.raises(AnnihilationError):
+        quantum.distortion(DensityMatrix(P1), KrausChannel((P0,)))
+
+
+def _oracle_block_distortion(mp, elements, p):
+    """Per-qubit 1 - F_e, averaged over the qubits, of diagonal n-qubit
+    elements at the source diag(p) on every qubit, in 50-digit arithmetic
+    on the same float entries. For qubit alpha the marginal map has the
+    elements sqrt(q_c) <c|E|c> over the other qubits' basis states c, so
+    F_e = sum_{E, c} q_c (p0 E_(0, c) + p1 E_(1, c))^2 / W with
+    W = sum_{E, x} q_x E_x^2."""
+    dim = elements.shape[-1]
+    n = dim.bit_length() - 1
+    assert np.array_equal(elements, [np.diag(np.diagonal(e)) for e in elements])
+    assert not np.any(elements.imag)
+    with mp.workdps(50):
+        p = [mp.mpf(float(x)) for x in p]
+        diags = [[mp.mpf(float(x)) for x in np.diagonal(e).real] for e in elements]
+
+        def q(x, skip=None):
+            out = mp.mpf(1)
+            for qubit in range(n):
+                if qubit != skip:
+                    out *= p[(x >> (n - 1 - qubit)) & 1]
+            return out
+
+        weight = sum(q(x) * e[x] ** 2 for e in diags for x in range(dim))
+        total = mp.mpf(0)
+        for alpha in range(n):
+            bit = 1 << (n - 1 - alpha)
+            fidelity = sum(
+                q(x, alpha) * (p[0] * e[x] + p[1] * e[x | bit]) ** 2
+                for e in diags
+                for x in range(dim)
+                if not x & bit
+            )
+            total += 1 - fidelity / weight
+        return total / n
+
+
+@pytest.mark.parametrize("delta", [1e-8, 1e-6, 1e-4, 1e-2, 1.5])
+@pytest.mark.parametrize("p0", [0.5, 0.7, 0.9, 0.999])
+def test_distortion_of_solved_pair_matches_mpmath(p0, delta):
+    # 1 - F_e of the pair that the curve solves, against 50 digits of the
+    # same float entries (not against the closed form 2 d_max sin^2(D/2),
+    # from which the rounded entries themselves sit up to 8.6e-9 relative
+    # at p0 = 1/2): distortion and block_distortions at n = 1, and
+    # block_distortions on pair x pair (n = 2)
+    mp = pytest.importorskip("mpmath")
+    src = SourceSpec(p0)
+    rho = src.density()
+    pair = pair_channel(solve_alpha(delta, src), delta)
+    single = np.stack(pair.elements)
+    double = np.stack([np.kron(a, b) for a in pair.elements for b in pair.elements])
+    p = np.diagonal(rho.mat).real
+    cases = (
+        (quantum.distortion(rho, pair), single),
+        (quantum.block_distortions(single[np.newaxis], rho)[0], single),
+        (quantum.block_distortions(double[np.newaxis], rho)[0], double),
+    )
+    for got, elements in cases:
+        exact = _oracle_block_distortion(mp, elements, p)
+        assert abs(got - exact) <= 1e-15 * exact
 
 
 def test_entropy_exchange_single_element_is_zero():
@@ -428,9 +495,15 @@ def test_average_entropies_match_per_channel_loop():
     ks = [1, 2, 3, 4, 2, 4]
     stack = _padded_random_stack(rng, 4, ks)
     got = quantum.average_entropies(stack, rho2)
+    # tests/reference.py's own route, one element at a time
     for m, k in enumerate(ks):
-        ch = KrausChannel(tuple(stack[m, :k]), trace_preserving=True)
-        assert abs(got[m] - quantum.average_entropy(ch, rho2)) <= 1e-14
+        expected = 0.0
+        for a in stack[m, :k]:
+            cond = reference._apply(KrausChannel((a,)), rho2)
+            lam = float(np.trace(cond).real)
+            if lam > reference.WEIGHT_FLOOR:
+                expected += lam * reference.von_neumann_entropy(cond / lam)
+        assert abs(got[m] - expected) <= 1e-14
 
 
 def test_eigenvalue_entropy_clamps_dust_on_stacks():

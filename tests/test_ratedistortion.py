@@ -509,7 +509,7 @@ def test_r1_matches_average_entropy_of_pair():
                 pt.R, abs=1e-12
             )
             assert quantum.distortion(rho, channel) == pytest.approx(
-                pt.d, abs=1e-10
+                pt.d, rel=1e-14
             )
             a1 = pair.elements[0]
             lam1 = float(np.trace(a1 @ rho.mat @ a1.conj().T).real)

@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 import reference
-from qubitrd import quantum, realization
+from qubitrd import cli, quantum, realization
 from qubitrd.errors import DomainError
 from qubitrd.ratedistortion import SourceSpec, pair_channel, r1_curve_point
 
@@ -135,8 +136,23 @@ def test_simulate_stream_matches_curve_point():
         circ = realization.build_circuit(delta, src)
         result = realization.simulate_stream(circ, src, 100, seed=2)
         pt = r1_curve_point(delta, src)
-        assert result.quantum_rate == pytest.approx(pt.R, abs=1e-10)
+        assert result.quantum_rate == pt.R
         assert result.analytic_distortion == pytest.approx(pt.d, abs=1e-12)
+
+
+def test_simulate_rates_equal_curve_point_bit_for_bit(capsys):
+    # the stream and the CLI take R and lambda1 from r1_curve_point's closed
+    # forms at the circuit's (alpha, delta)
+    for src, delta in _random_operating_points(40, seed=5):
+        circ = realization.build_circuit(delta, src)
+        pt = r1_curve_point(delta, src)
+        result = realization.simulate_stream(circ, src, 10, seed=0)
+        assert result.quantum_rate == pt.R
+        argv = ["simulate", "--p0", repr(src.p0), "--delta", repr(delta)]
+        assert cli.main(argv + ["--samples", "10", "--format", "json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["quantum_rate"] == pt.R
+        assert record["analytic_lambda1"] == pt.lambda1
 
 
 def test_measure_ancilla_suppresses_dead_outcome():
