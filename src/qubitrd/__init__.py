@@ -43,7 +43,6 @@ from .realization import (
     RealizationCircuit,
     StreamResult,
     build_circuit,
-    measure_ancilla,
     simulate_stream,
 )
 from .verify import (

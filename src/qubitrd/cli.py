@@ -37,7 +37,6 @@ import numpy as np
 
 from . import realization, verify
 from .errors import ContractViolationError, DomainError, ToolkitError
-from .quantum import binary_entropy
 from .ratedistortion import SourceSpec, s1_curve_point, sweep_curve
 from .records import record_to_text
 
@@ -103,15 +102,12 @@ def run_simulate(args: argparse.Namespace) -> int:
     src = SourceSpec(args.p0)
     circuit = realization.build_circuit(args.delta, src)
     stream = realization.simulate_stream(circuit, src, args.samples, args.seed)
-    lambda1 = realization._type1_weight(circuit, src)
     record = {
         "p0": args.p0,
         "delta": args.delta,
         "alpha": circuit.alpha,
         "seed": args.seed,
         **stream.to_dict(),
-        "analytic_lambda1": lambda1,
-        "analytic_classical_rate": binary_entropy(lambda1),
     }
     if args.format == "csv":
         text = record_to_text(list(record.items()))

@@ -27,13 +27,15 @@ solved for nowhere. Every other quantity of a curve point
 is closed form in (a, D): the distortion above, the average
 entropy ``lambda1 h2(p0 cos^2 a / lambda1) + lambda2 h2(p0 sin^2 a / lambda2)``,
 the type-1 weight ``lambda1 = p0 cos^2 a + p1 cos^2(a + D)``, with
-``lambda2 = 1 - lambda1``, and the side-channel rate h2(lambda1). A sweep
-takes them over whole arrays by the formulas of a single point, so its rows
-equal ``r1_curve_point``'s bit for bit. Each formula is written once, in a
-kernel that takes the namespace of the functions it calls: numpy over
+``lambda2 = 1 - lambda1``, and the side-channel rate h2(lambda1). R, r and
+lambda1 come from one kernel, ``_pair_figures``, on one set of squares. A
+sweep takes them over whole arrays by the formulas of a single point, so its
+rows equal ``r1_curve_point``'s bit for bit. Each formula is written once, in
+a kernel that takes the namespace of the functions it calls: numpy over
 arrays, or ``_FLOATS`` on the Python floats of one point, whose functions
-give numpy's bits. ``simulate`` takes R and lambda1 from these kernels
-too; the channel functionals of ``quantum`` serve the tests as a cross-check.
+give numpy's bits. ``simulate`` reads every analytic figure off
+``r1_curve_point``; the channel functionals of ``quantum`` serve the tests as
+a cross-check.
 """
 
 from __future__ import annotations
@@ -150,18 +152,22 @@ def _pair_weights(alpha, delta, p0, xp=np):
     return c1, c2, s1, s2, p0 * c1 + p1 * c2, p0 * s1 + p1 * s2
 
 
-def _average_entropy_arr(alpha, delta, p0, xp=np):
-    """Average output entropy of the diagonal pair, of floats or arrays.
+def _pair_figures(alpha, delta, p0, xp=np):
+    """R, r and lambda1 of the diagonal pair, of floats or arrays, from one
+    ``_pair_weights`` call.
 
-    lambda1 h2(p1 c2 / lambda1) + lambda2 h2(min(p0 s1, p1 s2) / lambda2):
-    each h2 takes the smaller of its two closed-form arguments (p0 c1 is
-    never below p1 c2), which keeps full precision at p0 near 1.
+    R = lambda1 h2(p1 c2 / lambda1) + lambda2 h2(min(p0 s1, p1 s2) / lambda2)
+    and r = h2(min(lambda1, lambda2)): each h2 takes the smaller of its two
+    closed-form arguments (p0 c1 is never below p1 c2), which keeps full
+    precision at p0 near 1, where 1 - lambda1 would lose the digits of
+    lambda2.
     """
     p1 = 1.0 - p0
     _, c2, s1, s2, lam1, lam2 = _pair_weights(alpha, delta, p0, xp)
-    return lam1 * binary_entropy(p1 * c2 / lam1) + lam2 * binary_entropy(
+    rate = lam1 * binary_entropy(p1 * c2 / lam1) + lam2 * binary_entropy(
         xp.minimum(p0 * s1, p1 * s2) / lam2
     )
+    return rate, binary_entropy(xp.minimum(lam1, lam2)), lam1
 
 
 def _residual_arr(alpha, delta, p0, xp=np):
@@ -380,10 +386,8 @@ def r1_curve_point(delta: float, src: SourceSpec) -> CurvePoint:
     if delta >= HALF_PI - ENDPOINT_CUTOFF:
         return CurvePoint(HALF_PI, 0.0, src.d_max, 0.0, binary_entropy(p0), p0)
     alpha = solve_alpha(delta, src)
-    lam1, lam2 = _pair_weights(alpha, delta, p0, _FLOATS)[4:]
-    rate = _average_entropy_arr(alpha, delta, p0, _FLOATS)
-    r = binary_entropy(min(lam1, lam2))
-    return CurvePoint(delta, alpha, src.distortion(delta), rate, r, lam1)
+    figures = _pair_figures(alpha, delta, p0, _FLOATS)
+    return CurvePoint(delta, alpha, src.distortion(delta), *figures)
 
 
 def sweep_curve(src: SourceSpec, n_points: int) -> list[CurvePoint]:
@@ -404,10 +408,7 @@ def sweep_curve(src: SourceSpec, n_points: int) -> list[CurvePoint]:
     deltas = np.clip(deltas, DELTA_EPS, HALF_PI - DELTA_EPS)
     first = r1_curve_point(0.0, src)
     alpha = _solve_alphas(deltas, p0)
-    rate = _average_entropy_arr(alpha, deltas, p0)
-    lam1, lam2 = _pair_weights(alpha, deltas, p0)[4:]
-    r = binary_entropy(np.minimum(lam1, lam2))
-    columns = (deltas, alpha, src.distortion(deltas), rate, r, lam1)
+    columns = (deltas, alpha, src.distortion(deltas), *_pair_figures(alpha, deltas, p0))
     interior = map(CurvePoint._make, zip(*(c.tolist() for c in columns)))
     return [first, *interior, r1_curve_point(HALF_PI, src)]
 

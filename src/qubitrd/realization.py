@@ -5,8 +5,11 @@ unitary, and a measurement of the ancilla. Outcome 0 applies the first
 element of the optimal pair to the source qubit, outcome 1 the second; a
 circuit carries that pair as its ``KrausChannel`` (``pair_channel``). The
 outcome sequence is the classical side information, whose asymptotic rate is
-h2(lambda1). Qubit rates are accounted analytically at the conditional
-output entropies (``r1_curve_point``'s closed forms); no block code is simulated.
+h2(lambda1). No block code is simulated: the stream's type-1 probability
+and every analytic figure of a ``StreamResult`` (d, R, lambda1 and
+r = h2(lambda1)) are read off ``r1_curve_point`` at the circuit's delta, so
+they equal that point bit for bit. Within ``ENDPOINT_CUTOFF`` of either end
+of (0, pi/2) that is the curve's exact end row, as in ``curve r1``.
 
 The 4-dimensional basis ordering is ancilla-first:
 {|0>A|0>Q, |0>A|1>Q, |1>A|0>Q, |1>A|1>Q}. In it the unitary is the block
@@ -22,9 +25,8 @@ import numpy as np
 
 from . import quantum
 from .errors import DomainError, InternalNumericError
-from .quantum import DensityMatrix, KrausChannel
-from .ratedistortion import _FLOATS, SourceSpec, _average_entropy_arr, _pair_weights
-from .ratedistortion import pair_channel, solve_alpha
+from .quantum import KrausChannel
+from .ratedistortion import SourceSpec, pair_channel, r1_curve_point, solve_alpha
 
 # Outcomes are drawn and counted in chunks of this many samples, so the
 # memory a stream takes does not grow with its length.
@@ -60,6 +62,8 @@ class StreamResult:
     empirical_classical_rate: float
     quantum_rate: float
     analytic_distortion: float
+    analytic_lambda1: float
+    analytic_classical_rate: float
 
     def to_dict(self) -> dict[str, Any]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -84,32 +88,6 @@ def build_circuit(delta: float, src: SourceSpec) -> RealizationCircuit:
     return RealizationCircuit(alpha=alpha, delta=delta, unitary=unitary, channel=channel)
 
 
-def measure_ancilla(
-    circ: RealizationCircuit, src: SourceSpec
-) -> tuple[float, DensityMatrix | None, DensityMatrix | None]:
-    """Ancilla measurement statistics and the conditional source states.
-
-    Returns (p_type1, post1, post2) where post_i is the normalized source
-    state after outcome i, read off the elements of the circuit's channel.
-    An outcome with probability at or below ``quantum.WEIGHT_FLOOR`` (1e-14)
-    is suppressed (its post state is None).
-    """
-    rho = src.density().mat
-    posts: list[DensityMatrix | None] = []
-    weights: list[float] = []
-    for element in circ.channel.elements:
-        out = element @ rho @ element.conj().T
-        weight = float(np.trace(out).real)
-        weights.append(weight)
-        posts.append(DensityMatrix(out / weight) if weight > quantum.WEIGHT_FLOOR else None)
-    return weights[0], posts[0], posts[1]
-
-
-def _type1_weight(circ: RealizationCircuit, src: SourceSpec) -> float:
-    """lambda1 of the circuit's pair, by ``r1_curve_point``'s closed form."""
-    return _pair_weights(circ.alpha, circ.delta, src.p0, _FLOATS)[4]
-
-
 def simulate_stream(
     circ: RealizationCircuit, src: SourceSpec, n_samples: int, seed: int
 ) -> StreamResult:
@@ -119,25 +97,28 @@ def simulate_stream(
     by a counter-based generator keyed on the seed, so the i-th sample is a
     pure function of (seed, i) and results are bit-identical across runs.
     They are counted ``SAMPLE_CHUNK`` at a time; chunked draws from the
-    generator are the same numbers as one draw of all samples. lambda1 and
-    R are ``r1_curve_point``'s closed forms, with its bits at that delta.
+    generator are the same numbers as one draw of all samples. That
+    probability and the analytic fields are ``r1_curve_point(circ.delta)``'s
+    lambda1, d, R and r.
     """
     if n_samples < 1:
         raise DomainError(f"n_samples must be at least 1, got {n_samples}")
     if not 0 <= seed < 2**128:
         raise DomainError(f"seed must lie in [0, 2**128), got {seed}")
-    p_type1 = _type1_weight(circ, src)
+    point = r1_curve_point(circ.delta, src)
     rng = np.random.Generator(np.random.Philox(key=seed))
     type1_count = 0
     for start in range(0, n_samples, SAMPLE_CHUNK):
         draws = rng.random(min(SAMPLE_CHUNK, n_samples - start))
-        type1_count += int(np.count_nonzero(draws < p_type1))
+        type1_count += int(np.count_nonzero(draws < point.lambda1))
     empirical = type1_count / n_samples
     return StreamResult(
         n_samples=n_samples,
         type1_count=type1_count,
         empirical_lambda1=empirical,
         empirical_classical_rate=quantum.binary_entropy(empirical),
-        quantum_rate=_average_entropy_arr(circ.alpha, circ.delta, src.p0, _FLOATS),
-        analytic_distortion=src.distortion(circ.delta),
+        quantum_rate=point.R,
+        analytic_distortion=point.d,
+        analytic_lambda1=point.lambda1,
+        analytic_classical_rate=point.r,
     )

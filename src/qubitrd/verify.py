@@ -277,7 +277,10 @@ def check_theorem1(n_trials: int, seed: int, src: SourceSpec) -> VerificationRep
     condition's own tolerance, so the suite tolerance is 0. It reads -1e-10
     on every run: D and the source are diagonal by construction, so the
     commutator excess is exactly 0 - 1e-10, above every other excess. The
-    per-condition ``worst_*`` params carry what the draws did.
+    per-condition ``worst_*`` params carry what the draws did. The A and D
+    of a block form one stack of one-element sets, whose weights W and
+    distortions come from ``quantum._distortion_terms`` and whose entropies
+    are ``quantum.average_entropies`` divided by W.
     """
     p0, p1 = src.p0, src.p1
     sq = np.array([math.sqrt(p0), math.sqrt(p1)])
@@ -293,28 +296,18 @@ def check_theorem1(n_trials: int, seed: int, src: SourceSpec) -> VerificationRep
         a = rng.standard_normal((count, 2, 2)) + 1j * rng.standard_normal(
             (count, 2, 2)
         )
-        b = a * sq[np.newaxis, np.newaxis, :]
-        svals = np.linalg.svd(b, compute_uv=False)
-        dvals = svals / sq[np.newaxis, :]
-
-        out_a = b @ b.conj().transpose(0, 2, 1)
-        eigs = np.linalg.eigvalsh(out_a)
-        lam_a = eigs.sum(axis=1)
-        s_a = quantum.binary_entropy(np.clip(eigs[:, 1] / lam_a, 0.0, 1.0))
-        lam_d = (svals**2).sum(axis=1)
-        s_d = quantum.binary_entropy(np.clip(svals[:, 0] ** 2 / lam_d, 0.0, 1.0))
-
+        svals = np.linalg.svd(a * sq, compute_uv=False)
         d_mats = np.zeros((count, 2, 2), dtype=complex)
-        d_mats[:, 0, 0] = dvals[:, 0]
-        d_mats[:, 1, 1] = dvals[:, 1]
-        # 1 - F_e of each A, then each D, by block_distortions' unchecked core
+        d_mats[:, [0, 1], [0, 1]] = svals / sq
+        # every A, then every D, as one-element sets
         stack = np.concatenate([a, d_mats])[:, np.newaxis]
         squares, weight = quantum._distortion_terms(stack, rho)
         dist = squares / weight
+        entropy = quantum.average_entropies(stack, rho) / weight
         comm = d_mats @ rho - rho @ d_mats
         fields = {
-            "entropy_gap": np.abs(s_a - s_d),
-            "weight_gap": np.abs(lam_a - lam_d),
+            "entropy_gap": np.abs(entropy[:count] - entropy[count:]),
+            "weight_gap": np.abs(weight[:count] - weight[count:]),
             "distortion_increase": dist[count:] - dist[:count],
             "commutator": np.max(np.abs(comm), axis=(1, 2)),
         }

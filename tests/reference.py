@@ -11,7 +11,8 @@ it checks can leak into it (``tests/test_quantum.py`` guards that list).
   ``ChoiMatrix`` and ``partial_trace``: the per-qubit block distortion,
   qubit by qubit, that ``quantum.block_distortions`` takes in one pass.
 * ``ancilla_source_state`` and ``joint_output``: the circuit's unitary run
-  on the ancilla and the source, to check it against the pair it carries.
+  on the ancilla and the source, to check it against the pair it carries;
+  ``measure_ancilla`` reads the outcome statistics off that output.
 * ``von_neumann_entropy``: the entropy of a state from its spectrum.
 * ``random_channel`` and ``random_density``: seeded test draws.
 """
@@ -186,6 +187,24 @@ def joint_output(circ, src) -> np.ndarray:
     """U Xi U† of a ``RealizationCircuit``: block (i, j) holds A_i rho A_j†."""
     xi = ancilla_source_state(src)
     return circ.unitary @ xi @ circ.unitary.conj().T
+
+
+def measure_ancilla(circ, src) -> tuple[float, DensityMatrix | None, DensityMatrix | None]:
+    """Ancilla measurement statistics and the conditional source states.
+
+    Returns (p_type1, post1, post2), read off ``joint_output``: outcome i
+    leaves the source in block (i, i), A_i rho A_i†, with probability its
+    trace. An outcome with probability at or below ``WEIGHT_FLOOR`` has post
+    state None.
+    """
+    joint = joint_output(circ, src)
+    weights, posts = [], []
+    for i in (0, 1):
+        block = joint[2 * i : 2 * i + 2, 2 * i : 2 * i + 2]
+        weight = float(np.trace(block).real)
+        weights.append(weight)
+        posts.append(DensityMatrix(block / weight) if weight > WEIGHT_FLOOR else None)
+    return weights[0], posts[0], posts[1]
 
 
 def random_channel(dim: int, k: int, seed: int) -> KrausChannel:

@@ -388,9 +388,7 @@ def test_sweep_solve_equals_solve_alpha_bit_for_bit():
     ones = [deltas[i : i + 1] for i in range(deltas.size)]
     alphas = rd._solve_alphas(deltas, p0s)
     dist = np.concatenate([src.distortion(d) for d, src in zip(ones, sources)])
-    rate = rd._average_entropy_arr(alphas, deltas, p0s)
-    lam1, lam2 = rd._pair_weights(alphas, deltas, p0s)[4:]
-    r = quantum.binary_entropy(np.minimum(lam1, lam2))
+    rate, r, lam1 = rd._pair_figures(alphas, deltas, p0s)
     points = [rd.r1_curve_point(d, src) for d, src in zip(deltas.tolist(), sources)]
     expected = np.column_stack((deltas, alphas, dist, rate, r, lam1))
     assert np.array(points).tobytes() == expected.tobytes()
@@ -421,7 +419,7 @@ def test_float_kernels_equal_array_kernels_bit_for_bit():
         "_pair_weights": lambda xp, a, d, p: rd._pair_weights(a, d, p, xp),
         "_residual_arr": lambda xp, a, d, p: (rd._residual_arr(a, d, p, xp),),
         "_end_limits": lambda xp, a, d, p: rd._end_limits(d, p, xp),
-        "_average_entropy_arr": lambda xp, a, d, p: (rd._average_entropy_arr(a, d, p, xp),),
+        "_pair_figures": lambda xp, a, d, p: rd._pair_figures(a, d, p, xp),
     }
     inputs = list(zip(alpha.tolist(), delta.tolist(), p0.tolist()))
     for name, kernel in kernels.items():

@@ -7,7 +7,7 @@ import pytest
 import reference
 from qubitrd import cli, quantum, realization
 from qubitrd.errors import DomainError
-from qubitrd.ratedistortion import SourceSpec, pair_channel, r1_curve_point
+from qubitrd.ratedistortion import SourceSpec, pair_channel, r1_curve_point, sweep_curve
 
 SRC5 = SourceSpec(0.5)
 SRC7 = SourceSpec(0.7)
@@ -74,12 +74,12 @@ def test_induced_channel_matches_pair():
 def test_measure_ancilla_statistics():
     for delta in (0.3, 0.8, 1.3):
         circ = realization.build_circuit(delta, SRC5)
-        p1, post1, post2 = realization.measure_ancilla(circ, SRC5)
+        p1, post1, post2 = reference.measure_ancilla(circ, SRC5)
         assert p1 == pytest.approx(0.5, abs=1e-12)
         assert post1 is not None and post2 is not None
 
     circ = realization.build_circuit(0.7, SRC7)
-    p1, _, _ = realization.measure_ancilla(circ, SRC7)
+    p1, _, _ = reference.measure_ancilla(circ, SRC7)
     rho = SRC7.density().mat
     a1 = circ.channel.elements[0]
     assert p1 == pytest.approx(
@@ -89,7 +89,7 @@ def test_measure_ancilla_statistics():
 
 def test_measure_ancilla_projective_limit():
     circ = realization.build_circuit(math.pi / 2 - 1e-6, SRC7)
-    p1, post1, post2 = realization.measure_ancilla(circ, SRC7)
+    p1, post1, post2 = reference.measure_ancilla(circ, SRC7)
     assert p1 + (1 - p1) == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(post1.mat, np.diag([1.0, 0.0]), atol=1e-4)
     assert np.allclose(post2.mat, np.diag([0.0, 1.0]), atol=1e-4)
@@ -137,35 +137,65 @@ def test_simulate_stream_matches_curve_point():
         result = realization.simulate_stream(circ, src, 100, seed=2)
         pt = r1_curve_point(delta, src)
         assert result.quantum_rate == pt.R
-        assert result.analytic_distortion == pytest.approx(pt.d, abs=1e-12)
+        assert result.analytic_distortion == pt.d
 
 
 def test_simulate_rates_equal_curve_point_bit_for_bit(capsys):
-    # the stream and the CLI take R and lambda1 from r1_curve_point's closed
-    # forms at the circuit's (alpha, delta)
-    for src, delta in _random_operating_points(40, seed=5):
+    # the stream and the CLI read d, R, r and lambda1 off r1_curve_point at
+    # the circuit's delta; within ENDPOINT_CUTOFF of an end that is the
+    # curve's exact end row, as in `curve r1`
+    fields = {
+        "analytic_distortion": "d",
+        "quantum_rate": "R",
+        "analytic_classical_rate": "r",
+        "analytic_lambda1": "lambda1",
+    }
+    ends = [(src, delta) for src in (SRC5, SRC7) for delta in (1e-13, math.pi / 2 - 1e-13)]
+    for src, delta in [*_random_operating_points(40, seed=5), *ends]:
         circ = realization.build_circuit(delta, src)
         pt = r1_curve_point(delta, src)
-        result = realization.simulate_stream(circ, src, 10, seed=0)
-        assert result.quantum_rate == pt.R
+        result = realization.simulate_stream(circ, src, 10, seed=0).to_dict()
         argv = ["simulate", "--p0", repr(src.p0), "--delta", repr(delta)]
         assert cli.main(argv + ["--samples", "10", "--format", "json"]) == 0
         record = json.loads(capsys.readouterr().out)
-        assert record["quantum_rate"] == pt.R
-        assert record["analytic_lambda1"] == pt.lambda1
+        for key, name in fields.items():
+            assert result[key] == getattr(pt, name), key
+            assert record[key] == getattr(pt, name), key
+    assert r1_curve_point(1e-13, SRC7) == sweep_curve(SRC7, 2)[0]
+
+
+@pytest.mark.parametrize("p0", [0.999999, 1.0 - 1e-10])
+@pytest.mark.parametrize("delta", [0.1, 0.8, 1.5])
+def test_analytic_classical_rate_matches_mpmath(capsys, p0, delta):
+    # r = h2(lambda2) with lambda2 = p0 sin^2 a + p1 sin^2(a + D) in closed
+    # form; h2(lambda1) loses the digits of 1 - lambda1 at p0 near 1
+    mp = pytest.importorskip("mpmath")
+    argv = ["simulate", "--p0", repr(p0), "--delta", repr(delta), "--samples", "10"]
+    assert cli.main(argv + ["--format", "json"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    with mp.workdps(50):
+        a, d, q0 = mp.mpf(record["alpha"]), mp.mpf(delta), mp.mpf(p0)
+        lam2 = q0 * mp.sin(a) ** 2 + (1 - q0) * mp.sin(a + d) ** 2
+        exact = -(lam2 * mp.log(lam2) + (1 - lam2) * mp.log(1 - lam2)) / mp.log(2)
+        assert abs(record["analytic_classical_rate"] - exact) <= 1e-15 * exact
+    src = SourceSpec(p0)
+    result = realization.simulate_stream(realization.build_circuit(delta, src), src, 10, 0)
+    assert result.analytic_classical_rate == record["analytic_classical_rate"]
 
 
 def test_measure_ancilla_suppresses_dead_outcome():
     # alpha = 0 with a tiny angle gap drives the type-2 weight to ~sin^2(D),
     # below the suppression floor.
     delta = 3e-8
+    channel = pair_channel(0.0, delta)
+    a1, a2 = channel.elements
     circ = realization.RealizationCircuit(
         alpha=0.0,
         delta=delta,
-        unitary=np.eye(4, dtype=complex),
-        channel=pair_channel(0.0, delta),
+        unitary=np.block([[a1, -a2], [a2, a1]]),
+        channel=channel,
     )
-    p1, post1, post2 = realization.measure_ancilla(circ, SRC7)
+    p1, post1, post2 = reference.measure_ancilla(circ, SRC7)
     assert p1 == pytest.approx(1.0, abs=1e-12)
     assert post1 is not None
     assert post2 is None
@@ -184,6 +214,7 @@ def test_stream_result_serialization():
     assert list(record) == [
         "n_samples", "type1_count", "empirical_lambda1",
         "empirical_classical_rate", "quantum_rate", "analytic_distortion",
+        "analytic_lambda1", "analytic_classical_rate",
     ]
     assert record["n_samples"] == 1000
     assert record["type1_count"] == result.type1_count
