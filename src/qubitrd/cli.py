@@ -11,6 +11,8 @@ error:
   curve     --p0 --points --out --format
   verify    --p0 --seed --trials --out --format
   simulate  --p0 --seed --samples --delta --out --format
+A verify suite that reads no source bias (lemma1, lemma2, isotropic) or no
+trial count (perturbation, a fixed grid of 160 trials) rejects that flag too.
 
 Examples:
   qubitrd curve r1 --p0 0.7 --points 101 --out r1_07.csv
@@ -42,6 +44,15 @@ from .records import record_to_text
 
 CURVE_KINDS = ("s1", "r1")
 VERIFY_SUITES = verify.SUITE_NAMES + ("all",)
+DEFAULT_P0 = 0.5
+DEFAULT_TRIALS = 1000
+# verify suites and the flags whose values they do not read
+UNREAD_VERIFY_FLAGS = {
+    "lemma1": ("p0",),
+    "lemma2": ("p0",),
+    "isotropic": ("p0",),
+    "perturbation": ("trials",),
+}
 
 
 def _fmt(value: float) -> str:
@@ -84,12 +95,13 @@ def run_curve(args: argparse.Namespace) -> int:
 
 
 def run_verify(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        raise DomainError(f"--trials must be at least 1, got {args.trials}")
+    trials = DEFAULT_TRIALS if args.trials is None else args.trials
+    if trials < 1:
+        raise DomainError(f"--trials must be at least 1, got {trials}")
     if args.seed < 0:
         raise DomainError(f"--seed must be non-negative, got {args.seed}")
-    src = SourceSpec(args.p0)
-    reports = verify.run_suite(args.suite, src, args.trials, args.seed)
+    src = SourceSpec(DEFAULT_P0 if args.p0 is None else args.p0)
+    reports = verify.run_suite(args.suite, src, trials, args.seed)
     if args.format == "csv":
         text = "\n".join(report.to_text() for report in reports)
     else:
@@ -128,12 +140,15 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run verification suites")
     ver.add_argument("suite", choices=VERIFY_SUITES)
     sim = sub.add_parser("simulate", help="simulate one stream")
+    # verify's --p0 and --trials stay None unless given, so that main can
+    # reject them for a suite that does not read them
     for cmd in (curve, ver, sim):
-        cmd.add_argument("--p0", type=float, default=0.5, help="source bias in [0.5, 1)")
+        default = None if cmd is ver else DEFAULT_P0
+        cmd.add_argument("--p0", type=float, default=default, help="source bias in [0.5, 1)")
     curve.add_argument("--points", type=int, default=101, help="grid points per sweep")
     for cmd in (ver, sim):
         cmd.add_argument("--seed", type=int, default=0, help="random seed")
-    ver.add_argument("--trials", type=int, default=1000, help="trials per suite")
+    ver.add_argument("--trials", type=int, help="trials per suite")
     sim.add_argument("--samples", type=int, default=100000, help="stream samples")
     sim.add_argument("--delta", type=float, required=True, help="operating angle")
     for cmd in (curve, ver, sim):
@@ -143,7 +158,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "verify":
+        for flag in UNREAD_VERIFY_FLAGS.get(args.suite, ()):
+            if getattr(args, flag) is not None:
+                parser.error(f"verify {args.suite} does not read --{flag}")
     run = {"curve": run_curve, "verify": run_verify, "simulate": run_simulate}
     try:
         return run[args.command](args)

@@ -70,8 +70,10 @@ class DensityMatrix:
 
 def _require_complete(kraus: np.ndarray) -> None:
     """Raise unless every set in a (N, k, dim, dim) stack has sum A_i† A_i = I."""
-    total = np.einsum("nkji,nkjl->nil", kraus.conj(), kraus)
-    gaps = np.abs(total - np.eye(kraus.shape[-1])).max(axis=(1, 2))
+    n, k, _, dim = kraus.shape
+    flat = kraus.reshape(n, k * dim, dim)
+    total = flat.conj().swapaxes(-1, -2) @ flat
+    gaps = np.abs(total - np.eye(dim)).max(axis=(1, 2))
     bad = np.flatnonzero(gaps > COMPLETENESS_TOL)
     if bad.size:
         where = f" in set {bad[0]}" if len(kraus) > 1 else ""
@@ -243,10 +245,13 @@ def average_entropies(kraus, state) -> np.ndarray:
 
     Sets with fewer elements are padded with zero elements; like any element
     of weight at most ``WEIGHT_FLOOR`` they add nothing. Completeness is not
-    checked here: ``block_distortions`` checks it on the same stack.
+    checked here: ``block_distortions`` checks it on the same stack. A_i rho
+    is one flat GEMM over every element of the stack.
     """
     kraus = np.asarray(kraus, dtype=complex)
-    cond = kraus @ _state_matrix(state) @ kraus.conj().swapaxes(-1, -2)
+    dim = kraus.shape[-1]
+    left = (kraus.reshape(-1, dim) @ _state_matrix(state)).reshape(kraus.shape)
+    cond = left @ kraus.conj().swapaxes(-1, -2)
     lam = np.einsum("nkii->nk", cond).real
     live = lam > WEIGHT_FLOOR
     eigs = np.linalg.eigvalsh(cond / np.where(live, lam, 1.0)[..., None, None])
@@ -261,13 +266,21 @@ def _distortion_terms(kraus: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, n
     sum_j (l0 l1 |M00 - M11|^2 + l1 |M01|^2 + l0 |M10|^2) / W: no term cancels.
     The other qubits sit in the diagonal state q_c = prod l, so the marginal
     map has the elements sqrt(q_c) <r|A|c> over their rows r and columns c.
+    The rotation into that basis, B† A B, is two flat GEMMs over every matrix
+    of the stack (A^T B* for (B† A)^T, then ·B), not one small matmul per
+    matrix; it is made C-contiguous before the sums, whose order a strided
+    view would change. At a rho with a permutation eigenbasis (diagonal, or
+    I/2) the rotation is exact; elsewhere it may differ from the broadcast
+    product B† @ A @ B by round-off (S and W by under 1e-15 relative).
     """
     dim = kraus.shape[-1]
     n = dim.bit_length() - 1
     eigvals, eigvecs = np.linalg.eigh(rho)
     l0, l1 = eigvals = np.clip(eigvals, 0.0, None)
     basis = functools.reduce(np.kron, [eigvecs] * n)
-    rotated = basis.conj().T @ kraus @ basis
+    left = kraus.swapaxes(-1, -2).reshape(-1, dim) @ basis.conj()
+    left = left.reshape(kraus.shape).swapaxes(-1, -2).reshape(-1, dim)
+    rotated = (left @ basis).reshape(kraus.shape)
     columns = functools.reduce(np.kron, [eigvals] * n)
     weight = np.einsum("nkrc,c->n", np.abs(rotated) ** 2, columns)
     others = functools.reduce(np.kron, [eigvals] * (n - 1), np.ones(1))

@@ -7,9 +7,10 @@ circuit carries that pair as its ``KrausChannel`` (``pair_channel``). The
 outcome sequence is the classical side information, whose asymptotic rate is
 h2(lambda1). No block code is simulated: the stream's type-1 probability
 and every analytic figure of a ``StreamResult`` (d, R, lambda1 and
-r = h2(lambda1)) are read off ``r1_curve_point`` at the circuit's delta, so
-they equal that point bit for bit. Within ``ENDPOINT_CUTOFF`` of either end
-of (0, pi/2) that is the curve's exact end row, as in ``curve r1``.
+r = h2(lambda1)) are read off ``r1_curve_point`` at the circuit's delta, as
+is the circuit's angle, so they equal that point bit for bit. Within
+``ENDPOINT_CUTOFF`` of either end of (0, pi/2) that is the curve's exact end
+row, as in ``curve r1``.
 
 The 4-dimensional basis ordering is ancilla-first:
 {|0>A|0>Q, |0>A|1>Q, |1>A|0>Q, |1>A|1>Q}. In it the unitary is the block
@@ -26,7 +27,7 @@ import numpy as np
 from . import quantum
 from .errors import DomainError, InternalNumericError
 from .quantum import KrausChannel
-from .ratedistortion import SourceSpec, pair_channel, r1_curve_point, solve_alpha
+from .ratedistortion import HALF_PI, SourceSpec, pair_channel, r1_curve_point
 
 # Outcomes are drawn and counted in chunks of this many samples, so the
 # memory a stream takes does not grow with its length.
@@ -72,13 +73,17 @@ class StreamResult:
 def build_circuit(delta: float, src: SourceSpec) -> RealizationCircuit:
     """Assemble the entangling unitary at the solved mixing angle.
 
-    ``solve_alpha`` checks that 0 < delta < pi/2. The unitary
+    delta must lie in (0, pi/2). The angle is ``r1_curve_point``'s, so the
+    circuit realizes the curve's point at delta: within ``ENDPOINT_CUTOFF``
+    of an end that is the exact end row's angle. The unitary
     [[A1, -A2], [A2, A1]] is built from the elements of the optimal pair
     (``pair_channel``): it rotates within the two even/odd parity planes by
     alpha and alpha + delta respectively, so the induced operation on the
     source qubit is exactly that pair.
     """
-    alpha = solve_alpha(delta, src)
+    if not 0.0 < delta < HALF_PI:
+        raise DomainError(f"delta must lie in (0, pi/2), got {delta}")
+    alpha = r1_curve_point(delta, src).alpha
     channel = pair_channel(alpha, delta)
     a1, a2 = channel.elements
     unitary = np.block([[a1, -a2], [a2, a1]])

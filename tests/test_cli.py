@@ -9,6 +9,7 @@ import pytest
 
 import qubitrd
 from qubitrd import cli, verify
+from qubitrd.ratedistortion import SourceSpec, r1_curve_point
 
 
 def _run(capsys, argv):
@@ -142,6 +143,40 @@ def test_subcommand_rejects_flags_it_does_not_read(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "lemma1", "--p0", "0.7"],
+        ["verify", "lemma2", "--p0", "0.5"],
+        ["verify", "isotropic", "--p0", "0.9", "--trials", "5"],
+        ["verify", "perturbation", "--trials", "5"],
+    ],
+)
+def test_verify_suite_rejects_values_it_does_not_read(capsys, argv):
+    # lemma1, lemma2 and isotropic read no source, perturbation runs a fixed
+    # grid: a value they would ignore is a usage error, even the default one
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "does not read --" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "lemma1", "--trials", "5"],
+        ["verify", "isotropic", "--trials", "5", "--seed", "3"],
+        ["verify", "perturbation", "--p0", "0.7"],
+        ["verify", "theorem1", "--p0", "0.7", "--trials", "5"],
+        ["verify", "search", "--p0", "0.9", "--trials", "5"],
+        ["verify", "blocks", "--p0", "0.5", "--trials", "5"],
+        ["verify", "all", "--p0", "0.7", "--trials", "5"],
+    ],
+)
+def test_verify_suite_takes_values_it_reads(capsys, argv):
+    assert cli.main(argv) == 0
+
+
 def test_verify_lemma1(capsys, tmp_path):
     out = tmp_path / "report.txt"
     code = cli.main(
@@ -215,6 +250,21 @@ def test_simulate_deterministic(tmp_path):
     assert cli.main(argv + ["--out", str(out1)]) == 0
     assert cli.main(argv + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("p0", ["0.5", "0.7"])
+@pytest.mark.parametrize("delta", [1e-13, math.pi / 2 - 1e-13])
+def test_simulate_end_row_angle_is_the_points(capsys, p0, delta):
+    # within ENDPOINT_CUTOFF of an end the record is the curve's end row,
+    # its angle included: pi/4 at p0 0.5 and delta -> 0, else 0
+    argv = ["simulate", "--p0", p0, "--delta", repr(delta), "--samples", "10"]
+    code, out = _run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    record = json.loads(out)
+    point = r1_curve_point(delta, SourceSpec(float(p0)))
+    assert record["alpha"] == point.alpha
+    assert record["analytic_lambda1"] == point.lambda1
+    assert record["alpha"] == (math.pi / 4 if (p0, delta) == ("0.5", 1e-13) else 0.0)
 
 
 def test_simulate_domain_error(capsys):

@@ -1,5 +1,6 @@
 import ast
 import math
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -504,6 +505,82 @@ def test_average_entropies_match_per_channel_loop():
             if lam > reference.WEIGHT_FLOOR:
                 expected += lam * reference.von_neumann_entropy(cond / lam)
         assert abs(got[m] - expected) <= 1e-14
+
+
+def _broadcast_distortion_terms(kraus, rho):
+    # _distortion_terms with its rotation as the broadcast product, one small
+    # matmul per matrix of the stack
+    n = kraus.shape[-1].bit_length() - 1
+    eigvals, eigvecs = np.linalg.eigh(rho)
+    l0, l1 = eigvals = np.clip(eigvals, 0.0, None)
+    basis = reduce(np.kron, [eigvecs] * n)
+    rotated = basis.conj().T @ kraus @ basis
+    weight = np.einsum("nkrc,c->n", np.abs(rotated) ** 2, reduce(np.kron, [eigvals] * n))
+    others = reduce(np.kron, [eigvals] * (n - 1), np.ones(1))
+    tensor = rotated.reshape(kraus.shape[:2] + (2,) * (2 * n))
+    squares = np.zeros(len(kraus))
+    for alpha in range(n):
+        m = np.moveaxis(tensor, (2 + alpha, 2 + n + alpha), (-2, -1))
+        terms = l0 * l1 * np.abs(m[..., 0, 0] - m[..., 1, 1]) ** 2
+        terms += l1 * np.abs(m[..., 0, 1]) ** 2 + l0 * np.abs(m[..., 1, 0]) ** 2
+        terms = terms.reshape(kraus.shape[:2] + (2 ** (n - 1),) * 2)
+        squares += np.einsum("nkrc,c->n", terms, others)
+    return squares, weight
+
+
+def _broadcast_average_entropies(kraus, state):
+    # average_entropies with K rho as the broadcast product
+    cond = kraus @ state @ kraus.conj().swapaxes(-1, -2)
+    lam = np.einsum("nkii->nk", cond).real
+    live = lam > quantum.WEIGHT_FLOOR
+    eigs = np.linalg.eigvalsh(cond / np.where(live, lam, 1.0)[..., None, None])
+    return np.sum(np.where(live, lam * quantum.eigenvalue_entropy(eigs), 0.0), axis=1)
+
+
+def _random_qubit_state(rng):
+    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    rho = z @ z.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_flat_products_equal_broadcast_products(n):
+    # the stacked kernels run each product as one flat GEMM over the stack;
+    # at a state with a permutation eigenbasis the rotation is exact, so the
+    # flat and broadcast forms agree bit for bit, and elsewhere to round-off
+    rng = np.random.default_rng(60 + n)
+    stack = _padded_random_stack(rng, 2**n, [1, 2, 3, 4, 2, 1, 4, 3])
+    for rho in (RHO_73.mat, MIXED.mat):
+        state = reduce(np.kron, [rho] * n)
+        got, expected = quantum._distortion_terms(stack, rho), _broadcast_distortion_terms(stack, rho)
+        assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
+        got = quantum.average_entropies(stack, state)
+        assert np.array_equal(got, _broadcast_average_entropies(stack, state))
+    for _ in range(5):
+        rho = _random_qubit_state(rng)
+        state = reduce(np.kron, [rho] * n)
+        got, expected = quantum._distortion_terms(stack, rho), _broadcast_distortion_terms(stack, rho)
+        for g, e in zip(got, expected):
+            assert np.all(np.abs(g - e) <= 1e-15 * np.abs(e))
+        got = quantum.average_entropies(stack, state)
+        expected = _broadcast_average_entropies(stack, state)
+        assert np.all(np.abs(got - expected) <= 1e-15 * np.abs(expected))
+
+
+@pytest.mark.parametrize("count", [1, 7, 256])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_kernels_rows_equal_one_set_calls(count, n):
+    # a set's figures do not depend on the stack it sits in
+    rng = np.random.default_rng(count + n)
+    stack = quantum.stinespring_kraus(rng, count, 2**n, 3)
+    for rho in (RHO_73.mat, _random_qubit_state(rng)):
+        state = reduce(np.kron, [rho] * n)
+        squares, weight = quantum._distortion_terms(stack, rho)
+        entropies = quantum.average_entropies(stack, state)
+        for m in range(count):
+            one_squares, one_weight = quantum._distortion_terms(stack[m : m + 1], rho)
+            assert one_squares[0] == squares[m] and one_weight[0] == weight[m]
+            assert quantum.average_entropies(stack[m : m + 1], state)[0] == entropies[m]
 
 
 def test_eigenvalue_entropy_clamps_dust_on_stacks():
