@@ -330,7 +330,10 @@ def _solve_alphas(deltas: np.ndarray, p0) -> np.ndarray:
 
     ``p0`` is one float or an array of one per delta. Runs ``solve_alpha``'s
     set-up and update, in the same order, on all rows at once, and drops
-    each row, its p0 included, from the iteration once it has converged.
+    each row, its p0 included, from the iteration once it has converged
+    (the arrays are compacted only in an iteration where some row has). The
+    interpolated step is taken on every row, and kept where ``solve_alpha``
+    would take it; elsewhere it may divide by zero, which is ignored.
     """
     p0 = np.broadcast_to(np.asarray(p0, dtype=float), deltas.shape)
     alpha = _guess(deltas, p0)
@@ -344,19 +347,20 @@ def _solve_alphas(deltas: np.ndarray, p0) -> np.ndarray:
         xm, fm = np.where(near, a, b), np.where(near, fa, fb)
         tl = (_RTOL * np.abs(xm) + _ATOL) / np.abs(b - a)
         done = (tl > 0.5) | (fm == 0.0)
-        alpha[rows[done]] = xm[done]
-        keep = ~done
-        a, fa, b, fb, c, fc, tl, delta, p0, rows = (
-            v[keep] for v in (a, fa, b, fb, c, fc, tl, delta, p0, rows)
-        )
-        if not rows.size:
-            return alpha
+        if done.any():
+            alpha[rows[done]] = xm[done]
+            keep = ~done
+            a, fa, b, fb, c, fc, tl, delta, p0, rows = (
+                v[keep] for v in (a, fa, b, fb, c, fc, tl, delta, p0, rows)
+            )
+            if not rows.size:
+                return alpha
         xi = (a - b) / (c - b)
         phi = (fa - fb) / (fc - fb)
         i = (phi * phi < xi) & ((1 - phi) * (1 - phi) < 1 - xi)
-        t = np.full_like(a, 0.5)
-        t[i] = _interpolated_step(*(v[i] for v in (a, fa, b, fb, c, fc)))
-        t = np.minimum(np.maximum(t, tl), 1 - tl)
+        with np.errstate(all="ignore"):
+            step = _interpolated_step(a, fa, b, fb, c, fc)
+        t = np.minimum(np.maximum(np.where(i, step, 0.5), tl), 1 - tl)
         x = a + t * (b - a)
         a, fa, b, fb, c, fc = _advance(a, fa, b, fb, x, _residual_arr(x, delta, p0))
 

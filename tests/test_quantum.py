@@ -529,12 +529,17 @@ def _broadcast_distortion_terms(kraus, rho):
 
 
 def _broadcast_average_entropies(kraus, state):
-    # average_entropies with K rho as the broadcast product
-    cond = kraus @ state @ kraus.conj().swapaxes(-1, -2)
+    # average_entropies with K rho as the broadcast product; the product with
+    # K† and the spectra come from the same kernels, so only the layout of
+    # the K rho product is compared
+    cond = quantum._times_adjoint(kraus @ state, kraus)
     lam = np.einsum("nkii->nk", cond).real
-    live = lam > quantum.WEIGHT_FLOOR
-    eigs = np.linalg.eigvalsh(cond / np.where(live, lam, 1.0)[..., None, None])
-    return np.sum(np.where(live, lam * quantum.eigenvalue_entropy(eigs), 0.0), axis=1)
+    live = np.flatnonzero(lam > quantum.WEIGHT_FLOOR)
+    weights = np.take(lam, live)
+    terms = np.zeros(lam.shape)
+    eigs = quantum._live_spectra(kraus, state, cond, live, weights)
+    np.put(terms, live, weights * quantum.eigenvalue_entropy(eigs))
+    return terms.sum(axis=1)
 
 
 def _random_qubit_state(rng):
@@ -581,6 +586,65 @@ def test_stacked_kernels_rows_equal_one_set_calls(count, n):
             one_squares, one_weight = quantum._distortion_terms(stack[m : m + 1], rho)
             assert one_squares[0] == squares[m] and one_weight[0] == weight[m]
             assert quantum.average_entropies(stack[m : m + 1], state)[0] == entropies[m]
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [RHO_73.mat, np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])],
+    ids=["diag-0.7-0.3", "non-diagonal"],
+)
+@pytest.mark.parametrize("eps, bound", [(1e-5, 1e-11), (1e-7, 5e-9)])
+def test_closed_form_spectrum_matches_mpmath_at_near_pure_outputs(rho, eps, bound):
+    # A = U diag(1, eps) W gives a conditional output whose smaller
+    # eigenvalue is about eps^2: a d - |b|^2 loses it to cancellation, the
+    # closed form's |det A|^2 det rho / l_max keeps it
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(21)
+    # 20 pairs of Haar unitaries U, W
+    for u, w in quantum.stinespring_kraus(rng, 40, 2, 1).reshape(20, 2, 2, 2):
+        a = u @ np.diag([1.0, eps]) @ w
+        kraus = a[np.newaxis, np.newaxis]
+        cond = (a @ rho @ a.conj().T)[np.newaxis, np.newaxis]
+        lam = np.einsum("nkii->nk", cond).real
+        got = quantum._live_spectra(kraus, rho, cond, np.array([0]), lam[0])[0]
+        with mp.workdps(50):
+            exact_a = mp.matrix(a.tolist())
+            sigma = exact_a * mp.matrix(rho.tolist()) * exact_a.H
+            trace = mp.re(sigma[0, 0] + sigma[1, 1])
+            low, high = sorted(mp.re(e) / trace for e in mp.eig(sigma)[0])
+            assert abs(got[0] - low) <= bound * low
+            assert abs(got[1] - high) <= 1e-15
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_padded_stack_equals_its_unpadded_sets(dim):
+    # zero padding adds nothing and gets no spectrum, so no division by its
+    # zero weight either (the suite turns any warning into an error)
+    rng = np.random.default_rng(90 + dim)
+    ks = [1, 2, 3, 4, 2, 1]
+    stack = _padded_random_stack(rng, dim, ks)
+    for rho in (RHO_73.mat, _random_qubit_state(rng)):
+        state = reduce(np.kron, [rho] * (dim.bit_length() - 1))
+        got = quantum.average_entropies(stack, state)
+        for m, k in enumerate(ks):
+            assert got[m] == quantum.average_entropies(stack[m : m + 1, :k], state)[0]
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_average_entropies_takes_eigvalsh_above_dim_2_on_live_elements(dim, monkeypatch):
+    # one eigvalsh call on the live elements only, and none on 2x2 outputs
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(mats):
+        calls.append(mats.shape)
+        return eigvalsh(mats)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    ks = [1, 2, 3, 4, 2]
+    stack = _padded_random_stack(np.random.default_rng(7), dim, ks)
+    quantum.average_entropies(stack, np.eye(dim) / dim)
+    assert calls == ([] if dim == 2 else [(sum(ks), dim, dim)])
 
 
 def test_eigenvalue_entropy_clamps_dust_on_stacks():
