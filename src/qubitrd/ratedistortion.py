@@ -16,16 +16,18 @@ The minimizing angle solves a stationarity equation (the derivative of the
 average entropy with respect to ``a``). Its residual has closed-form limits
 of opposite signs at the two ends of (0, pi/2 - D), so a root always lies
 between them, and one bracketed root finder (Chandrupatla's) finds it. The
-finder does not start from the whole interval: two reads, at a closed-form
-guess g and at g / 1.5 or 1.5 g, cut it to the one of four pieces that
-holds the sign change. The guess joins the angle's limits at both ends of
-D, and is the exact angle pi/4 - D/2 at p0 = 1/2, which is returned
-without a read. A single D runs the finder on Python floats and a sweep
-runs the same start and update over all its interior D at once, so both
-return the same angle; at D = 0 and D = pi/2 the angle is its exact limit,
-solved for nowhere. Every other quantity of a curve point
-is closed form in (a, D): the distortion above, the average
-entropy ``lambda1 h2(p0 cos^2 a / lambda1) + lambda2 h2(p0 sin^2 a / lambda2)``,
+finder does not start from the whole interval: its first two reads go
+between two closed forms of the angle with its limits at both ends of D, a
+guess g that lies below the root and a second form G that lies just above
+it and tends to the angle as p0 -> 1. Neither is a bound the solver relies
+on; the bracket follows the residual's signs. g is the exact angle
+pi/4 - D/2 at p0 = 1/2, which is returned without a read. A single D runs
+the finder on Python floats and a sweep runs the same start and update over
+all its interior D at once, so both return the same angle; at D = 0 and
+D = pi/2 the angle is its exact limit, solved for nowhere. Every other
+quantity of a curve point is closed form in (a, D): the distortion above,
+the average entropy
+``lambda1 h2(p0 cos^2 a / lambda1) + lambda2 h2(p0 sin^2 a / lambda2)``,
 the type-1 weight ``lambda1 = p0 cos^2 a + p1 cos^2(a + D)``, with
 ``lambda2 = 1 - lambda1``, and the side-channel rate h2(lambda1). R, r and
 lambda1 come from one kernel, ``_pair_figures``, on one set of squares. A
@@ -43,6 +45,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -64,9 +67,10 @@ BISECTION_WIDTH = 1e-12
 _RTOL = 4 * sys.float_info.epsilon
 _ATOL = BISECTION_WIDTH / 2
 _LN2 = math.log(2.0)
-# Ratio between the guess of the mixing angle and the solver's second read.
-# The guess lies below half of pi/2 - delta, so any ratio in (1, 2] keeps
-# both g / ratio and g * ratio inside the interval.
+# Ratio between the solver's first read and its second where the two
+# closed forms would put both at one angle. The first read lies at most at
+# half of pi/2 - delta, so any ratio in (1, 2) keeps both x / ratio and
+# x * ratio strictly inside the interval.
 _GUESS_RATIO = 1.5
 # Least guess; keeps sin^2 of every read angle clear of underflow at a
 # delta far below anything a curve takes.
@@ -78,6 +82,7 @@ _FLOATS = SimpleNamespace(
     sin=math.sin,
     cos=math.cos,
     log1p=np.log1p,
+    sqrt=math.sqrt,
     minimum=min,
     maximum=max,
     where=lambda cond, x, y: x if cond else y,
@@ -129,6 +134,11 @@ class CurvePoint(NamedTuple):
     R: float
     r: float
     lambda1: float
+
+
+# Builds a CurvePoint from a tuple of its fields, as CurvePoint._make does,
+# without _make's length check and Python-level call.
+_curve_point = partial(tuple.__new__, CurvePoint)
 
 
 def pair_channel(alpha: float, delta: float) -> KrausChannel:
@@ -263,18 +273,38 @@ def _guess(delta, p0, xp=np):
 
 
 def _bracket(g, delta, p0, xp=np):
-    """The solver's state after its first two reads, at the guess g and then
-    at g / r where the residual at g is positive, or at g r where it is
-    negative (r = ``_GUESS_RATIO``). Both reads take the update of every
-    later one (``_advance``) from the whole interval (0, pi/2 - D), whose
-    ends keep their closed-form limits. So the bracket left is the one of
-    (0, g / r), (g / r, g), (g, g r) and (g r, pi/2 - D) that holds the sign
-    change, and the point c dropped last is known, so the next step may
-    interpolate."""
+    """The solver's state after its first two reads, placed by two closed
+    forms of the angle: the guess g and
+    G = p1 sin D cos D / ((p0 - p1) cos^2 D + sin^2 D), clipped into
+    [g, (pi/2 - D) / 2].
+
+    G has g's limits at both ends of D, p1 D / (p0 - p1) and
+    p1 (pi/2 - D), and tends to the angle itself as p0 -> 1. On dense grids
+    of D >= 1e-6 at p0 from 0.55 to 1 - 1e-12, g lies below the root and G
+    above it, G to within a few ulps; neither is a proven bound, and below
+    D ~ 1e-7 the residual's sign is round-off.
+
+    The first read is at g + w (G - g) with w = sqrt(2 p0 - 1), which leans
+    on g near p0 = 1/2, where g is exact, and on G near p0 = 1. The second
+    is at G where the first residual is negative, or at g where it is not;
+    if that is the first read again, it is at 1.5 times or a 1.5th of it
+    (``_GUESS_RATIO``). Both reads lie in (0, (3/4)(pi/2 - D)) and take the
+    update of every later one (``_advance``) from the whole interval
+    (0, pi/2 - D), whose ends keep their closed-form limits, so the bracket
+    follows the residual's signs alone, and the point c dropped last is
+    known, so the next step may interpolate."""
+    p1 = 1.0 - p0
+    top = HALF_PI - delta
+    s, c = xp.sin(delta), xp.cos(delta)
+    high = p1 * s * c / ((p0 - p1) * (c * c) + s * s)
+    high = xp.minimum(xp.maximum(high, g), 0.5 * top)
+    x = g + xp.sqrt(2.0 * p0 - 1.0) * (high - g)
     f_lo, f_hi = _end_limits(delta, p0, xp)
-    state = _advance(0.0, f_lo, HALF_PI - delta, f_hi, g, _residual_arr(g, delta, p0, xp), xp)
-    x = xp.where(state[1] < 0, g * _GUESS_RATIO, g / _GUESS_RATIO)
-    return _advance(*state[:4], x, _residual_arr(x, delta, p0, xp), xp)
+    state = _advance(0.0, f_lo, top, f_hi, x, _residual_arr(x, delta, p0, xp), xp)
+    up = state[1] < 0
+    y = xp.where(up, high, g)
+    y = xp.where(y == x, xp.where(up, x * _GUESS_RATIO, x / _GUESS_RATIO), y)
+    return _advance(*state[:4], y, _residual_arr(y, delta, p0, xp), xp)
 
 
 def solve_alpha(delta: float, src: SourceSpec) -> float:
@@ -286,11 +316,12 @@ def solve_alpha(delta: float, src: SourceSpec) -> float:
     allow it, bisection otherwise. The residual's closed-form limits at
     the ends of the interval differ in sign for every accepted delta and
     p0, so a root always exists and no grid is scanned. The first two reads
-    go to a closed-form guess g and to g / 1.5 or 1.5 g (``_bracket``),
-    which leaves a bracket about the root a fraction of the interval wide,
-    so the search takes about seven reads in all. (From the interval itself,
-    small-delta roots near 0 sent it to bisection.) At p0 = 1/2 the guess
-    is the exact angle pi/4 - delta/2 and is returned without a read. The
+    go between the closed-form guess g and a second closed form G
+    (``_bracket``), which leaves a bracket about the root a small fraction
+    of the interval wide, so the search takes about six reads in all, fewer
+    as p0 -> 1. (From the interval itself, small-delta roots near 0 sent it
+    to bisection.) At p0 = 1/2 the guess is the exact angle pi/4 - delta/2
+    and is returned without a read. The
     search stops when the bracket is narrower than twice
     4 eps |x| + ``BISECTION_WIDTH`` / 2 or the residual reads 0, and returns
     the bracket end with the smaller residual. Start, update and residual
@@ -413,7 +444,7 @@ def sweep_curve(src: SourceSpec, n_points: int) -> list[CurvePoint]:
     first = r1_curve_point(0.0, src)
     alpha = _solve_alphas(deltas, p0)
     columns = (deltas, alpha, src.distortion(deltas), *_pair_figures(alpha, deltas, p0))
-    interior = map(CurvePoint._make, zip(*(c.tolist() for c in columns)))
+    interior = map(_curve_point, zip(*(c.tolist() for c in columns)))
     return [first, *interior, r1_curve_point(HALF_PI, src)]
 
 

@@ -139,11 +139,13 @@ def test_solve_alpha_minimizes_average_entropy():
 
 
 def test_solver_reads_from_the_guessed_bracket(monkeypatch):
-    # A timing-free guard on the solver's start: two reads about the
-    # closed-form guess leave a bracket a fraction of (0, pi/2 - delta)
-    # wide. From the whole interval, the slowest rows of a 512-point sweep
-    # took 16-22 batch iterations at p0 >= 0.6 and a single delta about 9.5
-    # reads on average.
+    # A timing-free guard on the solver's start: two reads between the two
+    # closed forms of the angle leave a bracket a small fraction of
+    # (0, pi/2 - delta) wide. The slowest rows of a 512-point sweep take 8
+    # batch iterations (at p0 0.6), and a single delta 5.9 reads on
+    # average; a first read at G itself instead of between g and G takes
+    # 6.45. Two reads about the guess alone, at g and at g / 1.5 or 1.5 g,
+    # took 9 and 7.1; from the whole interval, 16-22 and about 9.5.
     reads = []
     residual = rd._residual_arr
 
@@ -155,14 +157,50 @@ def test_solver_reads_from_the_guessed_bracket(monkeypatch):
     for p0 in (0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999):
         reads.clear()
         rd.sweep_curve(SourceSpec(p0), 512)
-        assert len(reads) <= (0 if p0 == 0.5 else 10), p0
+        assert len(reads) <= (0 if p0 == 0.5 else 8), p0
     pool = np.random.default_rng(47)
     p0s = pool.uniform(0.5, 1.0, 2000)
     deltas = pool.uniform(0.0, math.pi / 2, 2000)
     reads.clear()
     for p0, delta in zip(p0s.tolist(), deltas.tolist()):
         rd.solve_alpha(delta, SourceSpec(p0))
-    assert len(reads) / 2000 <= 8
+    assert len(reads) / 2000 <= 6.2
+
+
+# p0 from just above 1/2 to 1 - 1e-12, and delta from 1e-8 to pi/2 - 1e-8,
+# geometric near both ends: the start's corners, where g and G meet, w is
+# near 0 or 1, or the residual's sign is round-off.
+START_P0S = [0.5000001, 0.501, 0.55, 0.7, 0.9, 0.99, 0.999999, 1.0 - 1e-12]
+_ENDS = np.geomspace(1e-8, 1e-2, 25)
+START_DELTAS = np.concatenate(
+    [_ENDS, np.linspace(0.02, math.pi / 2 - 0.02, 50), math.pi / 2 - _ENDS[::-1]]
+)
+
+
+@pytest.mark.parametrize("p0", START_P0S)
+def test_start_reads_are_distinct_and_inside(monkeypatch, p0):
+    # G is no bound on the root, so nothing here asserts g <= alpha <= G;
+    # the start only has to read twice, at two angles strictly inside the
+    # interval, on floats and arrays alike.
+    reads = []
+    residual = rd._residual_arr
+
+    def spy(alpha, delta, p0, xp=np):
+        reads.append(np.array(alpha, dtype=float))
+        return residual(alpha, delta, p0, xp)
+
+    monkeypatch.setattr(rd, "_residual_arr", spy)
+    deltas = START_DELTAS
+    rd._bracket(rd._guess(deltas, p0), deltas, p0)
+    first, second = reads
+    for delta in deltas.tolist():
+        rd._bracket(rd._guess(delta, p0, rd._FLOATS), delta, p0, rd._FLOATS)
+    floats = np.array(reads[2:]).reshape(-1, 2).T
+    assert floats.tobytes() == np.array([first, second]).tobytes()
+    top = math.pi / 2 - deltas
+    assert np.all(first != second)
+    for x in (first, second):
+        assert np.all((x > 0.0) & (x < top))
 
 
 def test_isotropic_angle_is_the_guess_exactly():
@@ -315,6 +353,7 @@ def test_distortion_identity_alpha_independent():
 def test_sweep_curve_shape():
     points = rd.sweep_curve(SRC7, 101)
     assert len(points) == 101
+    assert all(type(p) is rd.CurvePoint for p in points)
     d = np.array([p.d for p in points])
     rate = np.array([p.R for p in points])
     assert d[0] == 0.0 and d[-1] == pytest.approx(0.42, abs=1e-12)
@@ -367,15 +406,20 @@ def test_isotropic_s1_on_arrays():
 
 
 def test_sweep_solve_equals_solve_alpha_bit_for_bit():
-    # The batched solver runs solve_alpha's update over arrays, so every row
-    # lands on the same bits, from the round-off regime at delta = 1e-8 to
-    # the boundary roots near p0 = 1.
+    # The batched solver runs solve_alpha's start and update over arrays, so
+    # every row lands on the same bits, from the round-off regime at
+    # delta = 1e-8 to the boundary roots near p0 = 1, and on the start's
+    # corner grid.
     rng = np.random.default_rng(41)
     for _ in range(20):
         src = SourceSpec(1.0 - 10.0 ** rng.uniform(-12.0, math.log10(0.5)))
         deltas = np.exp(rng.uniform(math.log(1e-8), math.log(math.pi / 2 - 1e-8), 100))
         alphas = rd._solve_alphas(deltas, src.p0)
         expected = [rd.solve_alpha(float(d), src) for d in deltas]
+        assert alphas.tobytes() == np.array(expected).tobytes()
+    for p0 in START_P0S:
+        alphas = rd._solve_alphas(START_DELTAS, p0)
+        expected = [rd.solve_alpha(d, SourceSpec(p0)) for d in START_DELTAS.tolist()]
         assert alphas.tobytes() == np.array(expected).tobytes()
     # The benchmark's point pool: r1_curve_point equals the array route (one
     # batched solve with a p0 per row, then the closed forms over arrays)
