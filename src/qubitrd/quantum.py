@@ -381,6 +381,16 @@ def block_distortions(kraus, rho: DensityMatrix) -> np.ndarray:
     return squares / weight / n
 
 
+def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Standard complex Gaussian draws a + ib, a and b from two
+    ``standard_normal`` calls in that order, written into the real and
+    imaginary parts of one complex array, with no complex temporaries."""
+    z = np.empty(shape, dtype=complex)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
+    return z
+
+
 def stinespring_kraus(
     rng: np.random.Generator, count: int, dim: int, k: int
 ) -> np.ndarray:
@@ -390,10 +400,7 @@ def stinespring_kraus(
     system x environment (environment dimension k), so ``sum A_i† A_i = I``
     holds to unitary round-off.
     """
-    z = rng.standard_normal((count, dim * k, dim)) + 1j * rng.standard_normal(
-        (count, dim * k, dim)
-    )
-    q, r = np.linalg.qr(z)
+    q, r = np.linalg.qr(complex_normal(rng, (count, dim * k, dim)))
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    q = q * (d / np.abs(d))[:, np.newaxis, :]
+    q *= (d / np.abs(d))[:, np.newaxis, :]
     return q.reshape(count, k, dim, dim)

@@ -21,7 +21,9 @@ between two closed forms of the angle with its limits at both ends of D, a
 guess g that lies below the root and a second form G that lies just above
 it and tends to the angle as p0 -> 1. Neither is a bound the solver relies
 on; the bracket follows the residual's signs. g is the exact angle
-pi/4 - D/2 at p0 = 1/2, which is returned without a read. A single D runs
+pi/4 - D/2 at p0 = 1/2, which is returned without a read. Each read of the
+residual takes five sines and cosines, of a, a + D and D, and builds its
+double angles and squares from them (``_residual_arr``). A single D runs
 the finder on Python floats and a sweep runs the same start and update over
 all its interior D at once, so both return the same angle; at D = 0 and
 D = pi/2 the angle is its exact limit, solved for nowhere. Every other
@@ -150,16 +152,21 @@ def pair_channel(alpha: float, delta: float) -> KrausChannel:
     return KrausChannel((a1, a2), trace_preserving=True)
 
 
-def _pair_weights(alpha, delta, p0, xp=np):
-    """The squares c1, c2 of cos alpha, cos(alpha + delta) and s1, s2 of the
-    sines, then lambda1 and lambda2, by the functions of ``xp`` (numpy, or
-    ``_FLOATS`` on floats). Each square is a product, which rounds alike on
-    Python floats and arrays."""
+def _weights(c1, c2, s1, s2, p0):
+    """The squares of cos alpha, cos(alpha + delta), sin alpha and
+    sin(alpha + delta), given as c1, c2, s1 and s2, then lambda1 and
+    lambda2. Each square is a product, which rounds alike on Python floats
+    and arrays."""
     p1 = 1.0 - p0
-    c1, c2 = xp.cos(alpha), xp.cos(alpha + delta)
-    s1, s2 = xp.sin(alpha), xp.sin(alpha + delta)
     c1, c2, s1, s2 = c1 * c1, c2 * c2, s1 * s1, s2 * s2
     return c1, c2, s1, s2, p0 * c1 + p1 * c2, p0 * s1 + p1 * s2
+
+
+def _pair_weights(alpha, delta, p0, xp=np):
+    """``_weights`` of the pair at alpha and delta, by the functions of
+    ``xp`` (numpy, or ``_FLOATS`` on floats)."""
+    beta = alpha + delta
+    return _weights(xp.cos(alpha), xp.cos(beta), xp.sin(alpha), xp.sin(beta), p0)
 
 
 def _pair_figures(alpha, delta, p0, xp=np):
@@ -188,13 +195,20 @@ def _residual_arr(alpha, delta, p0, xp=np):
     p1 k / (s1 lam1) and p0 k / (c2 lam2) with k = sin D sin(2a + D) >= 0,
     so each logarithm is a log1p of a positive number, which keeps full
     relative precision where a ratio is near 1 (small D, or p0 near 1).
+
+    A read takes five sines and cosines, of a, a + D and D, and builds the
+    rest from them: sin 2a = 2 sin a cos a, sin 2(a + D) likewise, and
+    sin(2a + D) = sin a cos(a + D) + cos a sin(a + D), whose two terms are
+    non-negative on the interval, so the sum does not cancel.
     """
     p1 = 1.0 - p0
-    _, c2, s1, _, lam1, lam2 = _pair_weights(alpha, delta, p0, xp)
-    k = xp.sin(delta) * xp.sin(2 * alpha + delta)
+    beta = alpha + delta
+    ca, sa, cb, sb = xp.cos(alpha), xp.sin(alpha), xp.cos(beta), xp.sin(beta)
+    _, c2, s1, _, lam1, lam2 = _weights(ca, cb, sa, sb, p0)
+    k = xp.sin(delta) * (sa * cb + ca * sb)
     return (
-        p0 * xp.sin(2 * alpha) * xp.log1p(p1 * k / (s1 * lam1))
-        - p1 * xp.sin(2 * (alpha + delta)) * xp.log1p(p0 * k / (c2 * lam2))
+        p0 * (2.0 * sa * ca) * xp.log1p(p1 * k / (s1 * lam1))
+        - p1 * (2.0 * sb * cb) * xp.log1p(p0 * k / (c2 * lam2))
     ) / _LN2
 
 
@@ -242,11 +256,16 @@ def _end_limits(delta, p0, xp=np):
     )
 
 
-def _interpolated_step(a, fa, b, fb, c, fc):
+def _interpolated_step(a, fa, fb, c, fc, width, dab, dcb):
     """Chandrupatla's next step as a fraction of the bracket from a to b:
     inverse quadratic interpolation through the newest point a, the other
-    bracket end b and the point c dropped last."""
-    return fa / (fb - fa) * fc / (fb - fc) + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb)
+    bracket end b and the point c dropped last, given the differences
+    width = b - a, dab = fa - fb and dcb = fc - fb.
+
+    fa / (fb - fa) * fc / (fb - fc) + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb),
+    whose first term divides by -dab and -dcb: the two signs cancel, and
+    negation is exact, so the bits are those of the formula."""
+    return fa / dab * fc / dcb + (c - a) / width * fa / (fc - fa) * fb / dcb
 
 
 def _advance(a, fa, b, fb, x, fx, xp=np):
@@ -338,16 +357,18 @@ def solve_alpha(delta: float, src: SourceSpec) -> float:
     a, fa, b, fb, c, fc = map(float, _bracket(g, delta, p0, _FLOATS))
     while True:
         xm, fm = (a, fa) if abs(fa) < abs(fb) else (b, fb)
-        tl = (_RTOL * abs(xm) + _ATOL) / abs(b - a)
+        width = b - a
+        tl = (_RTOL * abs(xm) + _ATOL) / abs(width)
         if tl > 0.5 or fm == 0.0:
             return xm
-        xi = (a - b) / (c - b)
-        phi = (fa - fb) / (fc - fb)
+        dab, dcb = fa - fb, fc - fb
+        xi = width / (b - c)
+        phi = dab / dcb
         t = 0.5
         if phi * phi < xi and (1 - phi) * (1 - phi) < 1 - xi:
-            t = _interpolated_step(a, fa, b, fb, c, fc)
+            t = _interpolated_step(a, fa, fb, c, fc, width, dab, dcb)
         t = min(max(t, tl), 1 - tl)
-        x = a + t * (b - a)
+        x = a + t * width
         fx = float(_residual_arr(x, delta, p0, _FLOATS))
         if (fx < 0) == (fa < 0):
             c, fc = a, fa
@@ -376,23 +397,25 @@ def _solve_alphas(deltas: np.ndarray, p0) -> np.ndarray:
     while True:
         near = np.abs(fa) < np.abs(fb)
         xm, fm = np.where(near, a, b), np.where(near, fa, fb)
-        tl = (_RTOL * np.abs(xm) + _ATOL) / np.abs(b - a)
+        width = b - a
+        tl = (_RTOL * np.abs(xm) + _ATOL) / np.abs(width)
         done = (tl > 0.5) | (fm == 0.0)
         if done.any():
             alpha[rows[done]] = xm[done]
             keep = ~done
-            a, fa, b, fb, c, fc, tl, delta, p0, rows = (
-                v[keep] for v in (a, fa, b, fb, c, fc, tl, delta, p0, rows)
+            a, fa, b, fb, c, fc, width, tl, delta, p0, rows = (
+                v[keep] for v in (a, fa, b, fb, c, fc, width, tl, delta, p0, rows)
             )
             if not rows.size:
                 return alpha
-        xi = (a - b) / (c - b)
-        phi = (fa - fb) / (fc - fb)
+        dab, dcb = fa - fb, fc - fb
+        xi = width / (b - c)
+        phi = dab / dcb
         i = (phi * phi < xi) & ((1 - phi) * (1 - phi) < 1 - xi)
         with np.errstate(all="ignore"):
-            step = _interpolated_step(a, fa, b, fb, c, fc)
+            step = _interpolated_step(a, fa, fb, c, fc, width, dab, dcb)
         t = np.minimum(np.maximum(np.where(i, step, 0.5), tl), 1 - tl)
-        x = a + t * (b - a)
+        x = a + t * width
         a, fa, b, fb, c, fc = _advance(a, fa, b, fb, x, _residual_arr(x, delta, p0))
 
 

@@ -47,7 +47,7 @@ import numpy as np
 
 from . import quantum
 from .errors import DomainError
-from .quantum import DensityMatrix, stinespring_kraus
+from .quantum import DensityMatrix, complex_normal, stinespring_kraus
 from .ratedistortion import (
     HALF_PI,
     SourceSpec,
@@ -250,9 +250,7 @@ def check_lemma2(n_trials: int, dim: int, k: int, seed: int) -> VerificationRepo
 
     def evaluate(rng, count):
         y = stinespring_kraus(rng, count, dim, k)
-        g = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal(
-            (count, dim, dim)
-        )
+        g = complex_normal(rng, (count, dim, dim))
         dmat = g @ g.conj().transpose(0, 2, 1)
         traces = np.einsum("nkij,nji->nk", y, dmat)
         lhs = np.sum(np.abs(traces) ** 2, axis=1)
@@ -293,9 +291,7 @@ def check_theorem1(n_trials: int, seed: int, src: SourceSpec) -> VerificationRep
     }
 
     def evaluate(rng, count):
-        a = rng.standard_normal((count, 2, 2)) + 1j * rng.standard_normal(
-            (count, 2, 2)
-        )
+        a = complex_normal(rng, (count, 2, 2))
         svals = np.linalg.svd(a * sq, compute_uv=False)
         d_mats = np.zeros((count, 2, 2), dtype=complex)
         d_mats[:, [0, 1], [0, 1]] = svals / sq

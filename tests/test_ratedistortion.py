@@ -1,4 +1,6 @@
+import collections
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -531,6 +533,73 @@ def test_residual_end_limits_match_mpmath(p0):
             for value, alpha in ((lo, gap), (hi, top - gap)):
                 exact = _oracle_entropy_slope(mp, p0_, delta_, alpha)
                 assert abs(value - exact) <= 1e-12 * abs(exact)
+
+
+class _CountingCalls:
+    """A kernel namespace that counts the calls made to each of its
+    functions by name and passes them on to ``base``."""
+
+    def __init__(self, base):
+        self.base = base
+        self.calls = collections.Counter()
+
+    def __getattr__(self, name):
+        function = getattr(self.base, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return function(*args, **kwargs)
+
+        return counted
+
+
+def test_residual_read_takes_five_sines_and_cosines():
+    # A timing-free guard on the cost of a read: sin and cos of alpha and
+    # alpha + delta, sin delta, and one log1p per term, on floats and arrays.
+    alphas, deltas = np.array([0.3, 1e-3, 0.2]), np.array([0.8, 1e-3, 1.3])
+    for base, args in (
+        (rd._FLOATS, (0.3, 0.8, 0.7)),
+        (np, (alphas, deltas, 0.7)),
+        (np, (alphas, deltas, np.array([0.55, 0.9, 0.999999]))),
+    ):
+        xp = _CountingCalls(base)
+        value = rd._residual_arr(*args, xp)
+        assert xp.calls == {"cos": 2, "sin": 3, "log1p": 2}
+        assert np.array_equal(value, rd._residual_arr(*args, base))
+
+
+@pytest.mark.parametrize("p0", [0.55, 0.7, 0.9, 0.99, 0.999999])
+def test_residual_matches_mpmath_inside_the_interval(p0):
+    # The residual at alpha 0.1, 0.5 and 0.9 of (0, pi/2 - delta) and 1e-6
+    # below its top, on floats and arrays, against the 50-digit slope. The
+    # bound is 4 ulps of the two terms' magnitude |T1| + |T2|, not of the
+    # residual: the terms cancel to O(delta^2) of themselves at small delta
+    # (ROADMAP item 2), so a relative bound on the residual would measure
+    # that cancellation, not the kernel. Added to it is the effect of the
+    # kernel's one rounded argument, alpha + delta, half an ulp of it times
+    # the slope's derivative in delta: 1e-6 below the top, cos(alpha + delta)
+    # is 1e-6 and carries that rounding at 1e-10 relative. Measured: at most
+    # 1.6 of the unscaled sum (1.4 for the eight-call residual before).
+    mp = pytest.importorskip("mpmath")
+    eps = sys.float_info.epsilon
+    for delta in (1e-3, 0.3, 0.8, 1.3, math.pi / 2 - 1e-3):
+        top = math.pi / 2 - delta
+        alphas = np.array([0.1 * top, 0.5 * top, 0.9 * top, top - 1e-6])
+        values = rd._residual_arr(alphas, delta, p0)
+        for alpha, value in zip(alphas.tolist(), values.tolist()):
+            assert rd._residual_arr(alpha, delta, p0, rd._FLOATS) == value
+            with mp.workdps(50):
+                p0_, p1_ = mp.mpf(p0), 1 - mp.mpf(p0)
+                a, d = mp.mpf(alpha), mp.mpf(delta)
+                c1, c2 = mp.cos(a) ** 2, mp.cos(a + d) ** 2
+                s1, s2 = mp.sin(a) ** 2, mp.sin(a + d) ** 2
+                lam1, lam2 = p0_ * c1 + p1_ * c2, p0_ * s1 + p1_ * s2
+                t1 = p0_ * mp.sin(2 * a) * mp.log(c1 * lam2 / (s1 * lam1), 2)
+                t2 = p1_ * mp.sin(2 * (a + d)) * mp.log(s2 * lam1 / (c2 * lam2), 2)
+                exact = _oracle_entropy_slope(mp, p0_, d, a)
+                slope = mp.diff(lambda x: _oracle_entropy_slope(mp, p0_, x, a), d)
+                bound = eps * (abs(t1) + abs(t2)) + math.ulp(alpha + delta) / 2 * abs(slope)
+                assert abs(value - exact) <= 4 * bound, (delta, alpha)
 
 
 def test_sweep_curve_rejects_short_grid():
