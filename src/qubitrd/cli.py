@@ -11,8 +11,8 @@ error:
   curve     --p0 --points --out --format
   verify    --p0 --seed --trials --out --format
   simulate  --p0 --seed --samples --delta --out --format
-A verify suite that reads no source bias (lemma1, lemma2, isotropic) or no
-trial count (perturbation, a fixed grid of 160 trials) rejects that flag too.
+A verify suite rejects a flag it does not read too: --p0 for lemma1, lemma2
+and isotropic, --trials and --seed for perturbation (a fixed grid of 160).
 
 Examples:
   qubitrd curve r1 --p0 0.7 --points 101 --out r1_07.csv
@@ -51,7 +51,7 @@ UNREAD_VERIFY_FLAGS = {
     "lemma1": ("p0",),
     "lemma2": ("p0",),
     "isotropic": ("p0",),
-    "perturbation": ("trials",),
+    "perturbation": ("trials", "seed"),
 }
 
 
@@ -98,10 +98,11 @@ def run_verify(args: argparse.Namespace) -> int:
     trials = DEFAULT_TRIALS if args.trials is None else args.trials
     if trials < 1:
         raise DomainError(f"--trials must be at least 1, got {trials}")
-    if args.seed < 0:
-        raise DomainError(f"--seed must be non-negative, got {args.seed}")
+    seed = 0 if args.seed is None else args.seed
+    if seed < 0:
+        raise DomainError(f"--seed must be non-negative, got {seed}")
     src = SourceSpec(DEFAULT_P0 if args.p0 is None else args.p0)
-    reports = verify.run_suite(args.suite, src, trials, args.seed)
+    reports = verify.run_suite(args.suite, src, trials, seed)
     if args.format == "csv":
         text = "\n".join(report.to_text() for report in reports)
     else:
@@ -113,11 +114,11 @@ def run_verify(args: argparse.Namespace) -> int:
 def run_simulate(args: argparse.Namespace) -> int:
     src = SourceSpec(args.p0)
     circuit = realization.build_circuit(args.delta, src)
-    stream = realization.simulate_stream(circuit, src, args.samples, args.seed)
+    stream = realization.simulate_stream(circuit, args.samples, args.seed)
     record = {
         "p0": args.p0,
         "delta": args.delta,
-        "alpha": circuit.alpha,
+        "alpha": circuit.point.alpha,
         "seed": args.seed,
         **stream.to_dict(),
     }
@@ -140,14 +141,15 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run verification suites")
     ver.add_argument("suite", choices=VERIFY_SUITES)
     sim = sub.add_parser("simulate", help="simulate one stream")
-    # verify's --p0 and --trials stay None unless given, so that main can
-    # reject them for a suite that does not read them
+    # verify's --p0, --seed and --trials stay None unless given, so that
+    # main can reject them for a suite that does not read them
     for cmd in (curve, ver, sim):
         default = None if cmd is ver else DEFAULT_P0
         cmd.add_argument("--p0", type=float, default=default, help="source bias in [0.5, 1)")
     curve.add_argument("--points", type=int, default=101, help="grid points per sweep")
     for cmd in (ver, sim):
-        cmd.add_argument("--seed", type=int, default=0, help="random seed")
+        default = None if cmd is ver else 0
+        cmd.add_argument("--seed", type=int, default=default, help="random seed")
     ver.add_argument("--trials", type=int, help="trials per suite")
     sim.add_argument("--samples", type=int, default=100000, help="stream samples")
     sim.add_argument("--delta", type=float, required=True, help="operating angle")

@@ -5,12 +5,10 @@ unitary, and a measurement of the ancilla. Outcome 0 applies the first
 element of the optimal pair to the source qubit, outcome 1 the second; a
 circuit carries that pair as its ``KrausChannel`` (``pair_channel``). The
 outcome sequence is the classical side information, whose asymptotic rate is
-h2(lambda1). No block code is simulated: the stream's type-1 probability
-and every analytic figure of a ``StreamResult`` (d, R, lambda1 and
-r = h2(lambda1)) are read off ``r1_curve_point`` at the circuit's delta, as
-is the circuit's angle, so they equal that point bit for bit. Within
-``ENDPOINT_CUTOFF`` of either end of (0, pi/2) that is the curve's exact end
-row, as in ``curve r1``.
+h2(lambda1). No block code is simulated. A circuit carries the
+``r1_curve_point`` it realizes: its pair is that point's, and the stream's
+type-1 probability and every analytic figure of a ``StreamResult`` (d, R,
+lambda1 and r = h2(lambda1)) are read off it bit for bit.
 
 The 4-dimensional basis ordering is ancilla-first:
 {|0>A|0>Q, |0>A|1>Q, |1>A|0>Q, |1>A|1>Q}. In it the unitary is the block
@@ -27,7 +25,7 @@ import numpy as np
 from . import quantum
 from .errors import DomainError, InternalNumericError
 from .quantum import KrausChannel
-from .ratedistortion import HALF_PI, SourceSpec, pair_channel, r1_curve_point
+from .ratedistortion import HALF_PI, CurvePoint, SourceSpec, pair_channel, r1_curve_point
 
 # Outcomes are drawn and counted in chunks of this many samples, so the
 # memory a stream takes does not grow with its length.
@@ -38,12 +36,12 @@ SAMPLE_CHUNK = 2**20
 class RealizationCircuit:
     """One ancilla-source entangling circuit at a solved operating point.
 
-    ``channel`` is the operation the circuit induces on the source qubit:
-    the optimal diagonal pair, outcome 0's element first.
+    ``point`` is the curve point the circuit realizes. ``channel`` is the
+    operation the circuit induces on the source qubit: that point's
+    diagonal pair, outcome 0's element first.
     """
 
-    alpha: float
-    delta: float
+    point: CurvePoint
     unitary: np.ndarray
     channel: KrausChannel
 
@@ -71,31 +69,29 @@ class StreamResult:
 
 
 def build_circuit(delta: float, src: SourceSpec) -> RealizationCircuit:
-    """Assemble the entangling unitary at the solved mixing angle.
+    """Assemble the entangling unitary of the curve's point at delta.
 
-    delta must lie in (0, pi/2). The angle is ``r1_curve_point``'s, so the
-    circuit realizes the curve's point at delta: within ``ENDPOINT_CUTOFF``
-    of an end that is the exact end row's angle. The unitary
-    [[A1, -A2], [A2, A1]] is built from the elements of the optimal pair
-    (``pair_channel``): it rotates within the two even/odd parity planes by
-    alpha and alpha + delta respectively, so the induced operation on the
-    source qubit is exactly that pair.
+    delta must lie in (0, pi/2). The circuit carries
+    ``r1_curve_point(delta, src)`` and realizes that point's optimal pair
+    (``pair_channel`` at its alpha and delta). The unitary
+    [[A1, -A2], [A2, A1]] is built from the pair's elements: it rotates
+    within the two even/odd parity planes by alpha and alpha + delta
+    respectively, so the induced operation on the source qubit is exactly
+    that pair.
     """
     if not 0.0 < delta < HALF_PI:
         raise DomainError(f"delta must lie in (0, pi/2), got {delta}")
-    alpha = r1_curve_point(delta, src).alpha
-    channel = pair_channel(alpha, delta)
+    point = r1_curve_point(delta, src)
+    channel = pair_channel(point.alpha, point.delta)
     a1, a2 = channel.elements
     unitary = np.block([[a1, -a2], [a2, a1]])
     gap = np.max(np.abs(unitary.conj().T @ unitary - np.eye(4)))
     if gap > 1e-12:
         raise InternalNumericError(f"assembled circuit deviates from unitary by {gap:.3e}")
-    return RealizationCircuit(alpha=alpha, delta=delta, unitary=unitary, channel=channel)
+    return RealizationCircuit(point=point, unitary=unitary, channel=channel)
 
 
-def simulate_stream(
-    circ: RealizationCircuit, src: SourceSpec, n_samples: int, seed: int
-) -> StreamResult:
+def simulate_stream(circ: RealizationCircuit, n_samples: int, seed: int) -> StreamResult:
     """Sample the ancilla outcome stream and account rates analytically.
 
     Outcomes are i.i.d. draws with the analytic type-1 probability, produced
@@ -103,27 +99,26 @@ def simulate_stream(
     pure function of (seed, i) and results are bit-identical across runs.
     They are counted ``SAMPLE_CHUNK`` at a time; chunked draws from the
     generator are the same numbers as one draw of all samples. That
-    probability and the analytic fields are ``r1_curve_point(circ.delta)``'s
-    lambda1, d, R and r.
+    probability and the analytic fields are the lambda1, d, R and r of the
+    circuit's point.
     """
     if n_samples < 1:
         raise DomainError(f"n_samples must be at least 1, got {n_samples}")
     if not 0 <= seed < 2**128:
         raise DomainError(f"seed must lie in [0, 2**128), got {seed}")
-    point = r1_curve_point(circ.delta, src)
     rng = np.random.Generator(np.random.Philox(key=seed))
     type1_count = 0
     for start in range(0, n_samples, SAMPLE_CHUNK):
         draws = rng.random(min(SAMPLE_CHUNK, n_samples - start))
-        type1_count += int(np.count_nonzero(draws < point.lambda1))
+        type1_count += int(np.count_nonzero(draws < circ.point.lambda1))
     empirical = type1_count / n_samples
     return StreamResult(
         n_samples=n_samples,
         type1_count=type1_count,
         empirical_lambda1=empirical,
         empirical_classical_rate=quantum.binary_entropy(empirical),
-        quantum_rate=point.R,
-        analytic_distortion=point.d,
-        analytic_lambda1=point.lambda1,
-        analytic_classical_rate=point.r,
+        quantum_rate=circ.point.R,
+        analytic_distortion=circ.point.d,
+        analytic_lambda1=circ.point.lambda1,
+        analytic_classical_rate=circ.point.r,
     )

@@ -183,13 +183,14 @@ def ancilla_source_state(src) -> np.ndarray:
     return np.kron(ancilla, src.density().mat)
 
 
-def joint_output(circ, src) -> np.ndarray:
-    """U Xi U† of a ``RealizationCircuit``: block (i, j) holds A_i rho A_j†."""
+def joint_output(unitary, src) -> np.ndarray:
+    """U Xi U† of a circuit's unitary [[A1, -A2], [A2, A1]]: block (i, j)
+    holds A_i rho A_j†."""
     xi = ancilla_source_state(src)
-    return circ.unitary @ xi @ circ.unitary.conj().T
+    return unitary @ xi @ unitary.conj().T
 
 
-def measure_ancilla(circ, src) -> tuple[float, DensityMatrix | None, DensityMatrix | None]:
+def measure_ancilla(unitary, src) -> tuple[float, DensityMatrix | None, DensityMatrix | None]:
     """Ancilla measurement statistics and the conditional source states.
 
     Returns (p_type1, post1, post2), read off ``joint_output``: outcome i
@@ -197,7 +198,7 @@ def measure_ancilla(circ, src) -> tuple[float, DensityMatrix | None, DensityMatr
     trace. An outcome with probability at or below ``WEIGHT_FLOOR`` has post
     state None.
     """
-    joint = joint_output(circ, src)
+    joint = joint_output(unitary, src)
     weights, posts = [], []
     for i in (0, 1):
         block = joint[2 * i : 2 * i + 2, 2 * i : 2 * i + 2]

@@ -238,7 +238,7 @@ def test_criterion_11_realization_consistency():
         src = SourceSpec(float(rng.uniform(0.5, 0.95)))
         delta = float(rng.uniform(0.05, math.pi / 2 - 0.05))
         circ = realization.build_circuit(delta, src)
-        joint = reference.joint_output(circ, src)
+        joint = reference.joint_output(circ.unitary, src)
         reconstructed = np.zeros((2, 2), dtype=complex)
         for outcome in (0, 1):
             proj = np.zeros((2, 2), dtype=complex)
@@ -250,7 +250,7 @@ def test_criterion_11_realization_consistency():
 
     src5 = SourceSpec(0.5)
     circ = realization.build_circuit(0.8, src5)
-    stream = realization.simulate_stream(circ, src5, 10**6, seed=42)
+    stream = realization.simulate_stream(circ, 10**6, seed=42)
     sigma = math.sqrt(0.5 * 0.5 / 10**6)
     mc_ok = abs(stream.empirical_lambda1 - 0.5) <= 3 * sigma
 

@@ -150,11 +150,13 @@ def test_subcommand_rejects_flags_it_does_not_read(argv):
         ["verify", "lemma2", "--p0", "0.5"],
         ["verify", "isotropic", "--p0", "0.9", "--trials", "5"],
         ["verify", "perturbation", "--trials", "5"],
+        ["verify", "perturbation", "--seed", "3"],
     ],
 )
 def test_verify_suite_rejects_values_it_does_not_read(capsys, argv):
     # lemma1, lemma2 and isotropic read no source, perturbation runs a fixed
-    # grid: a value they would ignore is a usage error, even the default one
+    # grid and draws nothing: a value they would ignore is a usage error,
+    # even the default one
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import reference
-from qubitrd import cli, quantum, realization
+from qubitrd import cli, quantum, ratedistortion, realization
 from qubitrd.errors import DomainError
 from qubitrd.ratedistortion import SourceSpec, pair_channel, r1_curve_point, sweep_curve
 
@@ -38,7 +38,7 @@ def test_joint_output_blocks():
     # U Xi U† carries A_i rho A_j† in block (i, j).
     for src, delta in _random_operating_points(25, seed=2):
         circ = realization.build_circuit(delta, src)
-        joint = reference.joint_output(circ, src)
+        joint = reference.joint_output(circ.unitary, src)
         rho = src.density().mat
         a1, a2 = circ.channel.elements
         assert np.allclose(joint[0:2, 0:2], a1 @ rho @ a1.conj().T, atol=1e-12)
@@ -59,7 +59,7 @@ def test_induced_channel_matches_pair():
     # Project the ancilla, trace it out, and compare against the Kraus route.
     for src, delta in _random_operating_points(100, seed=3):
         circ = realization.build_circuit(delta, src)
-        joint = reference.joint_output(circ, src)
+        joint = reference.joint_output(circ.unitary, src)
         reconstructed = np.zeros((2, 2), dtype=complex)
         for outcome in (0, 1):
             proj = np.zeros((2, 2), dtype=complex)
@@ -74,12 +74,12 @@ def test_induced_channel_matches_pair():
 def test_measure_ancilla_statistics():
     for delta in (0.3, 0.8, 1.3):
         circ = realization.build_circuit(delta, SRC5)
-        p1, post1, post2 = reference.measure_ancilla(circ, SRC5)
+        p1, post1, post2 = reference.measure_ancilla(circ.unitary, SRC5)
         assert p1 == pytest.approx(0.5, abs=1e-12)
         assert post1 is not None and post2 is not None
 
     circ = realization.build_circuit(0.7, SRC7)
-    p1, _, _ = reference.measure_ancilla(circ, SRC7)
+    p1, _, _ = reference.measure_ancilla(circ.unitary, SRC7)
     rho = SRC7.density().mat
     a1 = circ.channel.elements[0]
     assert p1 == pytest.approx(
@@ -89,7 +89,7 @@ def test_measure_ancilla_statistics():
 
 def test_measure_ancilla_projective_limit():
     circ = realization.build_circuit(math.pi / 2 - 1e-6, SRC7)
-    p1, post1, post2 = reference.measure_ancilla(circ, SRC7)
+    p1, post1, post2 = reference.measure_ancilla(circ.unitary, SRC7)
     assert p1 + (1 - p1) == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(post1.mat, np.diag([1.0, 0.0]), atol=1e-4)
     assert np.allclose(post2.mat, np.diag([0.0, 1.0]), atol=1e-4)
@@ -107,22 +107,22 @@ def test_outcome_probabilities_sum_to_one():
 
 def test_simulate_stream_deterministic():
     circ = realization.build_circuit(0.8, SRC5)
-    a = realization.simulate_stream(circ, SRC5, 50000, seed=7)
-    b = realization.simulate_stream(circ, SRC5, 50000, seed=7)
+    a = realization.simulate_stream(circ, 50000, seed=7)
+    b = realization.simulate_stream(circ, 50000, seed=7)
     assert a == b
 
 
 def test_simulate_stream_chunks_keep_the_counts(monkeypatch):
     # chunked draws from the generator are the numbers of one whole draw
     circ = realization.build_circuit(0.8, SRC7)
-    whole = realization.simulate_stream(circ, SRC7, 100003, seed=3)
+    whole = realization.simulate_stream(circ, 100003, seed=3)
     monkeypatch.setattr(realization, "SAMPLE_CHUNK", 4097)
-    assert realization.simulate_stream(circ, SRC7, 100003, seed=3) == whole
+    assert realization.simulate_stream(circ, 100003, seed=3) == whole
 
 
 def test_simulate_stream_concentration():
     circ = realization.build_circuit(0.8, SRC5)
-    result = realization.simulate_stream(circ, SRC5, 10**6, seed=1)
+    result = realization.simulate_stream(circ, 10**6, seed=1)
     # 3 sigma binomial band around 1/2
     assert abs(result.empirical_lambda1 - 0.5) <= 3 * 0.5 / 1000
     assert result.empirical_classical_rate == pytest.approx(
@@ -134,16 +134,33 @@ def test_simulate_stream_concentration():
 def test_simulate_stream_matches_curve_point():
     for src, delta in ((SRC5, 0.8), (SRC7, 0.5)):
         circ = realization.build_circuit(delta, src)
-        result = realization.simulate_stream(circ, src, 100, seed=2)
+        result = realization.simulate_stream(circ, 100, seed=2)
         pt = r1_curve_point(delta, src)
         assert result.quantum_rate == pt.R
         assert result.analytic_distortion == pt.d
 
 
+def test_simulate_solves_its_angle_once(capsys, monkeypatch):
+    # the circuit carries its curve point, so the stream solves nothing
+    calls = []
+    solve = ratedistortion.solve_alpha
+
+    def counted(delta, src):
+        calls.append(delta)
+        return solve(delta, src)
+
+    monkeypatch.setattr(ratedistortion, "solve_alpha", counted)
+    realization.simulate_stream(realization.build_circuit(0.8, SRC7), 10, seed=0)
+    assert calls == [0.8]
+    calls.clear()
+    assert cli.main(["simulate", "--p0", "0.7", "--delta", "0.8", "--samples", "10"]) == 0
+    assert calls == [0.8]
+
+
 def test_simulate_rates_equal_curve_point_bit_for_bit(capsys):
-    # the stream and the CLI read d, R, r and lambda1 off r1_curve_point at
-    # the circuit's delta; within ENDPOINT_CUTOFF of an end that is the
-    # curve's exact end row, as in `curve r1`
+    # the circuit carries r1_curve_point at its delta, and the stream and
+    # the CLI read d, R, r and lambda1 off it; within ENDPOINT_CUTOFF of an
+    # end that is the curve's exact end row, as in `curve r1`
     fields = {
         "analytic_distortion": "d",
         "quantum_rate": "R",
@@ -154,7 +171,8 @@ def test_simulate_rates_equal_curve_point_bit_for_bit(capsys):
     for src, delta in [*_random_operating_points(40, seed=5), *ends]:
         circ = realization.build_circuit(delta, src)
         pt = r1_curve_point(delta, src)
-        result = realization.simulate_stream(circ, src, 10, seed=0).to_dict()
+        assert circ.point == pt
+        result = realization.simulate_stream(circ, 10, seed=0).to_dict()
         argv = ["simulate", "--p0", repr(src.p0), "--delta", repr(delta)]
         assert cli.main(argv + ["--samples", "10", "--format", "json"]) == 0
         record = json.loads(capsys.readouterr().out)
@@ -179,23 +197,16 @@ def test_analytic_classical_rate_matches_mpmath(capsys, p0, delta):
         exact = -(lam2 * mp.log(lam2) + (1 - lam2) * mp.log(1 - lam2)) / mp.log(2)
         assert abs(record["analytic_classical_rate"] - exact) <= 1e-15 * exact
     src = SourceSpec(p0)
-    result = realization.simulate_stream(realization.build_circuit(delta, src), src, 10, 0)
+    result = realization.simulate_stream(realization.build_circuit(delta, src), 10, 0)
     assert result.analytic_classical_rate == record["analytic_classical_rate"]
 
 
 def test_measure_ancilla_suppresses_dead_outcome():
     # alpha = 0 with a tiny angle gap drives the type-2 weight to ~sin^2(D),
     # below the suppression floor.
-    delta = 3e-8
-    channel = pair_channel(0.0, delta)
-    a1, a2 = channel.elements
-    circ = realization.RealizationCircuit(
-        alpha=0.0,
-        delta=delta,
-        unitary=np.block([[a1, -a2], [a2, a1]]),
-        channel=channel,
-    )
-    p1, post1, post2 = reference.measure_ancilla(circ, SRC7)
+    a1, a2 = pair_channel(0.0, 3e-8).elements
+    unitary = np.block([[a1, -a2], [a2, a1]])
+    p1, post1, post2 = reference.measure_ancilla(unitary, SRC7)
     assert p1 == pytest.approx(1.0, abs=1e-12)
     assert post1 is not None
     assert post2 is None
@@ -204,12 +215,12 @@ def test_measure_ancilla_suppresses_dead_outcome():
 def test_simulate_stream_validates_samples():
     circ = realization.build_circuit(0.5, SRC5)
     with pytest.raises(DomainError):
-        realization.simulate_stream(circ, SRC5, 0, seed=0)
+        realization.simulate_stream(circ, 0, seed=0)
 
 
 def test_stream_result_serialization():
     circ = realization.build_circuit(0.6, SRC7)
-    result = realization.simulate_stream(circ, SRC7, 1000, seed=5)
+    result = realization.simulate_stream(circ, 1000, seed=5)
     record = result.to_dict()
     assert list(record) == [
         "n_samples", "type1_count", "empirical_lambda1",
