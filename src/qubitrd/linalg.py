@@ -24,7 +24,7 @@ def as_matrix(a: np.ndarray) -> np.ndarray:
     return m
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    """True when ``max|a - a†| <= tol``."""
+def is_hermitian(a: np.ndarray) -> bool:
+    """True when ``max|a - a†| <= HERMITIAN_TOL``."""
     m = as_matrix(a)
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+    return bool(np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL)

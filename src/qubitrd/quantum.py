@@ -61,7 +61,7 @@ class DensityMatrix:
         m = linalg.as_matrix(self.mat)
         if 2 ** (m.shape[0].bit_length() - 1) != m.shape[0]:
             raise ShapeError(f"dimension {m.shape[0]} is not a power of 2")
-        if not linalg.is_hermitian(m, STATE_TOL):
+        if not linalg.is_hermitian(m):
             raise ContractViolationError("density matrix must be Hermitian")
         eigs = np.linalg.eigvalsh(m)
         if eigs[0] < -STATE_TOL:

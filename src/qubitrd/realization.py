@@ -17,8 +17,7 @@ matrix [[A1, -A2], [A2, A1]] of the pair's elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Any
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,9 +62,6 @@ class StreamResult:
     analytic_distortion: float
     analytic_lambda1: float
     analytic_classical_rate: float
-
-    def to_dict(self) -> dict[str, Any]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def build_circuit(delta: float, src: SourceSpec) -> RealizationCircuit:

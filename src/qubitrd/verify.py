@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -56,7 +56,6 @@ from .ratedistortion import (
     isotropic_s1,
     sweep_curve,
 )
-from .records import record_to_text
 
 CURVE_TOL = 1e-6
 ALGEBRA_TOL = 1e-9
@@ -90,14 +89,6 @@ class VerificationReport:
     passed: bool
     tolerance: float
     failures: tuple[dict[str, Any], ...] = field(default=())
-
-    def to_dict(self) -> dict[str, Any]:
-        record = {f.name: getattr(self, f.name) for f in fields(self)}
-        record["failures"] = list(self.failures)
-        return record
-
-    def to_text(self) -> str:
-        return record_to_text(list(self.to_dict().items()))
 
 
 def _report(

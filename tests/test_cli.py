@@ -9,7 +9,7 @@ import pytest
 
 import qubitrd
 from qubitrd import cli, verify
-from qubitrd.ratedistortion import SourceSpec, r1_curve_point
+from qubitrd.ratedistortion import SourceSpec, r1_curve_point, sweep_curve
 
 
 def _run(capsys, argv):
@@ -306,16 +306,53 @@ def test_unwritable_output_path(capsys):
 
 
 def test_csv_floats_round_trip(capsys):
-    code, out = _run(capsys, ["curve", "r1", "--p0", "0.7", "--points", "11"])
-    assert code == 0
-    _, rows = _csv_rows(out)
-    from qubitrd.ratedistortion import SourceSpec, sweep_curve
+    for p0, points in (("0.7", 11), ("0.999999", 513)):
+        code, out = _run(capsys, ["curve", "r1", "--p0", p0, "--points", str(points)])
+        assert code == 0
+        _, rows = _csv_rows(out)
+        curve = sweep_curve(SourceSpec(float(p0)), points)
+        assert len(rows) == len(curve) == points
+        for row, pt in zip(rows, curve):
+            assert row["R"] == pt.R
+            assert row["d"] == pt.d
+            assert row["lambda1"] == pt.lambda1
+        for line, pt in zip(out.splitlines()[1:], curve):
+            assert line.split(",") == [format(v, ".17g") for v in pt]
 
-    points = sweep_curve(SourceSpec(0.7), 11)
-    for row, pt in zip(rows, points):
-        assert row["R"] == pt.R
-        assert row["d"] == pt.d
-        assert row["lambda1"] == pt.lambda1
+
+def test_record_text_exact_bytes():
+    record = {
+        "passed": True,
+        "worst": 0.1 + 0.2,
+        "n_trials": 7,
+        "params": {"zeta": [0.1, 2], "alpha": {"b": False, "a": None}},
+        "failures": ({"trial": 3, "excess": 2.5}, {"trial": 9}),
+    }
+    assert cli._record_text(record) == (
+        "passed: true\n"
+        "worst: 0.30000000000000004\n"
+        "n_trials: 7\n"
+        'params: {"alpha": {"a": null, "b": false}, "zeta": [0.1, 2]}\n'
+        'failures: [{"excess": 2.5, "trial": 3}, {"trial": 9}]\n'
+    )
+
+
+@pytest.mark.parametrize("which, builder", [("r1", "sweep_curve"), ("s1", "s1_curve_point")])
+def test_curve_rejects_points_above_bound(capsys, monkeypatch, which, builder):
+    # the bound is checked before any sweep is built
+    def boom(*args):
+        raise AssertionError("sweep built past the --points bound")
+
+    monkeypatch.setattr(cli, builder, boom)
+    assert cli.main(["curve", which, "--points", str(2**20 + 2)]) == 2
+    assert "--points must lie in [2, 1048577]" in capsys.readouterr().err
+
+
+def test_curve_takes_points_at_bound(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "sweep_curve", lambda *args: calls.append(args) or [])
+    assert cli.main(["curve", "r1", "--points", str(2**20 + 1)]) == 0
+    assert calls == [(SourceSpec(0.5), 2**20 + 1)]
 
 
 def test_import_loads_no_scipy():

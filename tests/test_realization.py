@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -172,7 +173,7 @@ def test_simulate_rates_equal_curve_point_bit_for_bit(capsys):
         circ = realization.build_circuit(delta, src)
         pt = r1_curve_point(delta, src)
         assert circ.point == pt
-        result = realization.simulate_stream(circ, 10, seed=0).to_dict()
+        result = dataclasses.asdict(realization.simulate_stream(circ, 10, seed=0))
         argv = ["simulate", "--p0", repr(src.p0), "--delta", repr(delta)]
         assert cli.main(argv + ["--samples", "10", "--format", "json"]) == 0
         record = json.loads(capsys.readouterr().out)
@@ -221,7 +222,7 @@ def test_simulate_stream_validates_samples():
 def test_stream_result_serialization():
     circ = realization.build_circuit(0.6, SRC7)
     result = realization.simulate_stream(circ, 1000, seed=5)
-    record = result.to_dict()
+    record = dataclasses.asdict(result)
     assert list(record) == [
         "n_samples", "type1_count", "empirical_lambda1",
         "empirical_classical_rate", "quantum_rate", "analytic_distortion",
@@ -229,3 +230,4 @@ def test_stream_result_serialization():
     ]
     assert record["n_samples"] == 1000
     assert record["type1_count"] == result.type1_count
+    assert cli._record_text(record).startswith("n_samples: 1000\ntype1_count: ")
