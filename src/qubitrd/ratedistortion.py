@@ -12,40 +12,39 @@ The source emits qubits in the state ``rho = diag(p0, p1)`` with
   the average conditional output entropy over the mixing angle ``a`` at
   each ``D``.
 
-The minimizing angle solves a stationarity equation (the derivative of the
-average entropy with respect to ``a``). Its residual has closed-form limits
-of opposite signs at the two ends of (0, pi/2 - D), so a root always lies
-between them, and one bracketed root finder (Chandrupatla's) finds it. The
-finder does not start from the whole interval: its first two reads go
-between two closed forms of the angle with its limits at both ends of D, a
-guess g that lies below the root and a second form G that lies just above
-it and tends to the angle as p0 -> 1. Neither is a bound the solver relies
-on; the bracket follows the residual's signs. g is the exact angle
-pi/4 - D/2 at p0 = 1/2, which is returned without a read. Each read of the
-residual takes five sines and cosines, of a, a + D and D, and builds its
-double angles and squares from them (``_residual_arr``). A single D runs
-the finder on Python floats and a sweep runs the same start and update over
-all its interior D at once, so both return the same angle; at D = 0 and
-D = pi/2 the angle is its exact limit, solved for nowhere. Every other
-quantity of a curve point is closed form in (a, D): the distortion above,
-the average entropy
+The minimizing angle is closed form. The derivative of the average entropy
+in ``a`` is ``p0 sin 2a log2(c1 lambda2 / (s1 lambda1))
+- p1 sin 2(a + D) log2(s2 lambda1 / (c2 lambda2))``, with c1, c2, s1, s2 the
+squares of cos a, cos(a + D), sin a, sin(a + D). With
+``m = p0 sin 2a - p1 sin 2(a + D)`` the weights satisfy
+``cos a cos(a + D) lambda2 - sin a sin(a + D) lambda1 = -(sin D / 2) m``,
+so where m = 0 the two log ratios are equal and the derivative is
+``m log2(...) = 0``. m goes from -p1 sin 2D at a = 0 to p0 sin 2D at
+a = pi/2 - D through one zero, the optimal angle
+
+    a* = 1/2 atan2(p1 sin 2D, (p0 - p1) + 2 p1 sin^2 D),
+
+whose terms are all non-negative, so nothing cancels (``_optimal_alpha``).
+At p0 = 1/2 it is pi/4 - D/2, taken in that form; as D -> 0,
+a* / D -> p1 / (p0 - p1). At D = 0 and D = pi/2 the curve point takes its
+exact limits. Every other quantity of a curve point is closed form in
+(a, D): the distortion above, the average entropy
 ``lambda1 h2(p0 cos^2 a / lambda1) + lambda2 h2(p0 sin^2 a / lambda2)``,
 the type-1 weight ``lambda1 = p0 cos^2 a + p1 cos^2(a + D)``, with
 ``lambda2 = 1 - lambda1``, and the side-channel rate h2(lambda1). R, r and
 lambda1 come from one kernel, ``_pair_figures``, on one set of squares. A
-sweep takes them over whole arrays by the formulas of a single point, so its
-rows equal ``r1_curve_point``'s bit for bit. Each formula is written once, in
-a kernel that takes the namespace of the functions it calls: numpy over
-arrays, or ``_FLOATS`` on the Python floats of one point, whose functions
-give numpy's bits. ``simulate`` reads every analytic figure off
-``r1_curve_point``; the channel functionals of ``quantum`` serve the tests as
-a cross-check.
+sweep takes the angle and the figures over whole arrays by the formulas of
+a single point, so its rows equal ``r1_curve_point``'s bit for bit. Each
+formula is written once, in a kernel that takes the namespace of the
+functions it calls: numpy over arrays, or ``_FLOATS`` on the Python floats
+of one point, whose functions give numpy's bits. ``simulate`` reads every
+analytic figure off ``r1_curve_point``; the channel functionals of
+``quantum`` serve the tests as a cross-check.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import partial
 from types import SimpleNamespace
@@ -57,37 +56,18 @@ from .errors import DomainError
 from .quantum import DensityMatrix, KrausChannel, binary_entropy
 
 HALF_PI = math.pi / 2
-# Inset in Delta for sweep grids; keeps every interior row above the
-# delta ~ 1e-7 floor where round-off swamps the residual's sign.
-DELTA_EPS = 1e-6
 # Delta values this close to 0 or pi/2 take the curve's exact limits.
 ENDPOINT_CUTOFF = 1e-12
-# Width to which the bracket of the mixing angle is narrowed.
-BISECTION_WIDTH = 1e-12
-# The root finder stops once the bracket is narrower than twice
-# _RTOL |x| + _ATOL.
-_RTOL = 4 * sys.float_info.epsilon
-_ATOL = BISECTION_WIDTH / 2
-_LN2 = math.log(2.0)
-# Ratio between the solver's first read and its second where the two
-# closed forms would put both at one angle. The first read lies at most at
-# half of pi/2 - delta, so any ratio in (1, 2) keeps both x / ratio and
-# x * ratio strictly inside the interval.
-_GUESS_RATIO = 1.5
-# Least guess; keeps sin^2 of every read angle clear of underflow at a
-# delta far below anything a curve takes.
-_GUESS_FLOOR = 1e-100
 # The kernels' functions for one point on Python floats. math's sin and cos
 # give numpy's bits on [0, pi], which holds every argument the kernels
-# pass (a test pins this); math.log1p does not, so log1p stays numpy's.
+# pass (a test pins this); math.atan2 does not (it differs from numpy's in
+# the last bit on 2.4% of the angle kernel's inputs), so arctan2 stays
+# numpy's.
 _FLOATS = SimpleNamespace(
     sin=math.sin,
     cos=math.cos,
-    log1p=np.log1p,
-    sqrt=math.sqrt,
+    arctan2=np.arctan2,
     minimum=min,
-    maximum=max,
-    where=lambda cond, x, y: x if cond else y,
 )
 
 
@@ -152,21 +132,16 @@ def pair_channel(alpha: float, delta: float) -> KrausChannel:
     return KrausChannel((a1, a2), trace_preserving=True)
 
 
-def _weights(c1, c2, s1, s2, p0):
-    """The squares of cos alpha, cos(alpha + delta), sin alpha and
-    sin(alpha + delta), given as c1, c2, s1 and s2, then lambda1 and
-    lambda2. Each square is a product, which rounds alike on Python floats
-    and arrays."""
+def _pair_weights(alpha, delta, p0, xp=np):
+    """The squares c1, c2, s1, s2 of cos alpha, cos(alpha + delta), sin alpha
+    and sin(alpha + delta), then lambda1 and lambda2, by the functions of
+    ``xp`` (numpy, or ``_FLOATS`` on floats). Each square is a product,
+    which rounds alike on Python floats and arrays."""
     p1 = 1.0 - p0
+    beta = alpha + delta
+    c1, c2, s1, s2 = xp.cos(alpha), xp.cos(beta), xp.sin(alpha), xp.sin(beta)
     c1, c2, s1, s2 = c1 * c1, c2 * c2, s1 * s1, s2 * s2
     return c1, c2, s1, s2, p0 * c1 + p1 * c2, p0 * s1 + p1 * s2
-
-
-def _pair_weights(alpha, delta, p0, xp=np):
-    """``_weights`` of the pair at alpha and delta, by the functions of
-    ``xp`` (numpy, or ``_FLOATS`` on floats)."""
-    beta = alpha + delta
-    return _weights(xp.cos(alpha), xp.cos(beta), xp.sin(alpha), xp.sin(beta), p0)
 
 
 def _pair_figures(alpha, delta, p0, xp=np):
@@ -187,29 +162,18 @@ def _pair_figures(alpha, delta, p0, xp=np):
     return rate, binary_entropy(xp.minimum(lam1, lam2)), lam1
 
 
-def _residual_arr(alpha, delta, p0, xp=np):
-    """Derivative of the average output entropy with respect to alpha.
-
-    p0 sin 2a log2(c1 lam2 / (s1 lam1)) - p1 sin 2(a + D) log2(s2 lam1 / (c2 lam2)).
-    Both ratios are at least 1 and exceed it by closed forms,
-    p1 k / (s1 lam1) and p0 k / (c2 lam2) with k = sin D sin(2a + D) >= 0,
-    so each logarithm is a log1p of a positive number, which keeps full
-    relative precision where a ratio is near 1 (small D, or p0 near 1).
-
-    A read takes five sines and cosines, of a, a + D and D, and builds the
-    rest from them: sin 2a = 2 sin a cos a, sin 2(a + D) likewise, and
-    sin(2a + D) = sin a cos(a + D) + cos a sin(a + D), whose two terms are
-    non-negative on the interval, so the sum does not cancel.
-    """
+def _optimal_alpha(delta, p0, xp=np):
+    """The mixing angle minimizing the average entropy at angle gap delta,
+    a float or an array, for one p0, by the functions of ``xp``:
+    1/2 atan2(p1 sin 2 delta, (p0 - p1) + 2 p1 sin^2 delta), the zero of
+    m = p0 sin 2a - p1 sin 2(a + delta) on (0, pi/2 - delta). At p0 = 1/2
+    it is taken as (pi/2 - delta) / 2, the same angle, whose bits the atan2
+    form differs from on about half of all deltas."""
+    if p0 == 0.5:
+        return 0.5 * (HALF_PI - delta)
     p1 = 1.0 - p0
-    beta = alpha + delta
-    ca, sa, cb, sb = xp.cos(alpha), xp.sin(alpha), xp.cos(beta), xp.sin(beta)
-    _, c2, s1, _, lam1, lam2 = _weights(ca, cb, sa, sb, p0)
-    k = xp.sin(delta) * (sa * cb + ca * sb)
-    return (
-        p0 * (2.0 * sa * ca) * xp.log1p(p1 * k / (s1 * lam1))
-        - p1 * (2.0 * sb * cb) * xp.log1p(p0 * k / (c2 * lam2))
-    ) / _LN2
+    s = xp.sin(delta)
+    return 0.5 * xp.arctan2(p1 * xp.sin(2.0 * delta), (p0 - p1) + 2.0 * p1 * (s * s))
 
 
 def s1_curve_point(theta, src: SourceSpec):
@@ -239,194 +203,28 @@ def s1_curve_point(theta, src: SourceSpec):
     return d, entropy
 
 
-def _end_limits(delta, p0, xp=np):
-    """The residual's limits at alpha -> 0 and alpha -> pi/2 - delta.
-
-    -p1 sin 2D log2(1 + p0 / (p1 cos^2 D)) < 0 and
-    p0 sin 2D log2(1 + p1 / (p0 cos^2 D)) > 0 for every 0 < D < pi/2 and
-    0 < p0 < 1, so the interval always holds a root.
-    """
-    p1 = 1.0 - p0
-    cos2 = xp.cos(delta)
-    cos2 = cos2 * cos2
-    sin2 = xp.sin(2 * delta)
-    return (
-        -p1 * sin2 * xp.log1p(p0 / (p1 * cos2)) / _LN2,
-        p0 * sin2 * xp.log1p(p1 / (p0 * cos2)) / _LN2,
-    )
-
-
-def _interpolated_step(a, fa, fb, c, fc, width, dab, dcb):
-    """Chandrupatla's next step as a fraction of the bracket from a to b:
-    inverse quadratic interpolation through the newest point a, the other
-    bracket end b and the point c dropped last, given the differences
-    width = b - a, dab = fa - fb and dcb = fc - fb.
-
-    fa / (fb - fa) * fc / (fb - fc) + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb),
-    whose first term divides by -dab and -dcb: the two signs cancel, and
-    negation is exact, so the bits are those of the formula."""
-    return fa / dab * fc / dcb + (c - a) / width * fa / (fc - fa) * fb / dcb
-
-
-def _advance(a, fa, b, fb, x, fx, xp=np):
-    """Chandrupatla's bookkeeping after a read fx at x inside the bracket
-    from a to b: x becomes the newest point a, the old end whose residual
-    has the sign of fx is dropped to c, and the other stays b."""
-    same = (fx < 0) == (fa < 0)
-    w = xp.where
-    return x, fx, w(same, b, a), w(same, fb, fa), w(same, a, b), w(same, fa, fb)
-
-
-def _guess(delta, p0, xp=np):
-    """Closed-form guess of the mixing angle, g0 g1 / (g0 + g1).
-
-    g0 = p1 D / (p0 - p1) is the angle's limit as D -> 0 and
-    g1 = p1 (pi/2 - D) its limit as D -> pi/2. Taken as
-    g1 D / (D + (p0 - p1)(pi/2 - D)), which is g1 exactly at p0 = 1/2,
-    where it is the angle pi/4 - D/2 itself. It never exceeds
-    g1 <= (pi/2 - D) / 2, and is floored at ``_GUESS_FLOOR``.
-    """
-    p1 = 1.0 - p0
-    top = HALF_PI - delta
-    return xp.maximum(p1 * top * (delta / (delta + (p0 - p1) * top)), _GUESS_FLOOR)
-
-
-def _bracket(g, delta, p0, xp=np):
-    """The solver's state after its first two reads, placed by two closed
-    forms of the angle: the guess g and
-    G = p1 sin D cos D / ((p0 - p1) cos^2 D + sin^2 D), clipped into
-    [g, (pi/2 - D) / 2].
-
-    G has g's limits at both ends of D, p1 D / (p0 - p1) and
-    p1 (pi/2 - D), and tends to the angle itself as p0 -> 1. On dense grids
-    of D >= 1e-6 at p0 from 0.55 to 1 - 1e-12, g lies below the root and G
-    above it, G to within a few ulps; neither is a proven bound, and below
-    D ~ 1e-7 the residual's sign is round-off.
-
-    The first read is at g + w (G - g) with w = sqrt(2 p0 - 1), which leans
-    on g near p0 = 1/2, where g is exact, and on G near p0 = 1. The second
-    is at G where the first residual is negative, or at g where it is not;
-    if that is the first read again, it is at 1.5 times or a 1.5th of it
-    (``_GUESS_RATIO``). Both reads lie in (0, (3/4)(pi/2 - D)) and take the
-    update of every later one (``_advance``) from the whole interval
-    (0, pi/2 - D), whose ends keep their closed-form limits, so the bracket
-    follows the residual's signs alone, and the point c dropped last is
-    known, so the next step may interpolate."""
-    p1 = 1.0 - p0
-    top = HALF_PI - delta
-    s, c = xp.sin(delta), xp.cos(delta)
-    high = p1 * s * c / ((p0 - p1) * (c * c) + s * s)
-    high = xp.minimum(xp.maximum(high, g), 0.5 * top)
-    x = g + xp.sqrt(2.0 * p0 - 1.0) * (high - g)
-    f_lo, f_hi = _end_limits(delta, p0, xp)
-    state = _advance(0.0, f_lo, top, f_hi, x, _residual_arr(x, delta, p0, xp), xp)
-    up = state[1] < 0
-    y = xp.where(up, high, g)
-    y = xp.where(y == x, xp.where(up, x * _GUESS_RATIO, x / _GUESS_RATIO), y)
-    return _advance(*state[:4], y, _residual_arr(y, delta, p0, xp), xp)
-
-
 def solve_alpha(delta: float, src: SourceSpec) -> float:
     """Mixing angle minimizing the average output entropy at fixed delta.
 
-    The root of the stationarity residual on the feasible interval
-    (0, pi/2 - delta), by Chandrupatla's method (Adv. Eng. Software 28,
-    1997): inverse quadratic interpolation where the last three points
-    allow it, bisection otherwise. The residual's closed-form limits at
-    the ends of the interval differ in sign for every accepted delta and
-    p0, so a root always exists and no grid is scanned. The first two reads
-    go between the closed-form guess g and a second closed form G
-    (``_bracket``), which leaves a bracket about the root a small fraction
-    of the interval wide, so the search takes about six reads in all, fewer
-    as p0 -> 1. (From the interval itself, small-delta roots near 0 sent it
-    to bisection.) At p0 = 1/2 the guess is the exact angle pi/4 - delta/2
-    and is returned without a read. The
-    search stops when the bracket is narrower than twice
-    4 eps |x| + ``BISECTION_WIDTH`` / 2 or the residual reads 0, and returns
-    the bracket end with the smaller residual. Start, update and residual
-    run on Python floats (the kernels take ``_FLOATS``), which is fastest
-    for one delta; ``_solve_alphas`` runs the same start, update and kernels
-    over arrays and gives the same bits.
+    The closed form ``_optimal_alpha`` on Python floats, as a float, for
+    delta in the open interval (0, pi/2); any other delta raises
+    ``DomainError``. It is within a few ulps of the exact angle however
+    small delta is (to the subnormal spacing where the angle itself is
+    subnormal), and equals the entry of ``_optimal_alpha`` over an array
+    of deltas bit for bit.
     """
     if not 0.0 < delta < HALF_PI:
         raise DomainError(f"delta must lie in (0, pi/2), got {delta}")
-    p0 = src.p0
-    g = _guess(delta, p0, _FLOATS)
-    if p0 == 0.5:
-        return g
-    a, fa, b, fb, c, fc = map(float, _bracket(g, delta, p0, _FLOATS))
-    while True:
-        xm, fm = (a, fa) if abs(fa) < abs(fb) else (b, fb)
-        width = b - a
-        tl = (_RTOL * abs(xm) + _ATOL) / abs(width)
-        if tl > 0.5 or fm == 0.0:
-            return xm
-        dab, dcb = fa - fb, fc - fb
-        xi = width / (b - c)
-        phi = dab / dcb
-        t = 0.5
-        if phi * phi < xi and (1 - phi) * (1 - phi) < 1 - xi:
-            t = _interpolated_step(a, fa, fb, c, fc, width, dab, dcb)
-        t = min(max(t, tl), 1 - tl)
-        x = a + t * width
-        fx = float(_residual_arr(x, delta, p0, _FLOATS))
-        if (fx < 0) == (fa < 0):
-            c, fc = a, fa
-        else:
-            c, fc, b, fb = b, fb, a, fa
-        a, fa = x, fx
-
-
-def _solve_alphas(deltas: np.ndarray, p0) -> np.ndarray:
-    """``solve_alpha`` at every delta of an array, with the same bits.
-
-    ``p0`` is one float or an array of one per delta. Runs ``solve_alpha``'s
-    set-up and update, in the same order, on all rows at once, and drops
-    each row, its p0 included, from the iteration once it has converged
-    (the arrays are compacted only in an iteration where some row has). The
-    interpolated step is taken on every row, and kept where ``solve_alpha``
-    would take it; elsewhere it may divide by zero, which is ignored.
-    """
-    p0 = np.broadcast_to(np.asarray(p0, dtype=float), deltas.shape)
-    alpha = _guess(deltas, p0)
-    rows = np.flatnonzero(p0 != 0.5)
-    if not rows.size:
-        return alpha
-    delta, p0 = deltas[rows], p0[rows]
-    a, fa, b, fb, c, fc = _bracket(alpha[rows], delta, p0)
-    while True:
-        near = np.abs(fa) < np.abs(fb)
-        xm, fm = np.where(near, a, b), np.where(near, fa, fb)
-        width = b - a
-        tl = (_RTOL * np.abs(xm) + _ATOL) / np.abs(width)
-        done = (tl > 0.5) | (fm == 0.0)
-        if done.any():
-            alpha[rows[done]] = xm[done]
-            keep = ~done
-            a, fa, b, fb, c, fc, width, tl, delta, p0, rows = (
-                v[keep] for v in (a, fa, b, fb, c, fc, width, tl, delta, p0, rows)
-            )
-            if not rows.size:
-                return alpha
-        dab, dcb = fa - fb, fc - fb
-        xi = width / (b - c)
-        phi = dab / dcb
-        i = (phi * phi < xi) & ((1 - phi) * (1 - phi) < 1 - xi)
-        with np.errstate(all="ignore"):
-            step = _interpolated_step(a, fa, fb, c, fc, width, dab, dcb)
-        t = np.minimum(np.maximum(np.where(i, step, 0.5), tl), 1 - tl)
-        x = a + t * width
-        a, fa, b, fb, c, fc = _advance(a, fa, b, fb, x, _residual_arr(x, delta, p0))
+    return float(_optimal_alpha(delta, src.p0, _FLOATS))
 
 
 def r1_curve_point(delta: float, src: SourceSpec) -> CurvePoint:
     """Rate-distortion sample at one delta, in closed form.
 
-    Solves for the optimal mixing angle (``solve_alpha``, to a bracket of
-    about 1e-12), then takes the distortion
-    2 p0 p1 (1 - cos delta), the average output entropy of the pair and its
-    type-1 weight lambda1 from their closed forms. The endpoints solve
-    nothing; each column there is its exact limit. As delta -> 0,
+    Takes the optimal mixing angle from ``solve_alpha`` (closed form),
+    then the distortion 2 p0 p1 (1 - cos delta), the average output entropy
+    of the pair and its type-1 weight lambda1 from their closed forms. The
+    endpoints call no ``solve_alpha``; each column there is its exact limit. As delta -> 0,
     alpha / delta -> p1 / (p0 - p1), so (0, h2(p0)) has alpha = 0 and
     lambda1 = 1, except at p0 = 1/2, where alpha = pi/4 - delta/2 gives
     pi/4 and 1/2. The limit jumps there: alpha stays near pi/4 - delta/2
@@ -453,19 +251,17 @@ def sweep_curve(src: SourceSpec, n_points: int) -> list[CurvePoint]:
 
     Points come back ordered by ascending distortion; the rate is
     non-increasing along the sweep. The endpoints are ``r1_curve_point``'s
-    exact limits, which solve nothing. The interior angles are solved
-    together (``_solve_alphas``, the update of ``solve_alpha`` over
-    arrays), and d, R, r and lambda1 come from the closed forms over the
-    whole array, so every interior point equals ``r1_curve_point`` at its
-    delta bit for bit.
+    exact limits. The interior angles, d, R, r and lambda1 come from the
+    closed forms over the whole array (``_optimal_alpha``,
+    ``_pair_figures``), so every interior point equals ``r1_curve_point``
+    at its delta bit for bit.
     """
     if n_points < 2:
         raise DomainError(f"n_points must be at least 2, got {n_points}")
     p0 = src.p0
     deltas = np.linspace(0.0, HALF_PI, n_points)[1:-1]
-    deltas = np.clip(deltas, DELTA_EPS, HALF_PI - DELTA_EPS)
     first = r1_curve_point(0.0, src)
-    alpha = _solve_alphas(deltas, p0)
+    alpha = _optimal_alpha(deltas, p0)
     columns = (deltas, alpha, src.distortion(deltas), *_pair_figures(alpha, deltas, p0))
     interior = map(_curve_point, zip(*(c.tolist() for c in columns)))
     return [first, *interior, r1_curve_point(HALF_PI, src)]

@@ -30,8 +30,8 @@ draw every trial's element count first and zero-pad their Kraus sets into
 preserving) and the reference curve over each stack. Across blocks a
 suite keeps only a few floats per trial, so its memory is one block's
 draws plus those floats, whatever the trial count. The perturbation suite
-draws nothing. It is one array pass over its (delta, |x|, phase) grid: one
-batched angle solve for every delta, the weight quadratic over the whole
+draws nothing. It is one array pass over its (delta, |x|, phase) grid: the
+closed-form angle over every delta at once, the weight quadratic over the whole
 (delta, |x|) grid with its infeasible cells masked, and one stack of Kraus
 sets for every feasible cell.
 """
@@ -51,8 +51,8 @@ from .quantum import DensityMatrix, complex_normal, stinespring_kraus
 from .ratedistortion import (
     HALF_PI,
     SourceSpec,
+    _optimal_alpha,
     _pair_weights,
-    _solve_alphas,
     isotropic_s1,
     sweep_curve,
 )
@@ -333,10 +333,11 @@ def check_perturbation(
     growth is quartic (ratio near 16); away from it the growth of small |x|
     is quadratic (ratio near 4).
 
-    The suite is one array pass. The angles at every delta are solved in
-    one batched call (``_solve_alphas``), and the weight quadratic over the
-    whole (delta, |x|) grid; a cell whose quadratic has no real root is
-    infeasible, is masked out and recorded. The base pairs and the pairs of
+    The suite is one array pass. The angles at every delta come from one
+    call of the closed form over the array (``_optimal_alpha``), and the
+    weight quadratic is solved over the whole (delta, |x|) grid; a cell
+    whose quadratic has no real root is infeasible, is masked out and
+    recorded. The base pairs and the pairs of
     every feasible (delta, |x|, phase) form one stack of Kraus sets, over
     which the average entropies, the distortion drift and the completeness
     check are each taken in one call, and the report rows are read off the
@@ -363,7 +364,7 @@ def check_perturbation(
 
     # one row per delta: the diagonal optimum and its mixture weights
     delta = deltas[:, np.newaxis]
-    alpha = _solve_alphas(deltas, p0)[:, np.newaxis]
+    alpha = _optimal_alpha(deltas, p0)[:, np.newaxis]
     c1, c2 = np.cos(alpha), np.cos(alpha + delta)
     s1, s2 = np.sin(alpha), np.sin(alpha + delta)
     d_target = src.distortion(delta)

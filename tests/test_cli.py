@@ -45,8 +45,8 @@ def test_curve_r1_biased_endpoint(capsys):
 
 @pytest.mark.parametrize("p0", ["0.999", "0.99999", "0.999999", "0.9999999999999"])
 def test_curve_r1_high_p0_exits_zero(capsys, p0):
-    # Every root of the stationarity residual lies inside (0, pi/2 - delta),
-    # some of them within 1e-6 of 0 at these p0, and the solver finds each.
+    # Every optimal angle lies inside (0, pi/2 - delta), some of them within
+    # 1e-6 of 0 at these p0, and every row is finite.
     code, out = _run(capsys, ["curve", "r1", "--p0", p0, "--points", "101"])
     assert code == 0
     _, rows = _csv_rows(out)
@@ -116,7 +116,7 @@ def test_curve_json_mirrors_csv(capsys):
 )
 def test_config_validation(capsys, flags):
     if "--tol" in flags:
-        # the solver bisects to a fixed width, so argparse rejects the flag
+        # the angle is closed form, with no tolerance, so argparse rejects it
         with pytest.raises(SystemExit) as exc:
             cli.main(flags)
         assert exc.value.code == 2
@@ -267,6 +267,20 @@ def test_simulate_end_row_angle_is_the_points(capsys, p0, delta):
     assert record["alpha"] == point.alpha
     assert record["analytic_lambda1"] == point.lambda1
     assert record["alpha"] == (math.pi / 4 if (p0, delta) == ("0.5", 1e-13) else 0.0)
+
+
+def test_simulate_takes_the_optimal_angle_at_small_delta(capsys):
+    # alpha / delta -> p1 / (p0 - p1) = 0.75 as delta -> 0, so the pair is
+    # nearly the identity's: every sample is type 1 and the classical rate
+    # is about 0 (not alpha = pi/4, lambda1 = 1/2 and rate 1).
+    argv = ["simulate", "--p0", "0.7", "--delta", "2e-12", "--samples", "1000", "--seed", "3"]
+    code, out = _run(capsys, argv)
+    assert code == 0
+    record = dict(line.split(": ", 1) for line in out.splitlines())
+    assert float(record["alpha"]) == pytest.approx(1.5e-12, rel=1e-12)
+    assert float(record["analytic_lambda1"]) == pytest.approx(1.0, abs=1e-15)
+    assert 0.0 <= float(record["analytic_classical_rate"]) < 1e-20
+    assert int(record["type1_count"]) == 1000
 
 
 def test_simulate_domain_error(capsys):

@@ -1,11 +1,9 @@
-import collections
 import math
-import sys
 
 import numpy as np
 import pytest
 
-from qubitrd import quantum, ratedistortion as rd
+from qubitrd import quantum, ratedistortion as rd, realization
 from qubitrd.errors import DomainError
 from qubitrd.ratedistortion import SourceSpec, pair_channel
 
@@ -76,23 +74,40 @@ def test_s1_distortion_is_never_negative(p0):
     assert d[0] < 1e-30
 
 
+def _slope(alpha, delta, p0):
+    """d/dalpha of the pair's average entropy on floats, in its log-ratio form
+    p0 sin 2a log2(c1 lam2 / (s1 lam1)) - p1 sin 2b log2(s2 lam1 / (c2 lam2)),
+    with b = a + delta and c1, c2, s1, s2 the squares of cos a, cos b, sin a
+    and sin b."""
+    p1 = 1.0 - p0
+    a, b = alpha, alpha + delta
+    c1, c2 = math.cos(a) ** 2, math.cos(b) ** 2
+    s1, s2 = math.sin(a) ** 2, math.sin(b) ** 2
+    lam1, lam2 = p0 * c1 + p1 * c2, p0 * s1 + p1 * s2
+    return p0 * math.sin(2 * a) * math.log2(c1 * lam2 / (s1 * lam1)) - p1 * math.sin(
+        2 * b
+    ) * math.log2(s2 * lam1 / (c2 * lam2))
+
+
 def test_stationarity_symmetric_root():
-    for delta in np.linspace(0.05, math.pi / 2 - 0.05, 25):
-        residual = rd._residual_arr(math.pi / 4 - float(delta) / 2, float(delta), 0.5)
-        assert abs(residual) <= 1e-10
+    for delta in np.linspace(0.05, math.pi / 2 - 0.05, 25).tolist():
+        assert abs(_slope(rd.solve_alpha(delta, SRC5), delta, 0.5)) <= 1e-10
 
 
 def test_stationarity_brackets_root():
-    for delta in (0.3, 0.8, 1.3):
-        sym = math.pi / 4 - delta / 2
-        below = rd._residual_arr(sym - 0.1, delta, 0.5)
-        above = rd._residual_arr(sym + 0.1, delta, 0.5)
-        assert below < 0 < above
+    # The slope is negative below the returned angle and positive above it:
+    # the angle is a minimum of the average entropy.
+    for p0 in (0.5, 0.7, 0.9):
+        for delta in (0.3, 0.8, 1.3):
+            root = rd.solve_alpha(delta, SourceSpec(p0))
+            top = math.pi / 2 - delta
+            assert _slope(0.5 * root, delta, p0) < 0 < _slope(0.5 * (root + top), delta, p0)
 
 
 def test_stationarity_matches_finite_difference():
     # Independent oracle: centered finite difference of the average output
-    # entropy computed through the channel functionals.
+    # entropy computed through the channel functionals. It matches the
+    # tests' slope at random angles and vanishes at the returned one.
     rng = np.random.default_rng(3)
     step = 1e-5
     for _ in range(100):
@@ -105,9 +120,12 @@ def test_stationarity_matches_finite_difference():
         def sbar(a):
             return quantum.average_entropy(pair_channel(a, delta), rho)
 
-        fd = (sbar(alpha + step) - sbar(alpha - step)) / (2 * step)
-        residual = rd._residual_arr(alpha, delta, p0)
-        assert abs(residual - fd) <= 1e-6 * max(1.0, abs(residual))
+        def fd(a):
+            return (sbar(a + step) - sbar(a - step)) / (2 * step)
+
+        residual = _slope(alpha, delta, p0)
+        assert abs(residual - fd(alpha)) <= 1e-6 * max(1.0, abs(residual))
+        assert abs(fd(rd.solve_alpha(delta, src))) <= 2e-8
 
 
 def test_solve_alpha_symmetric():
@@ -140,94 +158,59 @@ def test_solve_alpha_minimizes_average_entropy():
                 assert best <= other + 1e-12
 
 
-def test_solver_reads_from_the_guessed_bracket(monkeypatch):
-    # A timing-free guard on the solver's start: two reads between the two
-    # closed forms of the angle leave a bracket a small fraction of
-    # (0, pi/2 - delta) wide. The slowest rows of a 512-point sweep take 8
-    # batch iterations (at p0 0.6), and a single delta 5.9 reads on
-    # average; a first read at G itself instead of between g and G takes
-    # 6.45. Two reads about the guess alone, at g and at g / 1.5 or 1.5 g,
-    # took 9 and 7.1; from the whole interval, 16-22 and about 9.5.
-    reads = []
-    residual = rd._residual_arr
-
-    def spy(alpha, delta, p0, xp=np):
-        reads.append(np.size(alpha))
-        return residual(alpha, delta, p0, xp)
-
-    monkeypatch.setattr(rd, "_residual_arr", spy)
-    for p0 in (0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999):
-        reads.clear()
-        rd.sweep_curve(SourceSpec(p0), 512)
-        assert len(reads) <= (0 if p0 == 0.5 else 8), p0
-    pool = np.random.default_rng(47)
-    p0s = pool.uniform(0.5, 1.0, 2000)
-    deltas = pool.uniform(0.0, math.pi / 2, 2000)
-    reads.clear()
-    for p0, delta in zip(p0s.tolist(), deltas.tolist()):
-        rd.solve_alpha(delta, SourceSpec(p0))
-    assert len(reads) / 2000 <= 6.2
-
-
 # p0 from just above 1/2 to 1 - 1e-12, and delta from 1e-8 to pi/2 - 1e-8,
-# geometric near both ends: the start's corners, where g and G meet, w is
-# near 0 or 1, or the residual's sign is round-off.
-START_P0S = [0.5000001, 0.501, 0.55, 0.7, 0.9, 0.99, 0.999999, 1.0 - 1e-12]
+# geometric near both ends.
+ANGLE_P0S = [0.5000001, 0.501, 0.55, 0.7, 0.9, 0.99, 0.999999, 1.0 - 1e-12]
 _ENDS = np.geomspace(1e-8, 1e-2, 25)
-START_DELTAS = np.concatenate(
+ANGLE_DELTAS = np.concatenate(
     [_ENDS, np.linspace(0.02, math.pi / 2 - 0.02, 50), math.pi / 2 - _ENDS[::-1]]
 )
 
 
-@pytest.mark.parametrize("p0", START_P0S)
-def test_start_reads_are_distinct_and_inside(monkeypatch, p0):
-    # G is no bound on the root, so nothing here asserts g <= alpha <= G;
-    # the start only has to read twice, at two angles strictly inside the
-    # interval, on floats and arrays alike.
-    reads = []
-    residual = rd._residual_arr
-
-    def spy(alpha, delta, p0, xp=np):
-        reads.append(np.array(alpha, dtype=float))
-        return residual(alpha, delta, p0, xp)
-
-    monkeypatch.setattr(rd, "_residual_arr", spy)
-    deltas = START_DELTAS
-    rd._bracket(rd._guess(deltas, p0), deltas, p0)
-    first, second = reads
-    for delta in deltas.tolist():
-        rd._bracket(rd._guess(delta, p0, rd._FLOATS), delta, p0, rd._FLOATS)
-    floats = np.array(reads[2:]).reshape(-1, 2).T
-    assert floats.tobytes() == np.array([first, second]).tobytes()
-    top = math.pi / 2 - deltas
-    assert np.all(first != second)
-    for x in (first, second):
-        assert np.all((x > 0.0) & (x < top))
-
-
 def test_isotropic_angle_is_the_guess_exactly():
-    # At p0 = 1/2 the guess is the optimum pi/4 - delta/2, taken as
-    # p1 (pi/2 - delta); it is returned without a residual read.
+    # At p0 = 1/2 the optimum pi/4 - delta/2 is taken in the form
+    # (pi/2 - delta) / 2, on floats and arrays alike.
     for n in (512, 4097):
         for pt in rd.sweep_curve(SRC5, n)[1:-1]:
             assert pt.alpha == 0.5 * (math.pi / 2 - pt.delta)
     assert rd.solve_alpha(0.3, SRC5) == 0.5 * (math.pi / 2 - 0.3)
 
 
+def _oracle_alpha(mp, p0, delta):
+    """The optimal angle 1/2 atan2(p1 sin 2D, (p0 - p1) + 2 p1 sin^2 D) at
+    the working precision; test_oracle_slope_vanishes_at_the_oracle_angle
+    checks it against the entropy's own slope."""
+    p0, delta = mp.mpf(p0), mp.mpf(delta)
+    p1 = 1 - p0
+    return mp.atan2(p1 * mp.sin(2 * delta), (p0 - p1) + 2 * p1 * mp.sin(delta) ** 2) / 2
+
+
 def test_solver_survives_deltas_far_below_any_grid():
-    # sin^2 of a guess near delta would underflow to 0 in the residual; the
-    # guess is floored, so every read stays finite. The angles here are
-    # round-off (the residual vanishes as delta^3), not roots.
-    deltas = np.array([5e-324, 1e-300, 1e-200, 1e-160])
+    # At normal deltas far below any grid the angle keeps its relative
+    # precision (to the subnormal spacing where the angle itself is
+    # subnormal: about 1e-312 at p0 = 1 - 1e-12 and delta = 1e-300). At the
+    # least subnormal delta it stays finite and inside the interval, within
+    # a few subnormal units of the exact angle; at p0 0.9 and above that
+    # angle is below half the least subnormal, so 0.0 is its rounding.
+    mp = pytest.importorskip("mpmath")
+    tiny = 5e-324
+    deltas = np.array([tiny, 1e-300, 1e-200, 1e-160])
     for p0 in (0.5000001, 0.7, 0.9, 1.0 - 1e-12):
-        alphas = rd._solve_alphas(deltas, p0)
+        alphas = rd._optimal_alpha(deltas, p0)
         expected = [rd.solve_alpha(float(d), SourceSpec(p0)) for d in deltas]
         assert alphas.tobytes() == np.array(expected).tobytes()
-        assert np.all((alphas >= 0.0) & (alphas <= math.pi / 2 - deltas))
+        assert np.all(np.isfinite(alphas))
+        assert np.all((alphas >= 0.0) & (alphas < math.pi / 2 - deltas))
+        with mp.workdps(50):
+            exact = [float(_oracle_alpha(mp, p0, d)) for d in deltas.tolist()]
+        assert abs(alphas[0] - exact[0]) <= 4 * tiny
+        for alpha, want in zip(alphas[1:].tolist(), exact[1:]):
+            assert abs(alpha - want) <= 1e-15 * want + tiny
+    assert rd.solve_alpha(tiny, SourceSpec(0.5000001)) > 0.0
 
 
 @pytest.mark.parametrize("n", [512, 4097])
-@pytest.mark.parametrize("p0", [0.55, 0.7, 0.9, 0.999])
+@pytest.mark.parametrize("p0", [0.5000001, 0.501, 0.55, 0.7, 0.9, 0.999])
 def test_sweep_angles_match_mpmath_roots(p0, n):
     # Twelve-odd rows spread over each sweep, against the 50-digit root
     # inside a sign change of +-1e-9 about the returned angle.
@@ -408,31 +391,30 @@ def test_isotropic_s1_on_arrays():
 
 
 def test_sweep_solve_equals_solve_alpha_bit_for_bit():
-    # The batched solver runs solve_alpha's start and update over arrays, so
-    # every row lands on the same bits, from the round-off regime at
-    # delta = 1e-8 to the boundary roots near p0 = 1, and on the start's
-    # corner grid.
+    # The angle kernel runs the same formula over arrays and on floats, so
+    # every row lands on the same bits, from delta = 1e-8 to the boundary
+    # angles near p0 = 1, and on the corner grid.
     rng = np.random.default_rng(41)
     for _ in range(20):
         src = SourceSpec(1.0 - 10.0 ** rng.uniform(-12.0, math.log10(0.5)))
         deltas = np.exp(rng.uniform(math.log(1e-8), math.log(math.pi / 2 - 1e-8), 100))
-        alphas = rd._solve_alphas(deltas, src.p0)
+        alphas = rd._optimal_alpha(deltas, src.p0)
         expected = [rd.solve_alpha(float(d), src) for d in deltas]
         assert alphas.tobytes() == np.array(expected).tobytes()
-    for p0 in START_P0S:
-        alphas = rd._solve_alphas(START_DELTAS, p0)
-        expected = [rd.solve_alpha(d, SourceSpec(p0)) for d in START_DELTAS.tolist()]
+    for p0 in [0.5, *ANGLE_P0S]:
+        alphas = rd._optimal_alpha(ANGLE_DELTAS, p0)
+        expected = [rd.solve_alpha(d, SourceSpec(p0)) for d in ANGLE_DELTAS.tolist()]
         assert alphas.tobytes() == np.array(expected).tobytes()
-    # The benchmark's point pool: r1_curve_point equals the array route (one
-    # batched solve with a p0 per row, then the closed forms over arrays)
-    # field for field, and every field of a point, endpoints included, is a
-    # Python float.
+    # The benchmark's point pool: r1_curve_point equals the array route (the
+    # angle kernel on each one-row array, then the closed forms over arrays
+    # with a p0 per row) field for field, and every field of a point,
+    # endpoints included, is a Python float.
     pool = np.random.default_rng(0)
     p0s = pool.uniform(0.5, 1.0, 8192)
     deltas = pool.uniform(0.0, math.pi / 2, 8192)
     sources = [SourceSpec(p0) for p0 in p0s.tolist()]
     ones = [deltas[i : i + 1] for i in range(deltas.size)]
-    alphas = rd._solve_alphas(deltas, p0s)
+    alphas = np.concatenate([rd._optimal_alpha(d, src.p0) for d, src in zip(ones, sources)])
     dist = np.concatenate([src.distortion(d) for d, src in zip(ones, sources)])
     rate, r, lam1 = rd._pair_figures(alphas, deltas, p0s)
     points = [rd.r1_curve_point(d, src) for d, src in zip(deltas.tolist(), sources)]
@@ -463,8 +445,6 @@ def test_float_kernels_equal_array_kernels_bit_for_bit():
     alpha = rng.uniform(0.0, 1.0, n) * (math.pi / 2 - delta)
     kernels = {
         "_pair_weights": lambda xp, a, d, p: rd._pair_weights(a, d, p, xp),
-        "_residual_arr": lambda xp, a, d, p: (rd._residual_arr(a, d, p, xp),),
-        "_end_limits": lambda xp, a, d, p: rd._end_limits(d, p, xp),
         "_pair_figures": lambda xp, a, d, p: rd._pair_figures(a, d, p, xp),
     }
     inputs = list(zip(alpha.tolist(), delta.tolist(), p0.tolist()))
@@ -472,6 +452,13 @@ def test_float_kernels_equal_array_kernels_bit_for_bit():
         arrays = np.array(kernel(np, alpha, delta, p0)).T
         floats = np.array([kernel(rd._FLOATS, *v) for v in inputs], dtype=float)
         assert floats.tobytes() == arrays.tobytes(), name
+    # The angle kernel takes one p0 (its callers pass a source's), so it is
+    # compared per p0, over the deltas drawn above; its arctan2 is numpy's
+    # on floats too, since math.atan2 differs from it in the last bit.
+    for p in [0.5, *p0[:40].tolist()]:
+        arrays = rd._optimal_alpha(delta, p)
+        floats = np.array([rd._optimal_alpha(d, p, rd._FLOATS) for d in delta.tolist()])
+        assert floats.tobytes() == arrays.tobytes(), p
 
 
 def _oracle_entropy_slope(mp, p0, delta, alpha):
@@ -519,87 +506,96 @@ def test_solve_alpha_matches_mpmath_root(p0, delta):
         assert abs(alpha - float(lo)) <= 1e-12
 
 
-@pytest.mark.parametrize("p0", [0.5, 0.7, 0.99, 0.999999, 1.0 - 1e-12])
-def test_residual_end_limits_match_mpmath(p0):
+@pytest.mark.parametrize("p0", [0.5000001, 0.501, 0.7, 0.9, 0.999999])
+def test_oracle_slope_vanishes_at_the_oracle_angle(p0):
+    # The closed-form angle is a zero of the entropy's own 50-digit slope,
+    # and the slope changes sign across it, from a relative shift of 1e-10
+    # on either side: measured at most 2.1e-51 at the angle against at
+    # least 7.7e-39 beside it (p0 0.5000001, delta 1e-8).
     mp = pytest.importorskip("mpmath")
-    deltas = [1e-8, 1e-4, 0.3, 0.8, 1.3, math.pi / 2 - 1e-8]
-    f_lo, f_hi = rd._end_limits(np.array(deltas), p0)
-    assert np.all(f_lo < 0) and np.all(f_hi > 0)
     with mp.workdps(50):
-        p0_, gap = mp.mpf(p0), mp.mpf("1e-40")
-        for delta, lo, hi in zip(deltas, f_lo, f_hi):
+        p0_ = mp.mpf(p0)
+        for delta in (1e-8, 1e-3, 0.3, 0.8, 1.3, 1.57):
             delta_ = mp.mpf(delta)
-            top = mp.pi / 2 - delta_
-            for value, alpha in ((lo, gap), (hi, top - gap)):
-                exact = _oracle_entropy_slope(mp, p0_, delta_, alpha)
-                assert abs(value - exact) <= 1e-12 * abs(exact)
+            alpha = _oracle_alpha(mp, p0_, delta_)
+            shift = alpha * mp.mpf("1e-10")
+            assert abs(_oracle_entropy_slope(mp, p0_, delta_, alpha)) <= 1e-45
+            assert _oracle_entropy_slope(mp, p0_, delta_, alpha - shift) < -1e-40
+            assert _oracle_entropy_slope(mp, p0_, delta_, alpha + shift) > 1e-40
 
 
-class _CountingCalls:
-    """A kernel namespace that counts the calls made to each of its
-    functions by name and passes them on to ``base``."""
-
-    def __init__(self, base):
-        self.base = base
-        self.calls = collections.Counter()
-
-    def __getattr__(self, name):
-        function = getattr(self.base, name)
-
-        def counted(*args, **kwargs):
-            self.calls[name] += 1
-            return function(*args, **kwargs)
-
-        return counted
-
-
-def test_residual_read_takes_five_sines_and_cosines():
-    # A timing-free guard on the cost of a read: sin and cos of alpha and
-    # alpha + delta, sin delta, and one log1p per term, on floats and arrays.
-    alphas, deltas = np.array([0.3, 1e-3, 0.2]), np.array([0.8, 1e-3, 1.3])
-    for base, args in (
-        (rd._FLOATS, (0.3, 0.8, 0.7)),
-        (np, (alphas, deltas, 0.7)),
-        (np, (alphas, deltas, np.array([0.55, 0.9, 0.999999]))),
-    ):
-        xp = _CountingCalls(base)
-        value = rd._residual_arr(*args, xp)
-        assert xp.calls == {"cos": 2, "sin": 3, "log1p": 2}
-        assert np.array_equal(value, rd._residual_arr(*args, base))
-
-
-@pytest.mark.parametrize("p0", [0.55, 0.7, 0.9, 0.99, 0.999999])
-def test_residual_matches_mpmath_inside_the_interval(p0):
-    # The residual at alpha 0.1, 0.5 and 0.9 of (0, pi/2 - delta) and 1e-6
-    # below its top, on floats and arrays, against the 50-digit slope. The
-    # bound is 4 ulps of the two terms' magnitude |T1| + |T2|, not of the
-    # residual: the terms cancel to O(delta^2) of themselves at small delta
-    # (ROADMAP item 2), so a relative bound on the residual would measure
-    # that cancellation, not the kernel. Added to it is the effect of the
-    # kernel's one rounded argument, alpha + delta, half an ulp of it times
-    # the slope's derivative in delta: 1e-6 below the top, cos(alpha + delta)
-    # is 1e-6 and carries that rounding at 1e-10 relative. Measured: at most
-    # 1.6 of the unscaled sum (1.4 for the eight-call residual before).
+def test_slope_and_m_share_their_sign():
+    # The slope of the average entropy in alpha has the sign of
+    # m = p0 sin 2a - p1 sin 2(a + delta) across (0, pi/2 - delta), so the
+    # one zero of m is the one stationary point, and a minimum: 16 angles
+    # spread over the interval and two 1e-6 (relative) either side of the
+    # zero, at 40 digits.
     mp = pytest.importorskip("mpmath")
-    eps = sys.float_info.epsilon
-    for delta in (1e-3, 0.3, 0.8, 1.3, math.pi / 2 - 1e-3):
-        top = math.pi / 2 - delta
-        alphas = np.array([0.1 * top, 0.5 * top, 0.9 * top, top - 1e-6])
-        values = rd._residual_arr(alphas, delta, p0)
-        for alpha, value in zip(alphas.tolist(), values.tolist()):
-            assert rd._residual_arr(alpha, delta, p0, rd._FLOATS) == value
-            with mp.workdps(50):
-                p0_, p1_ = mp.mpf(p0), 1 - mp.mpf(p0)
-                a, d = mp.mpf(alpha), mp.mpf(delta)
-                c1, c2 = mp.cos(a) ** 2, mp.cos(a + d) ** 2
-                s1, s2 = mp.sin(a) ** 2, mp.sin(a + d) ** 2
-                lam1, lam2 = p0_ * c1 + p1_ * c2, p0_ * s1 + p1_ * s2
-                t1 = p0_ * mp.sin(2 * a) * mp.log(c1 * lam2 / (s1 * lam1), 2)
-                t2 = p1_ * mp.sin(2 * (a + d)) * mp.log(s2 * lam1 / (c2 * lam2), 2)
-                exact = _oracle_entropy_slope(mp, p0_, d, a)
-                slope = mp.diff(lambda x: _oracle_entropy_slope(mp, p0_, x, a), d)
-                bound = eps * (abs(t1) + abs(t2)) + math.ulp(alpha + delta) / 2 * abs(slope)
-                assert abs(value - exact) <= 4 * bound, (delta, alpha)
+    with mp.workdps(40):
+        for p0 in (0.5000001, 0.501, 0.7, 0.9, 0.999999):
+            p0_ = mp.mpf(p0)
+            p1_ = 1 - p0_
+            for delta in (1e-6, 1e-3, 0.3, 0.8, 1.3):
+                delta_ = mp.mpf(delta)
+                top = mp.pi / 2 - delta_
+                root = _oracle_alpha(mp, p0_, delta_)
+                alphas = [top * (k + mp.mpf(0.5)) / 16 for k in range(16)]
+                alphas += [root * (1 - mp.mpf("1e-6")), root * (1 + mp.mpf("1e-6"))]
+                for alpha in alphas:
+                    m = p0_ * mp.sin(2 * alpha) - p1_ * mp.sin(2 * (alpha + delta_))
+                    slope = _oracle_entropy_slope(mp, p0_, delta_, alpha)
+                    assert m != 0 and mp.sign(slope) == mp.sign(m), (p0, delta, alpha)
+
+
+# 400 geometric deltas in (1e-12, 1e-6], at seven p0 from just above 1/2 to
+# near 1: there the stationarity residual vanishes as delta^3 and its sign
+# is round-off, so only a closed form gets the angle (1.05e-9 at p0 0.7 and
+# delta 1.4e-9, not pi/4).
+SMALL_DELTAS = np.geomspace(1e-12, 1e-6, 401)[1:]
+
+
+@pytest.mark.parametrize("p0", [0.5000001, 0.501, 0.55, 0.7, 0.9, 0.99, 0.999999])
+def test_small_delta_angles_match_mpmath(p0):
+    # The array kernel, solve_alpha, r1_curve_point and build_circuit give
+    # the same angle, within 1e-15 relative of the 50-digit one; sweeps need
+    # no inset in delta to stay right.
+    mp = pytest.importorskip("mpmath")
+    src = SourceSpec(p0)
+    alphas = rd._optimal_alpha(SMALL_DELTAS, p0)
+    with mp.workdps(50):
+        for delta, alpha in zip(SMALL_DELTAS.tolist(), alphas.tolist()):
+            assert rd.solve_alpha(delta, src) == alpha
+            assert rd.r1_curve_point(delta, src).alpha == alpha
+            assert realization.build_circuit(delta, src).point.alpha == alpha
+            exact = _oracle_alpha(mp, p0, delta)
+            assert abs(alpha - exact) <= 1e-15 * exact, delta
+
+
+@pytest.mark.parametrize("p0", [0.5000001, 0.501, 0.7, 0.9, 0.99, 0.999999])
+def test_angles_match_mpmath_over_the_delta_range(p0):
+    # delta from 1e-12 (through solve_alpha: r1_curve_point takes the end
+    # row there) to pi/2 - 1e-8, geometric near both ends, and every 8th
+    # interior row of a 4097-point sweep, whose every row equals
+    # r1_curve_point at its delta bit for bit.
+    mp = pytest.importorskip("mpmath")
+    src = SourceSpec(p0)
+    deltas = np.concatenate(
+        [
+            np.geomspace(1e-12, 1e-2, 120),
+            np.linspace(0.02, math.pi / 2 - 0.02, 60),
+            math.pi / 2 - np.geomspace(1e-8, 1e-2, 60)[::-1],
+        ]
+    ).tolist()
+    rows = rd.sweep_curve(src, 4097)[1:-1]
+    for pt in rows:
+        assert pt == rd.r1_curve_point(pt.delta, src)
+    angles = [(d, rd.solve_alpha(d, src)) for d in deltas[:1]]
+    angles += [(d, rd.r1_curve_point(d, src).alpha) for d in deltas[1:]]
+    angles += [(pt.delta, pt.alpha) for pt in rows[::8]]
+    with mp.workdps(50):
+        for delta, alpha in angles:
+            exact = _oracle_alpha(mp, p0, delta)
+            assert abs(alpha - exact) <= 1e-15 * exact, delta
 
 
 def test_sweep_curve_rejects_short_grid():

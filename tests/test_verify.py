@@ -13,7 +13,6 @@ from qubitrd.errors import DomainError
 from qubitrd.quantum import DensityMatrix, KrausChannel
 from qubitrd.ratedistortion import (
     SourceSpec,
-    _residual_arr,
     isotropic_s1,
     pair_channel,
     r1_curve_point,
@@ -221,16 +220,16 @@ def test_perturbation_takes_no_ratio_of_round_off():
 
 def test_perturbation_solves_every_angle_in_one_batch(monkeypatch):
     calls = []
-    solve_alphas = verify._solve_alphas
+    optimal_alpha = verify._optimal_alpha
 
-    def spy(deltas, src):
+    def spy(deltas, p0):
         calls.append(len(deltas))
-        return solve_alphas(deltas, src)
+        return optimal_alpha(deltas, p0)
 
     def forbidden(delta, src):
         raise AssertionError("solve_alpha called")
 
-    monkeypatch.setattr(verify, "_solve_alphas", spy)
+    monkeypatch.setattr(verify, "_optimal_alpha", spy)
     monkeypatch.setattr(rd, "solve_alpha", forbidden)
     verify.run_suite("perturbation", SRC7, 1, seed=0)
     assert calls == [len(verify.DEFAULT_PERTURBATION_DELTAS)]
@@ -296,11 +295,13 @@ def test_perturbation_growth_matches_mpmath_oracle(delta):
         assert g_opt > 0
         assert abs(ratio_opt - 16) <= 0.01
         # off the optimum it does not: quadratic growth whose sign is
-        # opposite to the stationarity residual dS/dalpha
+        # opposite to the stationarity residual dS/dalpha of the base pair
         for offset in (-0.01, 0.01):
             g_off, ratio_off = doubling_ratio(alpha + offset)
             assert abs(ratio_off - 4) <= 0.01
-            residual = float(_residual_arr(alpha + offset, delta, 0.7))
+            residual = mp.diff(
+                lambda a: _oracle_average_entropy(mp, 0.7, a, delta, 0), alpha + offset
+            )
             assert residual != 0 and g_off * residual < 0
 
         report = verify.check_perturbation((delta,), (0.01, 0.02), SRC7, seed=0)
