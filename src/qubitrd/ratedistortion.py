@@ -33,8 +33,9 @@ exact limits. Every other quantity of a curve point is closed form in
 the type-1 weight ``lambda1 = p0 cos^2 a + p1 cos^2(a + D)``, with
 ``lambda2 = 1 - lambda1``, and the side-channel rate h2(lambda1). R, r and
 lambda1 come from one kernel, ``_pair_figures``, on one set of squares. A
-sweep takes the angle and the figures over whole arrays by the formulas of
-a single point, so its rows equal ``r1_curve_point``'s bit for bit. Each
+sweep is one record array with a column per ``CurvePoint`` field. It writes
+the angle and the figures over whole arrays by the formulas of a single
+point, so each of its rows equals ``r1_curve_point``'s bit for bit. Each
 formula is written once, in a kernel that takes the namespace of the
 functions it calls: numpy over arrays, or ``_FLOATS`` on the Python floats
 of one point, whose functions give numpy's bits. ``simulate`` reads every
@@ -46,7 +47,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -118,9 +118,8 @@ class CurvePoint(NamedTuple):
     lambda1: float
 
 
-# Builds a CurvePoint from a tuple of its fields, as CurvePoint._make does,
-# without _make's length check and Python-level call.
-_curve_point = partial(tuple.__new__, CurvePoint)
+# The record of one sweep row: a float64 field per CurvePoint field.
+_CURVE_DTYPE = np.dtype([(name, np.float64) for name in CurvePoint._fields])
 
 
 def pair_channel(alpha: float, delta: float) -> KrausChannel:
@@ -246,25 +245,30 @@ def r1_curve_point(delta: float, src: SourceSpec) -> CurvePoint:
     return CurvePoint(delta, alpha, src.distortion(delta), *figures)
 
 
-def sweep_curve(src: SourceSpec, n_points: int) -> list[CurvePoint]:
+def sweep_curve(src: SourceSpec, n_points: int) -> np.recarray:
     """Rate-distortion curve on a uniform delta grid, endpoints included.
 
-    Points come back ordered by ascending distortion; the rate is
-    non-increasing along the sweep. The endpoints are ``r1_curve_point``'s
-    exact limits. The interior angles, d, R, r and lambda1 come from the
-    closed forms over the whole array (``_optimal_alpha``,
-    ``_pair_figures``), so every interior point equals ``r1_curve_point``
-    at its delta bit for bit.
+    One record array of ``n_points`` rows, whose float64 fields are named by
+    ``CurvePoint._fields``: ``curve.R`` is the rate column, ``curve[i]`` a
+    row, and ``curve.tolist()`` the rows as tuples of Python floats. Rows
+    come ordered by ascending distortion; the rate is non-increasing along
+    the sweep. The end rows are ``r1_curve_point``'s exact limits. The
+    interior columns are written from the closed forms over the whole
+    array (``_optimal_alpha``, ``_pair_figures``), so ``tuple(curve[i])``
+    equals ``r1_curve_point`` at its delta bit for bit.
     """
     if n_points < 2:
         raise DomainError(f"n_points must be at least 2, got {n_points}")
     p0 = src.p0
+    curve = np.empty(n_points, dtype=_CURVE_DTYPE)
+    curve[0] = r1_curve_point(0.0, src)
     deltas = np.linspace(0.0, HALF_PI, n_points)[1:-1]
-    first = r1_curve_point(0.0, src)
     alpha = _optimal_alpha(deltas, p0)
-    columns = (deltas, alpha, src.distortion(deltas), *_pair_figures(alpha, deltas, p0))
-    interior = map(_curve_point, zip(*(c.tolist() for c in columns)))
-    return [first, *interior, r1_curve_point(HALF_PI, src)]
+    inner = curve[1:-1]
+    inner["delta"], inner["alpha"], inner["d"] = deltas, alpha, src.distortion(deltas)
+    inner["R"], inner["r"], inner["lambda1"] = _pair_figures(alpha, deltas, p0)
+    curve[-1] = r1_curve_point(HALF_PI, src)
+    return curve.view(np.recarray)
 
 
 def isotropic_s1(d):

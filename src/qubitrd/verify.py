@@ -170,17 +170,14 @@ class RateCurveInterpolator:
         points = sweep_curve(src, 2 * INTERPOLATION_NODES - 1)
         self.src = src
         self.d_max = src.d_max
-        nodes, mids = points[::2], points[1::2]
-        self._delta = np.array([p.delta for p in nodes])
-        self._rate = np.array([p.R for p in nodes])
-        alpha = np.array([p.alpha for p in nodes[1:-1]])
-        delta = self._delta[1:-1]
+        self._delta, self._rate = points.delta[::2], points.R[::2]
+        alpha, delta = points.alpha[::2][1:-1], self._delta[1:-1]
         _, c2, _, s2, lam1, lam2 = _pair_weights(alpha, delta, src.p0)
         self._slope = np.zeros_like(self._delta)
         self._slope[1:-1] = (
             src.p1 * np.sin(2 * (alpha + delta)) * np.log2(c2 * lam2 / (s2 * lam1))
         )
-        gaps = self._hermite(np.array([p.delta for p in mids])) - [p.R for p in mids]
+        gaps = self._hermite(points.delta[1::2]) - points.R[1::2]
         self.error_bound = float(np.max(np.abs(gaps)))
 
     def _hermite(self, delta: np.ndarray) -> np.ndarray:

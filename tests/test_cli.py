@@ -364,7 +364,8 @@ def test_curve_rejects_points_above_bound(capsys, monkeypatch, which, builder):
 
 def test_curve_takes_points_at_bound(capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr(cli, "sweep_curve", lambda *args: calls.append(args) or [])
+    empty = sweep_curve(SourceSpec(0.5), 2)[:0]
+    monkeypatch.setattr(cli, "sweep_curve", lambda *args: calls.append(args) or empty)
     assert cli.main(["curve", "r1", "--points", str(2**20 + 1)]) == 0
     assert calls == [(SourceSpec(0.5), 2**20 + 1)]
 

@@ -278,7 +278,7 @@ def test_r1_endpoints_are_exact_limits(p0):
     assert rd.r1_curve_point(0.0, src) == rd.CurvePoint(0.0, alpha, 0.0, h, r, lam1)
     end = rd.CurvePoint(math.pi / 2, 0.0, src.d_max, 0.0, h, p0)
     assert rd.r1_curve_point(math.pi / 2, src) == end
-    assert rd.sweep_curve(src, 11)[-1] == end
+    assert rd.sweep_curve(src, 11)[-1].tolist() == end
 
 
 def test_r1_endpoints_solve_nothing(monkeypatch):
@@ -336,17 +336,39 @@ def test_distortion_identity_alpha_independent():
 
 
 def test_sweep_curve_shape():
-    points = rd.sweep_curve(SRC7, 101)
-    assert len(points) == 101
-    assert all(type(p) is rd.CurvePoint for p in points)
-    d = np.array([p.d for p in points])
-    rate = np.array([p.R for p in points])
+    curve = rd.sweep_curve(SRC7, 101)
+    assert len(curve) == 101
+    d, rate = curve.d, curve.R
     assert d[0] == 0.0 and d[-1] == pytest.approx(0.42, abs=1e-12)
     assert np.all(np.diff(d) > 0)
     assert np.all(np.diff(rate) <= 1e-12)
     assert np.all(d <= SRC7.d_max + 1e-12)
     slopes = np.diff(rate) / np.diff(d)
     assert np.min(np.diff(slopes)) >= -1e-8
+
+
+@pytest.mark.parametrize("p0", [0.5, 0.7, 0.999999])
+def test_sweep_is_one_record_array(p0):
+    # A sweep is one record array: a float64 column per CurvePoint field,
+    # rows read by name in a `for row in curve` loop, and tolist() rows that
+    # are tuples of Python floats, each r1_curve_point at its delta bit for
+    # bit. Two points give exactly the two end rows.
+    src = SourceSpec(p0)
+    curve = rd.sweep_curve(src, 33)
+    assert type(curve) is np.recarray and len(curve) == 33
+    assert curve.dtype.names == rd.CurvePoint._fields
+    assert all(curve.dtype[name] == np.float64 for name in curve.dtype.names)
+    for name in rd.CurvePoint._fields:
+        by_row = np.array([getattr(row, name) for row in curve])
+        assert by_row.tobytes() == curve[name].tobytes()
+    rows = curve.tolist()
+    assert all(type(row) is tuple and all(type(x) is float for x in row) for row in rows)
+    points = [rd.r1_curve_point(row[0], src) for row in rows]
+    assert np.array(rows).tobytes() == np.array(points).tobytes()
+    ends = rd.sweep_curve(src, 2)
+    assert len(ends) == 2
+    expected = [rd.r1_curve_point(0.0, src), rd.r1_curve_point(math.pi / 2, src)]
+    assert ends.tobytes() == np.array(expected).tobytes()
 
 
 @pytest.mark.parametrize("n", [101, 512, 1023])
@@ -357,10 +379,11 @@ def test_sweep_matches_per_point_solve(p0, n):
     # point runs the same kernels on Python floats, with math's sin and cos
     # (numpy's bits: test_float_kernels_equal_array_kernels_bit_for_bit)
     # and numpy's log1p. Every square is a product and h2 has one formula,
-    # so the two agree bit for bit.
+    # so the two agree bit for bit, end rows included.
     src = SourceSpec(p0)
-    for pt in rd.sweep_curve(src, n)[1:-1]:
-        assert pt == rd.r1_curve_point(pt.delta, src)
+    curve = rd.sweep_curve(src, n)
+    points = [rd.r1_curve_point(delta, src) for delta in curve.delta.tolist()]
+    assert curve.tobytes() == np.array(points).tobytes()
 
 
 @pytest.mark.parametrize("n", [101, 512])
@@ -587,11 +610,11 @@ def test_angles_match_mpmath_over_the_delta_range(p0):
         ]
     ).tolist()
     rows = rd.sweep_curve(src, 4097)[1:-1]
-    for pt in rows:
-        assert pt == rd.r1_curve_point(pt.delta, src)
+    points = [rd.r1_curve_point(delta, src) for delta in rows.delta.tolist()]
+    assert rows.tobytes() == np.array(points).tobytes()
     angles = [(d, rd.solve_alpha(d, src)) for d in deltas[:1]]
     angles += [(d, rd.r1_curve_point(d, src).alpha) for d in deltas[1:]]
-    angles += [(pt.delta, pt.alpha) for pt in rows[::8]]
+    angles += zip(rows.delta[::8].tolist(), rows.alpha[::8].tolist())
     with mp.workdps(50):
         for delta, alpha in angles:
             exact = _oracle_alpha(mp, p0, delta)
@@ -647,6 +670,54 @@ def test_rate_columns_match_mpmath_near_p0_one(p0):
             rate = -sum(xlog) - side
             assert abs(pt.R - rate) <= 1e-12 * rate
             assert abs(pt.r - side) <= 1e-12 * side
+
+
+def _oracle_figures(mp, p0, delta):
+    """R, r, lambda1 and dR/d delta of the pair at the exact optimal angle,
+    at the working precision. dR/d delta is the entropy's partial derivative
+    in delta there (envelope theorem)."""
+    p0, delta = mp.mpf(p0), mp.mpf(delta)
+    p1 = 1 - p0
+    a = _oracle_alpha(mp, p0, delta)
+    b = a + delta
+    w = (p0 * mp.cos(a) ** 2, p1 * mp.cos(b) ** 2, p0 * mp.sin(a) ** 2, p1 * mp.sin(b) ** 2)
+    lam1, lam2 = w[0] + w[1], w[2] + w[3]
+    side = -(lam1 * mp.log(lam1, 2) + lam2 * mp.log(lam2, 2))
+    rate = -sum(v * mp.log(v, 2) for v in w) - side
+    slope = p1 * mp.sin(2 * b) * mp.log(w[1] * lam2 / (w[3] * lam1), 2)
+    return rate, side, lam1, slope
+
+
+@pytest.mark.parametrize("p0", [0.5, 0.5000001, 0.501, 0.7, 0.9, 0.99, 0.999, 0.999999])
+def test_rate_columns_match_mpmath_over_the_delta_range(p0):
+    # The R, r and lambda1 columns of a sweep against 50-digit figures at
+    # the exact optimal angle: every interior row of a 129-point sweep, and
+    # delta from 1e-8 up and from pi/2 - 1e-8 down, geometric, through
+    # r1_curve_point (a sweep's rows equal it bit for bit). lambda1 and r are
+    # sums of positive terms under h2, which amplifies relative error at
+    # most about 1, so both stay within a few ulps. R is stationary in the
+    # angle, but near pi/2 it falls as (pi/2 - delta)^2 while the rounding
+    # of alpha + delta stays an ulp of pi/2: the bound scales with R's
+    # sensitivity to a relative change of delta, R + delta |dR/d delta|.
+    # The end rows are the exact limits.
+    mp = pytest.importorskip("mpmath")
+    src = SourceSpec(p0)
+    curve = rd.sweep_curve(src, 129)
+    ends = np.geomspace(1e-8, 1e-2, 16)
+    deltas = np.concatenate([ends, math.pi / 2 - ends[::-1]]).tolist()
+    rows = curve[1:-1].tolist() + [rd.r1_curve_point(d, src) for d in deltas]
+    with mp.workdps(50):
+        for delta, _, _, rate, side, lam1 in rows:
+            rate_, side_, lam1_, slope_ = _oracle_figures(mp, p0, delta)
+            assert abs(rate - rate_) <= 1e-15 * (rate_ + delta * abs(slope_)), delta
+            assert abs(side - side_) <= 2e-15 * side_, delta
+            assert abs(lam1 - lam1_) <= 1e-15 * lam1_, delta
+        p0_ = mp.mpf(p0)
+        h = -(p0_ * mp.log(p0_, 2) + (1 - p0_) * mp.log(1 - p0_, 2))
+        first, last = curve[0].tolist(), curve[-1].tolist()
+        assert abs(first[3] - h) <= 1e-15 * h and abs(last[4] - h) <= 1e-15 * h
+        assert first[4:] == ((1.0, 0.5) if p0 == 0.5 else (0.0, 1.0))
+        assert last[3] == 0.0 and last[5] == p0
 
 
 @pytest.mark.parametrize("p0", [1.0 - 1e-13, 0.999999, 0.99])

@@ -180,7 +180,7 @@ def test_simulate_rates_equal_curve_point_bit_for_bit(capsys):
         for key, name in fields.items():
             assert result[key] == getattr(pt, name), key
             assert record[key] == getattr(pt, name), key
-    assert r1_curve_point(1e-13, SRC7) == sweep_curve(SRC7, 2)[0]
+    assert r1_curve_point(1e-13, SRC7) == sweep_curve(SRC7, 2).tolist()[0]
 
 
 @pytest.mark.parametrize("p0", [0.999999, 1.0 - 1e-10])
