@@ -72,13 +72,24 @@ def _json_rows(header: list[str], rows: Sequence[Sequence[float]]) -> str:
     return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
 
 
+def _json_text(value: object) -> str:
+    """``value`` as one line of JSON with sorted keys, every float, however
+    deeply nested, in ``FLOAT_FORMAT``."""
+    if isinstance(value, float):
+        return FLOAT_FORMAT % value
+    if isinstance(value, dict):
+        items = sorted(value.items())
+        return "{" + ", ".join(f"{json.dumps(k)}: {_json_text(v)}" for k, v in items) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(_json_text, value)) + "]"
+    return json.dumps(value)
+
+
 def _value_text(value: object) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return FLOAT_FORMAT % value
-    if isinstance(value, (dict, list, tuple)):
-        return json.dumps(value, sort_keys=True)
+    if isinstance(value, (float, dict, list, tuple)):
+        return _json_text(value)
     return str(value)
 
 

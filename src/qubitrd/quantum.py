@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -43,6 +44,14 @@ WEIGHT_FLOOR = 1e-14
 # Eigenvalues below this are eigensolver dust; clamp to 0 before logarithms.
 EIGENVALUE_FLOOR = 1e-14
 _TINY = 5e-324  # smallest positive (subnormal) double
+_LN2 = math.log(2.0)
+# h2's logarithms of one Python float: numpy's, whose bits math.log and
+# math.log1p do not always give, each turned into a float at once, so the
+# rest of the formula runs in float arithmetic.
+_FLOAT_LOGS = SimpleNamespace(
+    log=lambda x: float(np.log(x)),
+    log1p=lambda x: float(np.log1p(x)),
+)
 
 
 def _frozen(mat: np.ndarray) -> np.ndarray:
@@ -170,29 +179,36 @@ def binary_entropy(p):
     taking its argument floored at the smallest positive double: 0 ln 0 = 0
     without a warning, and h2(0) = h2(1) = +0.0. This keeps full relative
     precision for a small m; a p near 1 has already lost the digits of
-    1 - p, so a caller who knows 1 - p in closed form passes that. A float
-    gives a float, with the bits of the same entry of an array. Entries
+    1 - p, so a caller who knows 1 - p in closed form passes that. Entries
     within 1e-12 outside [0, 1] are clipped; any other, NaN included,
-    raises ``DomainError``. A float is checked, clipped and floored as a
-    float, which is cheaper than as a 0-d array; its logarithms stay
-    numpy's, whose bits math.log and math.log1p do not always give.
+    raises ``DomainError``. An int, a float, a ``np.float64`` or a 0-d
+    array gives a float, an array an array. The formula is written once,
+    over the functions of a namespace: numpy's on an array, and on a float
+    ``_FLOAT_LOGS``, whose logarithms are numpy's turned into floats, so a
+    float runs in float arithmetic and gets the bits of the same entry of
+    an array.
     """
     if isinstance(p, (int, float)):
         if not -1e-12 <= p <= 1 + 1e-12:
             raise DomainError(f"probability {p} outside [0, 1]")
-        p = min(max(float(p), 0.0), 1.0)
-        m = min(p, 1.0 - p)
-        floored = max(m, _TINY)
+        # min and max written as comparisons, which cost a fraction of the
+        # builtins' calls and pick the same operand
+        xp = _FLOAT_LOGS
+        p = 0.0 if p < 0.0 else 1.0 if p > 1.0 else float(p)
+        q = 1.0 - p
+        m = q if q < p else p
+        floored = _TINY if m < _TINY else m
     else:
         p = np.asarray(p, dtype=float)
         inside = (p >= -1e-12) & (p <= 1 + 1e-12)
         if not inside.all():
             raise DomainError(f"probability {p[~inside][0]} outside [0, 1]")
+        xp = np
         p = np.minimum(np.maximum(p, 0.0), 1.0)
         m = np.minimum(p, 1.0 - p)
         floored = np.maximum(m, _TINY)
-    nats = m * np.log(floored) + (1.0 - m) * np.log1p(-m)
-    h = 0.0 - nats / math.log(2.0)
+    nats = m * xp.log(floored) + (1.0 - m) * xp.log1p(-m)
+    h = 0.0 - nats / _LN2
     return h if isinstance(h, np.ndarray) else float(h)
 
 

@@ -158,7 +158,9 @@ class RateCurveInterpolator:
     interpolant and the odd points, the delta midpoints of the nodes. The
     node slopes are exact. At the optimal angle dR/d delta is the partial
     derivative of the average entropy in delta (envelope theorem), which is
-    the second term of the stationarity residual. At both end nodes it
+    the second term of the entropy's slope in alpha as the ``ratedistortion``
+    module docstring gives it, p1 sin 2(alpha + delta)
+    log2(c2 lambda2 / (s2 lambda1)). At both end nodes it
     tends to 0 (sin 2(alpha + delta) does, while the log ratio stays
     finite), which is the end slope; the formula reads 0/0 at delta = 0.
     ``reference`` returns the interpolant lowered by the bound, which is
@@ -325,8 +327,9 @@ def check_perturbation(
     the corresponding weight-function shifts with their ratios. The weight
     shifts scale quadratically in |x| (ratio near 4 for magnitudes 2x
     apart). The entropy growth does not. Its |x|^2 coefficient tracks the
-    stationarity residual dS/dalpha of the base pair: it has the opposite
-    sign and vanishes where the residual does. So at the optimal angle the
+    entropy's slope in alpha, dS/dalpha of the base pair, as the
+    ``ratedistortion`` module docstring gives it: it has the opposite sign
+    and vanishes where the slope does. So at the optimal angle the
     growth is quartic (ratio near 16); away from it the growth of small |x|
     is quadratic (ratio near 4).
 

@@ -346,7 +346,7 @@ def test_record_text_exact_bytes():
         "passed: true\n"
         "worst: 0.30000000000000004\n"
         "n_trials: 7\n"
-        'params: {"alpha": {"a": null, "b": false}, "zeta": [0.1, 2]}\n'
+        'params: {"alpha": {"a": null, "b": false}, "zeta": [0.10000000000000001, 2]}\n'
         'failures: [{"excess": 2.5, "trial": 3}, {"trial": 9}]\n'
     )
 

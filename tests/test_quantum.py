@@ -117,9 +117,12 @@ def test_binary_entropy_exact_at_endpoints_on_arrays():
 
 
 # Subnormal, tiny and next-to-1 probabilities, which a float path with its
-# own formula would be likeliest to round differently; integers, and values
-# within the 1e-12 that a float's own check and clip let through.
+# own formula would be likeliest to round differently; signed zeros, 1/2 and
+# its two neighbours, where a float's m = min(p, 1 - p) switches operand;
+# integers, and values within the 1e-12 that a float's own check and clip
+# let through.
 EDGE_PROBABILITIES = [5e-324, 2.2e-308, 1e-300, 1e-15, 2.0**-53, 1.0 - 2.0**-53]
+EDGE_PROBABILITIES += [0.0, -0.0, 0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)]
 EDGE_PROBABILITIES += [0, 1, 0.3, -1e-12, -5e-13, 1.0 + 5e-13, 1.0 + 1e-12]
 
 
@@ -140,6 +143,37 @@ def test_binary_entropy_float_is_its_array_entry(ps):
         assert np.float64(one).tobytes() == h.tobytes()
 
 
+def test_binary_entropy_float_bits_on_seeded_draws():
+    # The float path runs in float arithmetic on numpy's two logarithms;
+    # every result keeps the bits of the array entry, over the whole unit
+    # interval and over every decade down to the subnormals.
+    rng = np.random.default_rng(28)
+    uniform, log_uniform = rng.uniform(0.0, 1.0, 100_000), 10.0 ** rng.uniform(-323.0, 0.0, 100_000)
+    draws = np.concatenate([uniform, log_uniform])
+    floats = np.array([quantum.binary_entropy(p) for p in draws.tolist()])
+    differ = np.flatnonzero(floats.view(np.int64) != quantum.binary_entropy(draws).view(np.int64))
+    assert not differ.size, f"float and array h2 differ at {draws[differ[:3]]}"
+
+
+@pytest.mark.parametrize(
+    "p, kind",
+    [
+        (0, float),
+        (1, float),
+        (0.3, float),
+        (np.float64(0.3), float),
+        (np.array(0.3), float),
+        (np.array([0.3]), np.ndarray),
+        (np.array([[0.3, 0.5]]), np.ndarray),
+    ],
+)
+def test_binary_entropy_return_types(p, kind):
+    h = quantum.binary_entropy(p)
+    assert type(h) is kind
+    entries = quantum.binary_entropy(np.asarray(p, dtype=float).reshape(-1))
+    assert np.asarray(h, dtype=float).tobytes() == entries.tobytes()
+
+
 @pytest.mark.parametrize("p", [1e-15, 1e-8, 1e-3, 0.3, 1.0 - 2.0**-20])
 def test_binary_entropy_keeps_relative_precision(p):
     # h2 of m = min(p, 1 - p) with the complement's log as log1p(-m): taking
@@ -151,7 +185,7 @@ def test_binary_entropy_keeps_relative_precision(p):
         assert abs(quantum.binary_entropy(p) - exact) <= 4e-16 * exact
 
 
-@pytest.mark.parametrize("bad", [-2e-12, 1.0 + 2e-12, -0.5, 1.5, 2, math.inf, math.nan])
+@pytest.mark.parametrize("bad", [-2e-12, 1.0 + 2e-12, -0.5, 1.5, 2, math.inf, -math.inf, math.nan])
 def test_binary_entropy_rejects_any_entry_outside_unit_interval(bad):
     # NaN is not a probability: it raises like any other entry outside [0, 1].
     with pytest.raises(DomainError):
