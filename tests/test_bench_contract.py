@@ -79,3 +79,23 @@ def test_traced_layer_metrics_compute(name):
     metrics = run.layer_metrics(name, stats, [recorded], None, None, 1)
     ratio = metrics[f"{name}.ratedistortion.solve_alpha.calls_per_point"][0]
     assert ratio == 0.0 if name == "curve" else ratio > 0
+
+
+def test_dominance_suites_build_the_traced_curve_object():
+    # The traced verify phase clears and reads rate_curve_interpolator's
+    # cache, hooks RateCurveInterpolator.__init__, and divides by the
+    # number of builds, so a dominance suite must build one through it.
+    interpolators = qubitrd.verify.rate_curve_interpolator
+    recorder = spans.Recorder()
+    undo = spans.install(recorder, qubitrd)
+    try:
+        interpolators.cache_clear()
+        qubitrd.verify.run_suite("search", qubitrd.ratedistortion.SourceSpec(0.7), 10, 0)
+    finally:
+        undo()
+    recorded = recorder.finished()
+    assert spans.aggregate(recorded)["verify.RateCurveInterpolator"].calls >= 1
+    out: dict = {}
+    run._interpolator_layers(out, "verify", [recorded])
+    assert out["verify.verify.RateCurveInterpolator.build_ms"][0] > 0
+    assert interpolators.cache_info().misses >= 1

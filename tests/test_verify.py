@@ -5,7 +5,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicHermiteSpline
 
 import reference
 from qubitrd import cli, quantum, ratedistortion as rd, verify
@@ -312,104 +311,57 @@ def test_perturbation_growth_matches_mpmath_oracle(delta):
             assert abs(g["growth"] - exact) <= 1e-6 * abs(exact)
 
 
-def _rate_slope(pt, src):
-    """dR/d delta at a curve point, written out from the pair's entropy.
-
-    At the solved angle the slope is the partial derivative of the average
-    output entropy in delta, p1 sin 2b log2(cos^2 b lam2 / (sin^2 b lam1))
-    with b = alpha + delta. At both ends it tends to 0: sin 2b does, while
-    the log ratio stays finite (log2(p1 / p0) as delta -> 0). The end rows
-    carry their exact limit angles, where the formula reads 0/0 at
-    delta = 0, so the slope there is that limit.
-    """
-    if pt.delta in (0.0, math.pi / 2):
-        return 0.0
-    a, b = pt.alpha, pt.alpha + pt.delta
-    lam1 = src.p0 * math.cos(a) ** 2 + src.p1 * math.cos(b) ** 2
-    lam2 = src.p0 * math.sin(a) ** 2 + src.p1 * math.sin(b) ** 2
-    ratio = math.cos(b) ** 2 * lam2 / (math.sin(b) ** 2 * lam1)
-    return src.p1 * math.sin(2 * b) * math.log2(ratio)
-
-
 def test_interpolator_membership_and_bounds():
-    interp = verify.rate_curve_interpolator(SRC7)
-    assert interp.error_bound < 1e-6
-    # reference: a cubic Hermite spline over delta through 512 swept nodes,
-    # checked at 511 separately solved delta midpoints
-    nodes = sweep_curve(SRC7, 512)
-    spline = CubicHermiteSpline(
-        [p.delta for p in nodes],
-        [p.R for p in nodes],
-        [_rate_slope(p, SRC7) for p in nodes],
-    )
-    mids = [
-        r1_curve_point(0.5 * (a.delta + b.delta), SRC7)
-        for a, b in zip(nodes, nodes[1:])
-    ]
-    bound = max(abs(float(spline(pt.delta)) - pt.R) for pt in mids)
-    assert interp.error_bound == pytest.approx(bound, abs=1e-15)
-    for delta in (0.3, 0.7, 1.1):
-        pt = r1_curve_point(delta, SRC7)
-        assert abs(float(interp(pt.d)) - pt.R) <= interp.error_bound + 1e-12
-    assert float(interp(SRC7.d_max + 0.1)) == pytest.approx(0.0, abs=1e-9)
-    assert float(interp(-1e-9)) == pytest.approx(
-        quantum.binary_entropy(0.7), abs=1e-9
-    )
-
-
-@pytest.mark.parametrize("p0", [0.5, 0.7, 0.9])
-def test_interpolator_node_slopes_match_finite_differences(p0):
-    src = SourceSpec(p0)
-    interp = verify.rate_curve_interpolator(src)
-    assert interp._slope[0] == 0.0 and interp._slope[-1] == 0.0
-    step = 1e-5
-    for j in (1, 64, 200, 300, 450, 510):
-        delta = float(interp._delta[j])
-        central = (
-            r1_curve_point(delta + step, src).R - r1_curve_point(delta - step, src).R
-        ) / (2 * step)
-        assert abs(interp._slope[j] - central) <= 1e-6
+    # The exact curve at each row's distortion is the row's rate: the
+    # distortion maps back to the row's delta up to round-off.
+    for p0 in (0.5, 0.5000001, 0.7, 0.9, 0.999999):
+        src = SourceSpec(p0)
+        curve = verify.rate_curve_interpolator(src)
+        points = sweep_curve(src, 4097)
+        assert np.max(np.abs(curve(points.d) - points.R)) <= 1e-15
+        assert float(curve(src.d_max)) == 0.0
+        assert float(curve(src.d_max + 0.1)) == 0.0
+        for d in (0.0, -1e-9):
+            assert float(curve(d)) == quantum.binary_entropy(p0)
 
 
 @pytest.mark.parametrize("p0", [0.5, 0.7, 0.9])
 def test_reference_stays_below_curve_on_dense_grid(p0):
-    # The bound is measured at cell midpoints only. In the last cell, where
-    # delta nears pi/2, the gap exceeds it (3.46e-7 against 3.29e-7 at
-    # p0 0.5), with the interpolant below the curve; the reference must not
-    # rise above the curve by a tenth of the tolerance anywhere.
+    # A uniform grid, and a finer one over the last two of 511 equal
+    # delta cells, where delta nears pi/2.
     src = SourceSpec(p0)
-    interp = verify.rate_curve_interpolator(src)
+    curve = verify.rate_curve_interpolator(src)
     deltas = np.concatenate(
         [
             np.linspace(0.0, math.pi / 2, 997),
-            np.linspace(float(interp._delta[-3]), math.pi / 2, 101),
+            np.linspace(np.linspace(0.0, math.pi / 2, 1023)[-5], math.pi / 2, 101),
         ]
     )
     points = [r1_curve_point(float(delta), src) for delta in deltas]
     d = np.array([p.d for p in points])
     rate = np.array([p.R for p in points])
-    assert np.max(interp.reference(d) - rate) <= verify.CURVE_TOL / 10
+    assert np.max(np.abs(curve(d) - rate)) <= 1e-15
 
 
 def test_search_optimal_pair_sits_on_curve():
-    interp = verify.rate_curve_interpolator(SRC7)
+    curve = verify.rate_curve_interpolator(SRC7)
     rho = SRC7.density()
     for delta in (0.4, 0.9):
         pt = r1_curve_point(delta, SRC7)
         pair = pair_channel(pt.alpha, delta)
         sbar = quantum.average_entropy(pair, rho)
-        assert sbar >= float(interp.reference(pt.d)) - 1e-12
+        assert sbar >= float(curve(pt.d)) - 1e-12
 
 
 def test_search_unitary_channel_above_curve():
-    interp = verify.rate_curve_interpolator(SRC7)
+    curve = verify.rate_curve_interpolator(SRC7)
     rho = SRC7.density()
     for seed in range(20):
         u = quantum.stinespring_kraus(np.random.default_rng(seed), 1, 2, 1)[0, 0]
         ch = KrausChannel((u, np.zeros((2, 2), dtype=complex)))
         d = 1 - abs(np.trace(u @ rho.mat)) ** 2
         sbar = reference.von_neumann_entropy(u @ rho.mat @ u.conj().T)
-        assert sbar >= float(interp.reference(d)) - 1e-9
+        assert sbar >= float(curve(d)) - 1e-9
 
 
 @pytest.mark.parametrize("p0", [0.5, 0.7])
@@ -454,6 +406,41 @@ def test_blocks_complete_dephasing_reaches_max_distortion():
 def test_blocks_suite(p0):
     report = verify.check_theorem2_blocks(SourceSpec(p0), 500, seed=17)
     assert report.passed and report.n_violations == 0
+
+
+def test_blocks_reports_the_worst_over_two_or_more_elements():
+    # Every k = 1 draw is the identity, on the curve at d = 0, so the
+    # overall worst reads about 0 and the k >= 2 worst carries the margin.
+    report = verify.check_theorem2_blocks(SRC7, 500, seed=17)
+    assert abs(report.worst_violation) <= 1e-12
+    assert report.params["worst_violation_k2"] < 0
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda seed: verify.check_lemma1(5, 2, seed),
+        lambda seed: verify.check_lemma2(5, 2, 2, seed),
+        lambda seed: verify.check_theorem1(5, seed, SRC7),
+        lambda seed: verify.random_channel_search(SRC7, 5, seed),
+        lambda seed: verify.check_theorem2_blocks(SRC7, 5, seed),
+        lambda seed: verify.check_theorem3_isotropic(2, 5, seed),
+    ],
+    ids=["lemma1", "lemma2", "theorem1", "search", "blocks", "isotropic"],
+)
+@pytest.mark.parametrize("seed", [-1, -3, 1.5, "7"])
+def test_suites_reject_a_bad_seed(run, seed):
+    with pytest.raises(DomainError, match="seed"):
+        run(seed)
+
+
+def test_empty_runs_pass_vacuously():
+    for report in (
+        verify.check_theorem1(0, 0, SRC7),
+        verify.check_theorem2_blocks(SRC7, 0, 0),
+    ):
+        assert (report.n_trials, report.passed, report.worst_violation) == (0, True, 0.0)
+        assert all(v == 0.0 for k, v in report.params.items() if k.startswith("worst"))
 
 
 def test_blocks_diagonal_marginal_is_diagonal():
@@ -517,21 +504,20 @@ def test_isotropic_suite(n_qubits):
 # call per trial), not through the suites' stacked kernels. The draws are
 # those of the keyed streams: block b of BLOCK_CHUNK = 256 trials draws from
 # default_rng((seed, b)), first every trial's k, then its elements. The ids
-# name that block size, which the rows depend on. A k = 1 trial of the
-# blocks suite is the identity, whose excess is minus the interpolation
-# error bound; seed 33, the smallest seed whose 12 trials draw no k = 1, is
-# used so that the worst violation there depends on the trials drawn.
-# The blocks and search rows carry the reference's error bound: when the
-# curve's end rows took their exact limits, each moved by exactly the change
-# of that bound at the same worst trial (8.04e-9 at p0 0.5, 3.08e-9 at 0.7).
+# name that block size, which the rows depend on. The blocks and search rows
+# compare against the exact curve, taken per trial from r1_curve_point at
+# the trial's delta. A k = 1 trial of the blocks suite is the identity, which
+# sits on the curve; seed 33, the smallest seed whose 12 trials draw no
+# k = 1, is used so that the worst violation there depends on the trials
+# drawn.
 # Columns: suite, argument, trials, seed, and the recorded n_violations,
 # passed, failure trials and worst_violation.
 RECORDED_BLOCK_REPORTS = [
-    ("blocks", 0.5, 12, 33, 0, True, [], -0.003312925699252345),
-    ("blocks", 0.7, 12, 33, 0, True, [], -0.0031754408364582654),
+    ("blocks", 0.5, 12, 33, 0, True, [], -0.0033125965685826264),
+    ("blocks", 0.7, 12, 33, 0, True, [], -0.0031751643672572882),
     ("isotropic", 2, 600, 29, 0, True, [], -0.6155705013548516),
     ("isotropic", 3, 300, 29, 0, True, [], -0.784461986531631),
-    ("search", 0.7, 2000, 7, 0, True, [], -0.04203437665596144),
+    ("search", 0.7, 2000, 7, 0, True, [], -0.04203410018696188),
 ]
 
 
