@@ -27,8 +27,9 @@ from .quantum import KrausChannel
 from .ratedistortion import HALF_PI, CurvePoint, SourceSpec, pair_channel, r1_curve_point
 
 # Outcomes are drawn and counted in chunks of this many samples, so the
-# memory a stream takes does not grow with its length.
-SAMPLE_CHUNK = 2**20
+# memory a stream takes does not grow with its length: 512 KB of float64
+# draws, which stay in cache.
+SAMPLE_CHUNK = 2**16
 
 
 @dataclass(frozen=True)
@@ -96,10 +97,14 @@ def simulate_stream(circ: RealizationCircuit, n_samples: int, seed: int) -> Stre
     They are counted ``SAMPLE_CHUNK`` at a time; chunked draws from the
     generator are the same numbers as one draw of all samples. That
     probability and the analytic fields are the lambda1, d, R and r of the
-    circuit's point.
+    circuit's point. ``seed`` is an integer in [0, 2**128); any other value
+    raises ``DomainError``, so a float seed is never truncated into another
+    seed's stream.
     """
     if n_samples < 1:
         raise DomainError(f"n_samples must be at least 1, got {n_samples}")
+    if not isinstance(seed, (int, np.integer)):
+        raise DomainError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < 2**128:
         raise DomainError(f"seed must lie in [0, 2**128), got {seed}")
     rng = np.random.Generator(np.random.Philox(key=seed))

@@ -111,6 +111,11 @@ def _worst(values: np.ndarray) -> float:
     return float(values.max()) if values.size else 0.0
 
 
+def _check_seed(seed: int) -> None:
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def _run_blocks(n_trials: int, seed: int, tolerance: float, evaluate, joined=()):
     """Draw and evaluate a suite's trials in consecutive blocks of ``BLOCK_CHUNK``.
 
@@ -126,8 +131,7 @@ def _run_blocks(n_trials: int, seed: int, tolerance: float, evaluate, joined=())
     """
     if n_trials < 0:
         raise DomainError(f"n_trials must be non-negative, got {n_trials}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+    _check_seed(seed)
     excesses: list[np.ndarray] = [np.empty(0)]
     kept: dict[str, list[np.ndarray]] = {name: [] for name in joined}
     failures: list[dict[str, Any]] = []
@@ -329,8 +333,10 @@ def check_perturbation(
     (every growth at p0 = 1/2) gives none. Every delta must lie in
     (0, pi/2) and every magnitude in [0, 0.05]; any other value, NaN
     included, raises ``DomainError``, as does a grid with no feasible cell
-    (the default grid at p0 >= 0.99).
+    (the default grid at p0 >= 0.99). The suite draws nothing, but its seed
+    is recorded, so it must be a non-negative integer like every suite's.
     """
+    _check_seed(seed)
     mags = np.asarray(x_magnitudes, dtype=float)
     if not np.all((mags >= 0.0) & (mags <= 0.05)):
         raise DomainError("perturbation magnitudes must lie in [0, 0.05]")

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -370,17 +371,75 @@ def test_curve_takes_points_at_bound(capsys, monkeypatch):
     assert calls == [(SourceSpec(0.5), 2**20 + 1)]
 
 
-def test_import_loads_no_scipy():
-    # every CLI run pays the import; the package needs numpy alone
+def _python(probe, *args):
+    """Run ``probe`` in a fresh interpreter that imports qubitrd from this tree."""
     src = str(Path(qubitrd.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", probe, *args], env=env, capture_output=True, text=True
+    )
+
+
+def test_import_loads_no_scipy():
+    # every CLI run pays the import; the package needs numpy alone. The
+    # exports resolve on first use, so the probe resolves all of them and
+    # every submodule before it looks.
     probe = (
         "import sys, qubitrd; "
+        "[getattr(qubitrd, name) for name in qubitrd.__all__]; "
+        "[getattr(qubitrd, name) for name in qubitrd._SUBMODULES]; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
-    )
+    result = _python(probe)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (["curve", "r1"], ["qubitrd.realization", "qubitrd.verify"]),
+        (["curve", "s1"], ["qubitrd.realization", "qubitrd.verify"]),
+        (["simulate", "--delta", "0.8", "--samples", "1000"], ["qubitrd.verify"]),
+    ],
+)
+def test_subcommand_loads_only_what_it_runs(argv, absent):
+    probe = (
+        "import sys; from qubitrd import cli; code = cli.main(sys.argv[1:]); "
+        "print(sorted(m for m in sys.modules if m.startswith('qubitrd'))); "
+        "sys.exit(code)"
+    )
+    result = _python(probe, *argv, "--out", os.devnull)
+    assert result.returncode == 0, result.stderr
+    loaded = ast.literal_eval(result.stdout)
+    assert "qubitrd.ratedistortion" in loaded
+    assert not set(absent) & set(loaded)
+
+
+def test_verify_suites_are_the_suite_names():
+    # the parser's literal tuple, so that it needs no verify import
+    assert cli.VERIFY_SUITES == verify.SUITE_NAMES + ("all",)
+
+
+def test_every_export_resolves_to_its_module_attribute():
+    for name in qubitrd.__all__:
+        value = getattr(qubitrd, name)
+        if name != "__version__":
+            module = getattr(qubitrd, qubitrd._EXPORTS[name])
+            assert value is getattr(module, name), name
+    for name in qubitrd._SUBMODULES:
+        assert getattr(qubitrd, name) is sys.modules[f"qubitrd.{name}"]
+
+
+def test_dir_lists_exports_and_submodules():
+    listed = set(dir(qubitrd))
+    assert set(qubitrd.__all__) <= listed
+    assert {"cli", "errors", "linalg", "quantum", "ratedistortion", "realization", "verify"} <= listed
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no attribute 'bogus'"):
+        qubitrd.bogus
+    with pytest.raises(ImportError):
+        from qubitrd import bogus  # noqa: F401

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,11 +115,44 @@ def test_simulate_stream_deterministic():
 
 
 def test_simulate_stream_chunks_keep_the_counts(monkeypatch):
-    # chunked draws from the generator are the numbers of one whole draw
+    # chunked draws from the generator are the numbers of one whole draw;
+    # 100003 samples is no multiple of either chunk
     circ = realization.build_circuit(0.8, SRC7)
-    whole = realization.simulate_stream(circ, 100003, seed=3)
+    n = 100003
+    assert n % realization.SAMPLE_CHUNK and n > realization.SAMPLE_CHUNK
+    chunked = realization.simulate_stream(circ, n, seed=3)
+    monkeypatch.setattr(realization, "SAMPLE_CHUNK", n)
+    whole = realization.simulate_stream(circ, n, seed=3)
+    assert chunked == whole
     monkeypatch.setattr(realization, "SAMPLE_CHUNK", 4097)
-    assert realization.simulate_stream(circ, 100003, seed=3) == whole
+    assert realization.simulate_stream(circ, n, seed=3) == whole
+
+
+def test_simulate_stream_memory_is_one_chunk():
+    # a 10^6-sample stream holds one chunk of draws at a time, not 8 MB
+    circ = realization.build_circuit(0.8, SRC7)
+    tracemalloc.start()
+    try:
+        realization.simulate_stream(circ, 10**6, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.9, "7", -1, 2**128])
+def test_simulate_stream_rejects_a_bad_seed(seed):
+    # a float seed must not be truncated into another seed's stream
+    circ = realization.build_circuit(0.8, SRC7)
+    with pytest.raises(DomainError, match="seed"):
+        realization.simulate_stream(circ, 10, seed)
+
+
+def test_simulate_stream_takes_a_numpy_integer_seed():
+    circ = realization.build_circuit(0.8, SRC7)
+    assert realization.simulate_stream(circ, 1000, np.int64(3)) == (
+        realization.simulate_stream(circ, 1000, 3)
+    )
 
 
 def test_simulate_stream_concentration():

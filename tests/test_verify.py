@@ -425,10 +425,16 @@ def test_blocks_reports_the_worst_over_two_or_more_elements():
         lambda seed: verify.random_channel_search(SRC7, 5, seed),
         lambda seed: verify.check_theorem2_blocks(SRC7, 5, seed),
         lambda seed: verify.check_theorem3_isotropic(2, 5, seed),
+        lambda seed: verify.check_perturbation(
+            verify.DEFAULT_PERTURBATION_DELTAS,
+            verify.DEFAULT_PERTURBATION_MAGNITUDES,
+            SRC7,
+            seed,
+        ),
     ],
-    ids=["lemma1", "lemma2", "theorem1", "search", "blocks", "isotropic"],
+    ids=["lemma1", "lemma2", "theorem1", "search", "blocks", "isotropic", "perturbation"],
 )
-@pytest.mark.parametrize("seed", [-1, -3, 1.5, "7"])
+@pytest.mark.parametrize("seed", [-1, -3, 1.5, -1.5, "7"])
 def test_suites_reject_a_bad_seed(run, seed):
     with pytest.raises(DomainError, match="seed"):
         run(seed)
