@@ -32,13 +32,15 @@ exact limits. Every other quantity of a curve point is closed form in
 ``lambda1 h2(p0 cos^2 a / lambda1) + lambda2 h2(p0 sin^2 a / lambda2)``,
 the type-1 weight ``lambda1 = p0 cos^2 a + p1 cos^2(a + D)``, with
 ``lambda2 = 1 - lambda1``, and the side-channel rate h2(lambda1). R, r and
-lambda1 come from one kernel, ``_pair_figures``, on one set of squares. A
-sweep is one record array with a column per ``CurvePoint`` field. It writes
-the angle and the figures over whole arrays by the formulas of a single
-point, so each of its rows equals ``r1_curve_point``'s bit for bit. Each
-formula is written once, in a kernel that takes the namespace of the
-functions it calls: numpy over arrays, or ``_FLOATS`` on the Python floats
-of one point, whose functions give numpy's bits. ``simulate`` reads every
+lambda1 come from one kernel, ``_pair_figures``, on one set of squares,
+with the three h2 of R's two terms and of r taken in one pass: over arrays,
+one ``binary_entropy`` call on the stack of their arguments. A sweep is one
+record array with a column per ``CurvePoint`` field. It writes the angle
+and the figures over whole arrays by the formulas of a single point, so
+each of its rows equals ``r1_curve_point``'s bit for bit. Each formula is
+written once, in a kernel that takes the namespace of the functions it
+calls: numpy over arrays, or ``_FLOATS`` on the Python floats of one
+point, whose functions give numpy's bits. ``simulate`` reads every
 analytic figure off ``r1_curve_point``; the channel functionals of
 ``quantum`` serve the tests as a cross-check.
 """
@@ -46,6 +48,7 @@ analytic figure off ``r1_curve_point``; the channel functionals of
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -153,14 +156,22 @@ def _pair_figures(alpha, delta, p0, xp=np):
     and r = h2(min(lambda1, lambda2)): each h2 takes the smaller of its two
     closed-form arguments (p0 c1 is never below p1 c2), which keeps full
     precision at p0 near 1, where 1 - lambda1 would lose the digits of
-    lambda2.
+    lambda2. Over arrays the three h2 arguments go through one
+    ``binary_entropy`` call on their (3, n) stack: h2 is elementwise, so
+    every entry keeps the bits of its own call, and the dozen or so ufunc
+    passes of h2 are paid once, not three times. On floats, where a stack
+    would only add its cost, they take three calls.
     """
     p1 = 1.0 - p0
     _, c2, s1, s2, lam1, lam2 = _pair_weights(alpha, delta, p0, xp)
-    rate = lam1 * binary_entropy(p1 * c2 / lam1) + lam2 * binary_entropy(
-        xp.minimum(p0 * s1, p1 * s2) / lam2
-    )
-    return rate, binary_entropy(xp.minimum(lam1, lam2)), lam1
+    q1 = p1 * c2 / lam1
+    q2 = xp.minimum(p0 * s1, p1 * s2) / lam2
+    q_side = xp.minimum(lam1, lam2)
+    if xp is _FLOATS:
+        e1, e2, r = binary_entropy(q1), binary_entropy(q2), binary_entropy(q_side)
+    else:
+        e1, e2, r = binary_entropy(np.array((q1, q2, q_side)))
+    return lam1 * e1 + lam2 * e2, r, lam1
 
 
 def _optimal_alpha(delta, p0, xp=np):
@@ -256,11 +267,14 @@ def sweep_curve(src: SourceSpec, n_points: int) -> np.recarray:
     come ordered by ascending distortion; the rate is non-increasing along
     the sweep. The end rows are ``r1_curve_point``'s exact limits. The
     interior columns are written from the closed forms over the whole
-    array (``_optimal_alpha``, ``_pair_figures``), so ``tuple(curve[i])``
-    equals ``r1_curve_point`` at its delta bit for bit.
+    array (``_optimal_alpha``, ``_pair_figures``, whose three entropy
+    columns take one h2 pass over a (3, n_points - 2) stack), so
+    ``tuple(curve[i])`` equals ``r1_curve_point`` at its delta bit for bit.
+    ``n_points`` is an integer (a Python or NumPy one) of at least 2; any
+    other value raises ``DomainError``.
     """
-    if n_points < 2:
-        raise DomainError(f"n_points must be at least 2, got {n_points}")
+    if not isinstance(n_points, numbers.Integral) or n_points < 2:
+        raise DomainError(f"n_points must be an integer of at least 2, got {n_points!r}")
     p0 = src.p0
     curve = np.empty(n_points, dtype=_CURVE_DTYPE)
     curve[0] = r1_curve_point(0.0, src)

@@ -159,9 +159,12 @@ class RateCurveInterpolator:
     delta = 2 arcsin(sqrt(d / (2 d_max))), after clipping to [0, d_max], and
     the rate is the pair's average entropy at the closed-form optimal angle:
     ``_optimal_alpha`` and ``_pair_figures`` over the whole array, the two
-    kernels a sweep runs on its interior rows. A delta within
-    ``ENDPOINT_CUTOFF`` of 0 or pi/2 takes that end's rate from
-    ``r1_curve_point``, so h2(p0) at d <= 0 and exactly 0 from d_max on.
+    kernels a sweep runs on its interior rows. ``_pair_figures`` takes R's
+    two entropies and r's in one h2 call over their stack, so the r that
+    this call drops costs a third of that call, not a call of its own. A
+    delta within ``ENDPOINT_CUTOFF`` of 0 or pi/2 takes that end's rate
+    from ``r1_curve_point``, so h2(p0) at d <= 0 and exactly 0 from d_max
+    on. A NaN distortion raises ``DomainError``.
 
     The class interpolates nothing. Its name, ``__init__(src)`` and the
     cached ``rate_curve_interpolator`` that builds it are kept for the
@@ -178,7 +181,10 @@ class RateCurveInterpolator:
         self._end_rates = (r1_curve_point(0.0, src).R, r1_curve_point(HALF_PI, src).R)
 
     def __call__(self, d):
-        d = np.clip(np.asarray(d, dtype=float), 0.0, self.d_max)
+        d = np.asarray(d, dtype=float)
+        if np.isnan(d).any():
+            raise DomainError("distortion must be a number, got nan")
+        d = np.clip(d, 0.0, self.d_max)
         delta = 2.0 * np.arcsin(np.sqrt(d / (2.0 * self.d_max)))
         low = delta <= ENDPOINT_CUTOFF
         high = delta >= HALF_PI - ENDPOINT_CUTOFF

@@ -155,6 +155,23 @@ def test_binary_entropy_float_bits_on_seeded_draws():
     assert not differ.size, f"float and array h2 differ at {draws[differ[:3]]}"
 
 
+def test_binary_entropy_stack_keeps_each_rows_bits():
+    # A curve evaluation takes its three h2 in one call over a (3, n) stack;
+    # h2 is elementwise, so every entry of the stack equals, bit for bit,
+    # its row's own 1-D call and its own float call.
+    rng = np.random.default_rng(31)
+    edges = [0.0, 5e-324, 2.2e-308, 1e-310, 1e-15, 0.5, 1.0]
+    rows = [np.concatenate([rng.uniform(0.0, 0.5, 510), edges]) for _ in range(3)]
+    for row in rows:
+        rng.shuffle(row)
+    stacked = quantum.binary_entropy(np.array(rows))
+    assert stacked.shape == (3, len(rows[0]))
+    for row, h in zip(rows, stacked):
+        assert quantum.binary_entropy(row).tobytes() == h.tobytes()
+        floats = np.array([quantum.binary_entropy(p) for p in row.tolist()])
+        assert floats.tobytes() == h.tobytes()
+
+
 @pytest.mark.parametrize(
     "p, kind",
     [

@@ -371,8 +371,11 @@ def test_sweep_is_one_record_array(p0):
     assert ends.tobytes() == np.array(expected).tobytes()
 
 
-@pytest.mark.parametrize("n", [101, 512, 1023])
-@pytest.mark.parametrize("p0", [0.5, 0.6, 0.7, 0.8, 0.9, 0.99])
+@pytest.mark.parametrize(
+    ("p0", "n"),
+    [(p0, n) for p0 in (0.5, 0.6, 0.7, 0.8, 0.9, 0.99) for n in (101, 512, 1023)]
+    + [(1.0 - 1e-12, 512)],
+)
 def test_sweep_matches_per_point_solve(p0, n):
     # The sweep solves its interior angles together with solve_alpha's
     # update and takes d, R, lambda1 and r over the whole array; a single
@@ -388,9 +391,10 @@ def test_sweep_matches_per_point_solve(p0, n):
 
 @pytest.mark.parametrize("n", [101, 512])
 def test_sweep_takes_h2_over_whole_arrays(monkeypatch, n):
-    # R = h2(p0) and r at delta = 0, three calls over the interior arrays
-    # (the two terms of the average entropy, then r = h2(lambda1)), and r at
-    # delta = pi/2, whatever the number of points.
+    # R = h2(p0) and r at delta = 0, one call over the (3, n - 2) stack of
+    # the interior's three h2 arguments (the two terms of the average
+    # entropy, then r = h2(lambda1)), and r at delta = pi/2, whatever the
+    # number of points.
     h2 = rd.binary_entropy
     calls = []
 
@@ -400,7 +404,7 @@ def test_sweep_takes_h2_over_whole_arrays(monkeypatch, n):
 
     monkeypatch.setattr(rd, "binary_entropy", spy)
     assert len(rd.sweep_curve(SRC7, n)) == n
-    assert calls == [0, 0, 1, 1, 1, 0]
+    assert calls == [0, 0, 2, 0]
 
 
 def test_isotropic_s1_on_arrays():
@@ -622,8 +626,12 @@ def test_angles_match_mpmath_over_the_delta_range(p0):
 
 
 def test_sweep_curve_rejects_short_grid():
-    with pytest.raises(DomainError):
-        rd.sweep_curve(SRC7, 1)
+    # and a point count that is no integer, where numpy would raise a
+    # TypeError; a NumPy integer is a point count like an int
+    for n_points in (1, np.int64(1), 2.5, 3.0, np.float64(4.0), "5", None):
+        with pytest.raises(DomainError, match="n_points"):
+            rd.sweep_curve(SRC7, n_points)
+    assert rd.sweep_curve(SRC7, np.int64(5)).tobytes() == rd.sweep_curve(SRC7, 5).tobytes()
 
 
 def test_r1_matches_average_entropy_of_pair():

@@ -323,6 +323,27 @@ def test_interpolator_membership_and_bounds():
         assert float(curve(src.d_max + 0.1)) == 0.0
         for d in (0.0, -1e-9):
             assert float(curve(d)) == quantum.binary_entropy(p0)
+        # finite distortions outside [0, d_max] are clipped; NaN is refused
+        for d in (math.nan, np.array([0.1, math.nan])):
+            with pytest.raises(DomainError, match="distortion"):
+                curve(d)
+
+
+def test_reference_takes_one_h2_call_per_evaluation(monkeypatch):
+    # R's two entropies and r go through one call over their (3, n) stack,
+    # however many distortions an evaluation takes.
+    curve = verify.RateCurveInterpolator(SRC7)
+    h2 = rd.binary_entropy
+    calls = []
+
+    def spy(p):
+        calls.append(np.shape(p))
+        return h2(p)
+
+    monkeypatch.setattr(rd, "binary_entropy", spy)
+    curve(np.linspace(0.0, SRC7.d_max, 50))
+    curve(0.2)
+    assert calls == [(3, 50), (3,)]
 
 
 @pytest.mark.parametrize("p0", [0.5, 0.7, 0.9])
