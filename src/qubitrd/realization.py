@@ -17,6 +17,7 @@ matrix [[A1, -A2], [A2, A1]] of the pair's elements.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,13 +98,14 @@ def simulate_stream(circ: RealizationCircuit, n_samples: int, seed: int) -> Stre
     They are counted ``SAMPLE_CHUNK`` at a time; chunked draws from the
     generator are the same numbers as one draw of all samples. That
     probability and the analytic fields are the lambda1, d, R and r of the
-    circuit's point. ``seed`` is an integer in [0, 2**128); any other value
-    raises ``DomainError``, so a float seed is never truncated into another
-    seed's stream.
+    circuit's point. ``n_samples`` is an integer >= 1 and ``seed`` an
+    integer in [0, 2**128), Python or NumPy; any other value raises
+    ``DomainError``, so a float seed is never truncated into another seed's
+    stream.
     """
-    if n_samples < 1:
-        raise DomainError(f"n_samples must be at least 1, got {n_samples}")
-    if not isinstance(seed, (int, np.integer)):
+    if not isinstance(n_samples, numbers.Integral) or n_samples < 1:
+        raise DomainError(f"n_samples must be an integer >= 1, got {n_samples!r}")
+    if not isinstance(seed, numbers.Integral):
         raise DomainError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < 2**128:
         raise DomainError(f"seed must lie in [0, 2**128), got {seed}")

@@ -22,15 +22,17 @@ preserving) and the reference curve over each stack. Across blocks a
 suite keeps only a few floats per trial, so its memory is one block's
 draws plus those floats, whatever the trial count. The perturbation suite
 draws nothing. It is one array pass over its (delta, |x|, phase) grid: the
-closed-form angle over every delta at once, the weight quadratic over the whole
-(delta, |x|) grid with its infeasible cells masked, and one stack of Kraus
-sets for every feasible cell.
+closed-form angle over every delta at once, the closed-form weights over the
+whole (delta, |x|) grid (a point of a chord that shrinks as |x| grows, so a
+cell is infeasible when |x| exceeds the chord's half-length h), and one stack
+of Kraus sets for every feasible cell.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -111,9 +113,13 @@ def _worst(values: np.ndarray) -> float:
     return float(values.max()) if values.size else 0.0
 
 
-def _check_seed(seed: int) -> None:
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+def _check_integer(name: str, value, low: int, high: int | None = None) -> None:
+    """Raise ``DomainError`` unless ``value`` is a Python or NumPy integer in
+    [low, high] (no upper end when ``high`` is None)."""
+    inside = isinstance(value, numbers.Integral) and low <= value
+    if not inside or (high is not None and value > high):
+        span = f">= {low}" if high is None else f"in {low}..{high}"
+        raise DomainError(f"{name} must be an integer {span}, got {value!r}")
 
 
 def _run_blocks(n_trials: int, seed: int, tolerance: float, evaluate, joined=()):
@@ -129,9 +135,8 @@ def _run_blocks(n_trials: int, seed: int, tolerance: float, evaluate, joined=())
     Returns the excesses of all trials, the ``joined`` fields over all
     trials, and at most ``MAX_RECORDED_FAILURES`` failure rows.
     """
-    if n_trials < 0:
-        raise DomainError(f"n_trials must be non-negative, got {n_trials}")
-    _check_seed(seed)
+    _check_integer("n_trials", n_trials, 0)
+    _check_integer("seed", seed, 0)
     excesses: list[np.ndarray] = [np.empty(0)]
     kept: dict[str, list[np.ndarray]] = {name: [] for name in joined}
     failures: list[dict[str, Any]] = []
@@ -206,8 +211,7 @@ def check_lemma1(n_trials: int, dim: int, seed: int) -> VerificationReport:
     D and L are random positive diagonal matrices with descending entries;
     U, V are independent Haar unitaries (one-element Stinespring draws).
     """
-    if not 2 <= dim <= 8:
-        raise DomainError(f"dim must lie in 2..8, got {dim}")
+    _check_integer("dim", dim, 2, 8)
 
     def evaluate(rng, count):
         u = stinespring_kraus(rng, count, dim, 1)[:, 0]
@@ -224,10 +228,8 @@ def check_lemma1(n_trials: int, dim: int, seed: int) -> VerificationReport:
 
 def check_lemma2(n_trials: int, dim: int, k: int, seed: int) -> VerificationReport:
     """Sum bound sum_i |tr(Y_i D)|^2 <= tr(D)^2 for complete {Y_i}, positive D."""
-    if not 2 <= dim <= 8:
-        raise DomainError(f"dim must lie in 2..8, got {dim}")
-    if not 1 <= k <= 4:
-        raise DomainError(f"k must lie in 1..4, got {k}")
+    _check_integer("dim", dim, 2, 8)
+    _check_integer("k", k, 1, 4)
 
     def evaluate(rng, count):
         y = stinespring_kraus(rng, count, dim, k)
@@ -326,27 +328,31 @@ def check_perturbation(
 
     The suite is one array pass. The angles at every delta come from one
     call of the closed form over the array (``_optimal_alpha``), and the
-    weight quadratic is solved over the whole (delta, |x|) grid; a cell
-    whose quadratic has no real root is infeasible, is masked out and
-    recorded. The base pairs and the pairs of
-    every feasible (delta, |x|, phase) form one stack of Kraus sets, over
-    which the average entropies, the distortion drift and the completeness
-    check are each taken in one call, and the report rows are read off the
-    grid by index. All 8 phases are still evaluated and recorded, although
-    the growth depends on |x| only (their growths agree to about 3e-9
+    weights over the whole (delta, |x|) grid in closed form, as a point of
+    a chord that shrinks as |x| grows; a cell whose |x| exceeds the
+    unperturbed chord's half-length h is infeasible, is masked out and
+    recorded. The base pairs and the pairs of every feasible
+    (delta, |x|, phase) form one stack of Kraus sets, over which the
+    average entropies, the distortion drift and the completeness check are
+    each taken in one call, and the report rows are read off the grid by
+    index. All 8 phases are still evaluated and recorded, although the
+    growth depends on |x| only (their growths agree to within 3e-11
     relative): they check that the phase of x is immaterial. Growth ratios
     are taken only where the smaller growth exceeds 1e-12, so round-off
     (every growth at p0 = 1/2) gives none. Every delta must lie in
-    (0, pi/2) and every magnitude in [0, 0.05]; any other value, NaN
-    included, raises ``DomainError``, as does a grid with no feasible cell
-    (the default grid at p0 >= 0.99). The suite draws nothing, but its seed
+    (0, pi/2) and every magnitude in [0, 0.05], on 1-D grids; any other
+    value, NaN included, raises ``DomainError``, as does a grid with no
+    feasible cell, whose message names the largest h (0.00996 for the
+    default grid at p0 0.99). The suite draws nothing, but its seed
     is recorded, so it must be a non-negative integer like every suite's.
     """
-    _check_seed(seed)
+    _check_integer("seed", seed, 0)
     mags = np.asarray(x_magnitudes, dtype=float)
+    deltas = np.asarray(delta_grid, dtype=float)
+    if mags.ndim != 1 or deltas.ndim != 1:
+        raise DomainError("delta_grid and x_magnitudes must be 1-D sequences")
     if not np.all((mags >= 0.0) & (mags <= 0.05)):
         raise DomainError("perturbation magnitudes must lie in [0, 0.05]")
-    deltas = np.asarray(delta_grid, dtype=float)
     outside = ~((deltas > 0.0) & (deltas < HALF_PI))
     if outside.any():
         raise DomainError(f"delta must lie in (0, pi/2), got {deltas[outside][0]}")
@@ -365,27 +371,28 @@ def check_perturbation(
     t1, t2 = p0 * c1 + p1 * c2, p0 * s1 + p1 * s2
     theta = np.arctan2(t2, t1)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
-    cos2, sin2 = cos_t * cos_t, sin_t * sin_t
     lam0, mu0 = p0 * c1 / t1, p0 * s1 / t2
-    k_lin = (p0**2 - p1**2) / f2 + 1.0
+    half_k = 0.5 * ((p0**2 - p1**2) / f2 + 1.0)
 
-    # the two weight constraints on the (delta, |x|) grid: a quadratic in
-    # lam, whose root continuous with the unperturbed weights is taken
-    a_q = cos2 / sin2
-    b_q = -k_lin * cos2 / sin2
-    c_q = k_lin**2 / (4.0 * sin2) - (p0**2 / f2 - mags**2)
-    disc = b_q**2 - 4.0 * a_q * c_q
-    feasible = disc >= 0.0
-    root = np.sqrt(np.where(feasible, disc, 0.0))
-    minus, plus = (-b_q - root) / (2 * a_q), (-b_q + root) / (2 * a_q)
-    lam = np.where(np.abs(plus - lam0) < np.abs(minus - lam0), plus, minus)
-    mu = (k_lin - 2.0 * lam * cos2) / (2.0 * sin2)
+    # completeness puts (lam cos, mu sin) on the circle of squared radius
+    # p0^2/f2 - |x|^2 and on the line through half_k (cos, sin) normal to
+    # it; as |x| grows the chord shrinks about that foot, so a cell is
+    # feasible iff |x| <= h, the unperturbed point's distance from the foot
+    h_sq = ((lam0 - half_k) * cos_t) ** 2 + ((mu0 - half_k) * sin_t) ** 2
+    feasible = mags**2 <= h_sq
+    shrink = np.sqrt(np.where(feasible, 1.0 - mags**2 / h_sq, 0.0))
+    lam = half_k + (lam0 - half_k) * shrink
+    mu = half_k + (mu0 - half_k) * shrink
     lam_shift, mu_shift = lam - lam0, mu - mu0
 
     # the base pairs, then 8 phases of every feasible cell, as one stack
     i, j = np.nonzero(feasible)
     if not i.size:
-        raise DomainError(f"no (delta, |x|) cell of the grid is feasible at p0 = {p0}")
+        h = _worst(np.sqrt(h_sq))
+        raise DomainError(
+            f"no (delta, |x|) cell of the grid is feasible at p0 = {p0}: "
+            f"the largest feasible |x| is {h:.3g}"
+        )
     n_base, n_cells = deltas.size, i.size
     stack = np.zeros((n_base + 8 * n_cells, 2, 2, 2), dtype=complex)
     stack[:n_base, 0, [0, 1], [0, 1]] = np.hstack([c1, c2])
@@ -405,13 +412,6 @@ def check_perturbation(
     pairs[..., 1, 1, 0] = -x.conj() * c / p0
     pairs[..., 1, 1, 1] = (1.0 - mu_c) * s / p1
     pairs *= np.sqrt(f2[i])[..., np.newaxis, np.newaxis, np.newaxis]
-    # sum A_i† A_i is the identity in exact arithmetic (its off-diagonal
-    # +-x s c / (p0 p1) terms cancel), but the weight solve leaves round-off
-    # on its diagonal that the 1/p1 entries amplify (4e-9 at p0 0.9875), so
-    # each column of [A1; A2] is scaled to unit norm; the report keeps the
-    # largest correction as worst_column_norm_gap.
-    norms = np.sqrt(np.sum(np.abs(pairs) ** 2, axis=(2, 3)))
-    pairs /= norms[:, :, np.newaxis, np.newaxis, :]
 
     sbar = quantum.average_entropies(stack, rho)
     distortions = quantum.block_distortions(stack, rho)[n_base:].reshape(n_cells, 8)
@@ -472,7 +472,6 @@ def check_perturbation(
         "weight_shift_ratios": shift_ratios,
         "infeasible_points": infeasible,
         "worst_distortion_drift": float(drift.max()),
-        "worst_column_norm_gap": float(np.abs(norms - 1.0).max()),
     }
     return _report(
         "perturbation", seed, params, ALGEBRA_TOL, -cell_growth.ravel(), failures
@@ -549,8 +548,7 @@ def check_theorem3_isotropic(
     2 or 3 unbiased qubits and checks the per-qubit average output entropy
     against h2(1/2 + sqrt(d (1 - d))) at the per-qubit block distortion.
     """
-    if n_qubits not in (2, 3):
-        raise DomainError(f"n_qubits must be 2 or 3, got {n_qubits}")
+    _check_integer("n_qubits", n_qubits, 2, 3)
     dim = 2**n_qubits
     rho1 = DensityMatrix(np.eye(2, dtype=complex) / 2)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import reference
-from qubitrd import cli, quantum, ratedistortion as rd, verify
+from qubitrd import cli, quantum, ratedistortion as rd, realization, verify
 from qubitrd.errors import DomainError
 from qubitrd.quantum import DensityMatrix, KrausChannel
 from qubitrd.ratedistortion import (
@@ -170,9 +170,9 @@ def test_perturbation_rejects_delta_outside_open_interval(delta):
 
 
 def test_perturbation_masks_infeasible_cells():
-    # At p0 0.9 the weight quadratic of (0.15, 0.02) has no real root: the
-    # cell is recorded, its 8 phases are not trials, and neither ratio
-    # table has a row at its delta.
+    # At p0 0.9 the cell (0.15, 0.02) is infeasible, its |x| longer than
+    # the half-chord h of its delta: the cell is recorded, its 8 phases are
+    # not trials, and neither ratio table has a row at its delta.
     report = verify.run_suite("perturbation", SourceSpec(0.9), 1, seed=0)[0]
     params = report.params
     assert report.passed
@@ -183,24 +183,42 @@ def test_perturbation_masks_infeasible_cells():
     assert all(r["delta"] != 0.15 for r in params["weight_shift_ratios"])
 
 
-def test_perturbation_passes_up_to_the_last_feasible_p0():
-    # The weight solve leaves round-off on the diagonal of sum A_i† A_i that
-    # the 1/p1 entries amplify (up to 4.1e-9 at p0 0.9875, past the 1e-10
-    # completeness check from p0 0.9525); each column of a perturbed set is
-    # scaled back to unit norm, which exact arithmetic would not change.
+def test_perturbation_passes_up_to_the_last_feasible_p0(monkeypatch):
+    # The closed-form weights make every perturbed set complete, unscaled,
+    # within 6.4e-15 (the 1/p1 entries amplify round-off, so a weight
+    # quadratic was off by 7.2e-9, past the 1e-10 check from p0 0.9525).
+    stacks = []
+    block_distortions = quantum.block_distortions
+
+    def spy(kraus, rho):
+        stacks.append(kraus)
+        return block_distortions(kraus, rho)
+
+    monkeypatch.setattr(quantum, "block_distortions", spy)
     for p0 in np.arange(0.5, 0.98751, 0.0025).round(4):
         report = verify.run_suite("perturbation", SourceSpec(float(p0)), 1, seed=0)[0]
         assert report.passed and report.n_trials > 0
-        assert report.params["worst_column_norm_gap"] <= 1e-8
         assert report.params["worst_distortion_drift"] <= 1e-10
+        gram = np.einsum("nkji,nkjl->nil", stacks[-1].conj(), stacks[-1])
+        assert np.max(np.abs(gram - np.eye(2))) <= 1e-13
 
 
 @pytest.mark.parametrize("p0", [0.99, 0.999])
 def test_perturbation_rejects_a_grid_with_no_feasible_cell(p0):
     # Every cell of the default grid is infeasible from p0 0.99 on; an empty
     # report would pass with no trial.
-    with pytest.raises(DomainError, match=f"p0 = {p0}"):
+    # The message names the largest feasible |x|, the largest half-chord h.
+    with pytest.raises(DomainError, match=f"p0 = {p0}: the largest feasible") as info:
         verify.run_suite("perturbation", SourceSpec(p0), 1, seed=0)
+    assert str(info.value).endswith({0.99: "is 0.00996", 0.999: "is 0.000989"}[p0])
+
+
+@pytest.mark.parametrize(
+    "deltas, mags", [((0.6,), ((0.01, 0.02),)), (((0.6, 0.8),), (0.01,)), (0.6, (0.01,))]
+)
+def test_perturbation_rejects_grids_that_are_not_1d(deltas, mags):
+    with pytest.raises(DomainError, match="1-D"):
+        verify.check_perturbation(deltas, mags, SRC7, seed=0)
 
 
 def test_perturbation_takes_no_ratio_of_round_off():
@@ -234,6 +252,32 @@ def test_perturbation_solves_every_angle_in_one_batch(monkeypatch):
     assert calls == [len(verify.DEFAULT_PERTURBATION_DELTAS)]
 
 
+def _oracle_weights(mp, p0, alpha, delta, x):
+    """The perturbed pair's weights, rebuilt in mpmath.
+
+    Returns f, (c, s) = (cos theta, sin theta), the unperturbed weights
+    (lam0, mu0) and the weights (lam, mu) that ``mp.findroot`` finds from
+    A1†A1 + A2†A2 = I, starting at (lam0, mu0).
+    """
+    p0 = mp.mpf(p0)
+    p1 = 1 - p0
+    alpha, delta = mp.mpf(alpha), mp.mpf(delta)
+    t1 = p0 * mp.cos(alpha) + p1 * mp.cos(alpha + delta)
+    t2 = p0 * mp.sin(alpha) + p1 * mp.sin(alpha + delta)
+    f = mp.sqrt(t1**2 + t2**2)
+    c, s = t1 / f, t2 / f
+    xx = abs(mp.mpc(x)) ** 2
+
+    def completeness(lam, mu):
+        return (
+            f**2 * (lam**2 * c**2 + mu**2 * s**2 + xx) - p0**2,
+            f**2 * ((1 - lam) ** 2 * c**2 + (1 - mu) ** 2 * s**2 + xx) - p1**2,
+        )
+
+    start = (p0 * mp.cos(alpha) / t1, p0 * mp.sin(alpha) / t2)
+    return f, (c, s), start, tuple(mp.findroot(completeness, start))
+
+
 def _oracle_average_entropy(mp, p0, alpha, delta, x):
     """Average output entropy of the perturbed pair, rebuilt in mpmath.
 
@@ -243,24 +287,9 @@ def _oracle_average_entropy(mp, p0, alpha, delta, x):
     N1² + N2² = rho²; tr N_i is independent of them, so the entanglement
     fidelity stays at the diagonal pair's value.
     """
-    p0 = mp.mpf(p0)
-    p1 = 1 - p0
-    alpha, delta, x = mp.mpf(alpha), mp.mpf(delta), mp.mpc(x)
-    t1 = p0 * mp.cos(alpha) + p1 * mp.cos(alpha + delta)
-    t2 = p0 * mp.sin(alpha) + p1 * mp.sin(alpha + delta)
-    f = mp.sqrt(t1**2 + t2**2)
-    c, s = t1 / f, t2 / f
-    xx = abs(x) ** 2
-
-    def completeness(lam, mu):
-        return (
-            f**2 * (lam**2 * c**2 + mu**2 * s**2 + xx) - p0**2,
-            f**2 * ((1 - lam) ** 2 * c**2 + (1 - mu) ** 2 * s**2 + xx) - p1**2,
-        )
-
-    start = (p0 * mp.cos(alpha) / t1, p0 * mp.sin(alpha) / t2)
-    lam, mu = mp.findroot(completeness, start)
-    rho_inv = mp.matrix([[1 / p0, 0], [0, 1 / p1]])
+    f, (c, s), _, (lam, mu) = _oracle_weights(mp, p0, alpha, delta, x)
+    p0, x = mp.mpf(p0), mp.mpc(x)
+    rho_inv = mp.matrix([[1 / p0, 0], [0, 1 / (1 - p0)]])
     total = mp.mpf(0)
     for n in (
         mp.matrix([[lam * c, x * s], [mp.conj(x) * s, (1 - lam) * c]]),
@@ -308,7 +337,34 @@ def test_perturbation_growth_matches_mpmath_oracle(delta):
         for g in report.params["growths"]:
             x = mp.mpf(g["magnitude"]) * mp.expj(mp.mpf(g["phase"]))
             exact = growth(alpha, x)
-            assert abs(g["growth"] - exact) <= 1e-6 * abs(exact)
+            assert abs(g["growth"] - exact) <= 1e-8 * abs(exact)
+
+
+@pytest.mark.parametrize("p0", [0.9, 0.98])
+def test_perturbation_default_grid_matches_mpmath_oracle(p0):
+    # Every growth and weight shift of the default grid against 50 digits.
+    # The closed-form weights keep the growths within 1.8e-10 relative and
+    # the shifts within 8.1e-13; a weight quadratic with a column rescale
+    # was off by 2.3e-7 and 8.5e-9.
+    mp = pytest.importorskip("mpmath")
+    src = SourceSpec(p0)
+    params = verify.run_suite("perturbation", src, 1, seed=0)[0].params
+    alphas = {d: solve_alpha(d, src) for d in params["deltas"]}
+    with mp.workdps(50):
+        base = {d: _oracle_average_entropy(mp, p0, a, d, 0) for d, a in alphas.items()}
+        for g in params["growths"]:
+            x = mp.mpf(g["magnitude"]) * mp.expj(mp.mpf(g["phase"]))
+            a = alphas[g["delta"]]
+            exact = _oracle_average_entropy(mp, p0, a, g["delta"], x) - base[g["delta"]]
+            assert abs(g["growth"] - exact) <= 1e-8 * abs(exact)
+        for w in params["weight_shifts"]:
+            a = alphas[w["delta"]]
+            _, _, start, roots = _oracle_weights(mp, p0, a, w["delta"], w["magnitude"])
+            for shift, root, unperturbed in zip(
+                (w["lambda_shift"], w["mu_shift"]), roots, start
+            ):
+                exact = root - unperturbed
+                assert abs(shift - exact) <= 1e-11 * abs(exact)
 
 
 def test_interpolator_membership_and_bounds():
@@ -459,6 +515,39 @@ def test_blocks_reports_the_worst_over_two_or_more_elements():
 def test_suites_reject_a_bad_seed(run, seed):
     with pytest.raises(DomainError, match="seed"):
         run(seed)
+
+
+@pytest.mark.parametrize(
+    "run, name",
+    [
+        (lambda bad: verify.check_lemma1(10, bad, 0), "dim"),
+        (lambda bad: verify.check_lemma2(10, 2, bad, 0), "k"),
+        (lambda bad: verify.check_lemma1(bad, 2, 0), "n_trials"),
+        (lambda bad: verify.check_theorem1(bad, 0, SRC7), "n_trials"),
+        (lambda bad: verify.random_channel_search(SRC7, bad, 0), "n_trials"),
+        (lambda bad: verify.check_theorem2_blocks(SRC7, bad, 0), "n_trials"),
+        (lambda bad: verify.check_theorem3_isotropic(2, bad, 0), "n_trials"),
+        (lambda bad: verify.run_suite("lemma2", SRC7, bad, 0), "n_trials"),
+        (lambda bad: verify.check_theorem3_isotropic(bad, 10, 0), "n_qubits"),
+        (
+            lambda bad: realization.simulate_stream(
+                realization.build_circuit(0.8, SRC7), bad, 0
+            ),
+            "n_samples",
+        ),
+    ],
+    ids=[
+        "lemma1-dim", "lemma2-k", "lemma1-trials", "theorem1-trials",
+        "search-trials", "blocks-trials", "isotropic-trials", "run_suite-trials",
+        "isotropic-qubits", "simulate-samples",
+    ],
+)
+@pytest.mark.parametrize("bad", [2.0, 2.5, "3"])
+def test_counts_must_be_integers(run, name, bad):
+    with pytest.raises(DomainError, match=name):
+        run(bad)
+    # NumPy integers are integers
+    run(np.int64(2))
 
 
 def test_empty_runs_pass_vacuously():
