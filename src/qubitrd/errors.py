@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer check."""
+
+import numbers
 
 
 class ToolkitError(Exception):
@@ -27,3 +29,12 @@ class DomainError(ToolkitError, ValueError):
 
 class InternalNumericError(ToolkitError, RuntimeError):
     """A computed quantity failed an internal consistency check."""
+
+
+def check_integer(name: str, value, low: int, high: int | None = None) -> None:
+    """Raise ``DomainError`` unless ``value`` is a Python or NumPy integer,
+    not a bool, in [low, high] (no upper end when ``high`` is None)."""
+    inside = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (inside and low <= value and (high is None or value <= high)):
+        span = f">= {low}" if high is None else f"in {low}..{high}"
+        raise DomainError(f"{name} must be an integer {span}, got {value!r}")

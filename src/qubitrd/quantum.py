@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -84,13 +84,18 @@ class DensityMatrix:
         return self.mat.shape[0]
 
 
-def _require_complete(kraus: np.ndarray) -> None:
-    """Raise unless every set in a (N, k, dim, dim) stack has sum A_i† A_i = I."""
+def _completeness_gaps(kraus: np.ndarray) -> np.ndarray:
+    """max |sum A_i† A_i - I| of every set in a (N, k, dim, dim) stack."""
     n, k, _, dim = kraus.shape
     flat = kraus.reshape(n, k * dim, dim)
     total = flat.conj().swapaxes(-1, -2) @ flat
-    gaps = np.abs(total - np.eye(dim)).max(axis=(1, 2))
-    bad = np.flatnonzero(gaps > COMPLETENESS_TOL)
+    return np.abs(total - np.eye(dim)).max(axis=(1, 2))
+
+
+def _require_complete(kraus: np.ndarray) -> None:
+    """Raise unless every set in a (N, k, dim, dim) stack has sum A_i† A_i = I."""
+    gaps = _completeness_gaps(kraus)
+    bad = np.flatnonzero(~(gaps <= COMPLETENESS_TOL))  # NaN is no completeness
     if bad.size:
         where = f" in set {bad[0]}" if len(kraus) > 1 else ""
         raise ContractViolationError(
@@ -103,7 +108,7 @@ class KrausChannel:
     """Quantum operation defined by an ordered set of operation elements."""
 
     elements: tuple[np.ndarray, ...]
-    trace_preserving: bool = False
+    trace_preserving: bool = field(init=False)  # derived: sum A_i† A_i = I
 
     def __post_init__(self):
         if len(self.elements) == 0:
@@ -112,9 +117,9 @@ class KrausChannel:
         dim = mats[0].shape[0]
         if any(m.shape[0] != dim for m in mats):
             raise DimensionMismatchError("all elements must share one dimension")
-        if self.trace_preserving:
-            _require_complete(np.stack(mats)[np.newaxis])
         object.__setattr__(self, "elements", mats)
+        gap = _completeness_gaps(np.stack(mats)[np.newaxis])[0]
+        object.__setattr__(self, "trace_preserving", bool(gap <= COMPLETENESS_TOL))
 
     @property
     def dim(self) -> int:
@@ -172,6 +177,16 @@ def eigenvalue_entropy(eigs) -> np.ndarray:
     return 0.0 - np.sum(eigs * np.log2(eigs), axis=-1)
 
 
+def _clipped(x, low: float, high: float, message: str) -> np.ndarray:
+    """``x`` as a float array clipped to [low, high]; the first entry over 1e-12
+    outside, or NaN, raises ``DomainError(message.format(entry))``. Slow on a float."""
+    x = np.asarray(x, dtype=float)
+    inside = (x >= low - 1e-12) & (x <= high + 1e-12)
+    if not inside.all():
+        raise DomainError(message.format(x[~inside][0]))
+    return np.minimum(np.maximum(x, low), high)
+
+
 def binary_entropy(p):
     """Binary entropy h2(p) in bits, of a float or of each entry of an array.
 
@@ -199,12 +214,8 @@ def binary_entropy(p):
         m = q if q < p else p
         floored = _TINY if m < _TINY else m
     else:
-        p = np.asarray(p, dtype=float)
-        inside = (p >= -1e-12) & (p <= 1 + 1e-12)
-        if not inside.all():
-            raise DomainError(f"probability {p[~inside][0]} outside [0, 1]")
         xp = np
-        p = np.minimum(np.maximum(p, 0.0), 1.0)
+        p = _clipped(p, 0.0, 1.0, "probability {} outside [0, 1]")
         m = np.minimum(p, 1.0 - p)
         floored = np.maximum(m, _TINY)
     nats = m * xp.log(floored) + (1.0 - m) * xp.log1p(-m)
@@ -255,12 +266,12 @@ def average_entropy(ch: KrausChannel, rho) -> float:
     This is the qubit rate charged to a trace-preserving operation when the
     index of the realized element is known: each conditional output is
     compressed losslessly at its own entropy. The one-set case of
-    ``average_entropies``.
+    ``average_entropies``; an incomplete set raises, giving its gap.
     """
+    kraus = np.stack(ch.elements)[np.newaxis]
     if not ch.trace_preserving:
-        raise ContractViolationError("average_entropy needs a trace-preserving channel")
-    m = _channel_state(ch, rho)
-    return float(average_entropies(np.stack(ch.elements)[np.newaxis], m)[0])
+        _require_complete(kraus)
+    return float(average_entropies(kraus, _channel_state(ch, rho))[0])
 
 
 def average_entropies(kraus, state) -> np.ndarray:
@@ -371,7 +382,7 @@ def _distortion_terms(kraus: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, n
     return squares, weight
 
 
-def block_distortions(kraus, rho: DensityMatrix) -> np.ndarray:
+def block_distortions(kraus, rho) -> np.ndarray:
     """Per-qubit block distortion of every Kraus set in a (N, k, 2^n, 2^n) stack.
 
     Entry m is the average over the n <= 3 qubits of 1 - F_e(rho, marginal
@@ -379,7 +390,7 @@ def block_distortions(kraus, rho: DensityMatrix) -> np.ndarray:
     ``tests/reference.py`` takes the same quantity one qubit and one channel
     at a time, through the marginal map's Choi matrix. Sets with fewer
     elements are padded with zero elements, which change nothing. Every set
-    must be complete within ``COMPLETENESS_TOL``.
+    must be complete within ``COMPLETENESS_TOL``; rho may be a plain matrix.
     """
     kraus = np.asarray(kraus, dtype=complex)
     if kraus.ndim != 4 or kraus.shape[-1] != kraus.shape[-2]:
@@ -390,10 +401,11 @@ def block_distortions(kraus, rho: DensityMatrix) -> np.ndarray:
         raise ShapeError(f"channel dimension {dim} is not a power of 2")
     if not 1 <= n <= 3:
         raise DomainError(f"block distortions are supported for n <= 3, got n={n}")
-    if rho.dim != 2:
+    rho = _state_matrix(rho)
+    if rho.shape[0] != 2:
         raise DimensionMismatchError("rho must be a single-qubit state")
     _require_complete(kraus)
-    squares, weight = _distortion_terms(kraus, rho.mat)
+    squares, weight = _distortion_terms(kraus, rho)
     return squares / weight / n
 
 

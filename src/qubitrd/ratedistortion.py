@@ -48,15 +48,14 @@ analytic figure off ``r1_curve_point``; the channel functionals of
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
-from .quantum import DensityMatrix, KrausChannel, binary_entropy
+from .errors import DomainError, check_integer
+from .quantum import DensityMatrix, KrausChannel, _clipped, binary_entropy
 
 HALF_PI = math.pi / 2
 # Delta values this close to 0 or pi/2 take the curve's exact limits.
@@ -133,7 +132,7 @@ def pair_channel(alpha: float, delta: float) -> KrausChannel:
     channel."""
     a1 = np.diag([math.cos(alpha), math.cos(alpha + delta)]).astype(complex)
     a2 = np.diag([math.sin(alpha), math.sin(alpha + delta)]).astype(complex)
-    return KrausChannel((a1, a2), trace_preserving=True)
+    return KrausChannel((a1, a2))
 
 
 def _pair_weights(alpha, delta, p0, xp=np):
@@ -195,14 +194,11 @@ def s1_curve_point(theta, src: SourceSpec):
     distortion, entropy h2(p0)); at ``t = 0`` it replaces the source with its
     best-guess pure state (entropy 0). The entropy is h2 of the output's
     smaller eigenvalue p1 sin^2 t / (p0 cos^2 t + p1 sin^2 t), never above
-    the other on [0, pi/4], which keeps full precision at p0 near 1. Takes a float, giving floats, or an array, giving arrays;
-    entries beyond 1e-12 outside [0, pi/4], or NaN, raise ``DomainError``.
+    the other on [0, pi/4], which keeps full precision at p0 near 1. Takes
+    a float, giving floats, or an array, giving arrays; entries beyond
+    1e-12 outside [0, pi/4], or NaN, raise ``DomainError``.
     """
-    t = np.asarray(theta, dtype=float)
-    inside = (t >= -1e-12) & (t <= math.pi / 4 + 1e-12)
-    if not inside.all():
-        raise DomainError(f"theta must lie in [0, pi/4], got {t[~inside][0]}")
-    t = np.clip(t, 0.0, math.pi / 4)
+    t = _clipped(theta, 0.0, math.pi / 4, "theta must lie in [0, pi/4], got {}")
     p0, p1 = src.p0, src.p1
     c, s = np.cos(t), np.sin(t)
     weight = p0 * c * c + p1 * s * s
@@ -270,11 +266,10 @@ def sweep_curve(src: SourceSpec, n_points: int) -> np.recarray:
     array (``_optimal_alpha``, ``_pair_figures``, whose three entropy
     columns take one h2 pass over a (3, n_points - 2) stack), so
     ``tuple(curve[i])`` equals ``r1_curve_point`` at its delta bit for bit.
-    ``n_points`` is an integer (a Python or NumPy one) of at least 2; any
-    other value raises ``DomainError``.
+    ``n_points`` is an integer (a Python or NumPy one, not a bool) of at
+    least 2; any other value raises ``DomainError``.
     """
-    if not isinstance(n_points, numbers.Integral) or n_points < 2:
-        raise DomainError(f"n_points must be an integer of at least 2, got {n_points!r}")
+    check_integer("n_points", n_points, 2)
     p0 = src.p0
     curve = np.empty(n_points, dtype=_CURVE_DTYPE)
     curve[0] = r1_curve_point(0.0, src)
@@ -293,9 +288,5 @@ def isotropic_s1(d):
     h2(1/2 + sqrt(d (1 - d))) for d in [0, 1/2], of a float or of each entry
     of an array; other entries (beyond 1e-12, or NaN) raise ``DomainError``.
     """
-    d = np.asarray(d, dtype=float)
-    inside = (d >= -1e-12) & (d <= 0.5 + 1e-12)
-    if not inside.all():
-        raise DomainError(f"distortion must lie in [0, 1/2], got {d[~inside][0]}")
-    d = np.clip(d, 0.0, 0.5)
+    d = _clipped(d, 0.0, 0.5, "distortion must lie in [0, 1/2], got {}")
     return binary_entropy(0.5 + np.sqrt(d * (1.0 - d)))

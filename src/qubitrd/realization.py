@@ -17,13 +17,12 @@ matrix [[A1, -A2], [A2, A1]] of the pair's elements.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import quantum
-from .errors import DomainError, InternalNumericError
+from .errors import DomainError, InternalNumericError, check_integer
 from .quantum import KrausChannel
 from .ratedistortion import HALF_PI, CurvePoint, SourceSpec, pair_channel, r1_curve_point
 
@@ -98,16 +97,13 @@ def simulate_stream(circ: RealizationCircuit, n_samples: int, seed: int) -> Stre
     They are counted ``SAMPLE_CHUNK`` at a time; chunked draws from the
     generator are the same numbers as one draw of all samples. That
     probability and the analytic fields are the lambda1, d, R and r of the
-    circuit's point. ``n_samples`` is an integer >= 1 and ``seed`` an
-    integer in [0, 2**128), Python or NumPy; any other value raises
-    ``DomainError``, so a float seed is never truncated into another seed's
-    stream.
+    circuit's point. ``n_samples`` is an integer >= 1 and ``seed`` one in
+    [0, 2**128), not a bool; any other value raises ``DomainError``, so a
+    float seed is never truncated into another seed's stream.
     """
-    if not isinstance(n_samples, numbers.Integral) or n_samples < 1:
-        raise DomainError(f"n_samples must be an integer >= 1, got {n_samples!r}")
-    if not isinstance(seed, numbers.Integral):
-        raise DomainError(f"seed must be an integer, got {seed!r}")
-    if not 0 <= seed < 2**128:
+    check_integer("n_samples", n_samples, 1)
+    check_integer("seed", seed, 0)
+    if seed >= 2**128:
         raise DomainError(f"seed must lie in [0, 2**128), got {seed}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     type1_count = 0

@@ -32,14 +32,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
 from . import quantum
-from .errors import DomainError
+from .errors import DomainError, check_integer
 from .quantum import DensityMatrix, complex_normal, stinespring_kraus
 from .ratedistortion import (
     ENDPOINT_CUTOFF,
@@ -113,15 +112,6 @@ def _worst(values: np.ndarray) -> float:
     return float(values.max()) if values.size else 0.0
 
 
-def _check_integer(name: str, value, low: int, high: int | None = None) -> None:
-    """Raise ``DomainError`` unless ``value`` is a Python or NumPy integer in
-    [low, high] (no upper end when ``high`` is None)."""
-    inside = isinstance(value, numbers.Integral) and low <= value
-    if not inside or (high is not None and value > high):
-        span = f">= {low}" if high is None else f"in {low}..{high}"
-        raise DomainError(f"{name} must be an integer {span}, got {value!r}")
-
-
 def _run_blocks(n_trials: int, seed: int, tolerance: float, evaluate, joined=()):
     """Draw and evaluate a suite's trials in consecutive blocks of ``BLOCK_CHUNK``.
 
@@ -135,8 +125,8 @@ def _run_blocks(n_trials: int, seed: int, tolerance: float, evaluate, joined=())
     Returns the excesses of all trials, the ``joined`` fields over all
     trials, and at most ``MAX_RECORDED_FAILURES`` failure rows.
     """
-    _check_integer("n_trials", n_trials, 0)
-    _check_integer("seed", seed, 0)
+    check_integer("n_trials", n_trials, 0)
+    check_integer("seed", seed, 0)
     excesses: list[np.ndarray] = [np.empty(0)]
     kept: dict[str, list[np.ndarray]] = {name: [] for name in joined}
     failures: list[dict[str, Any]] = []
@@ -211,7 +201,7 @@ def check_lemma1(n_trials: int, dim: int, seed: int) -> VerificationReport:
     D and L are random positive diagonal matrices with descending entries;
     U, V are independent Haar unitaries (one-element Stinespring draws).
     """
-    _check_integer("dim", dim, 2, 8)
+    check_integer("dim", dim, 2, 8)
 
     def evaluate(rng, count):
         u = stinespring_kraus(rng, count, dim, 1)[:, 0]
@@ -228,8 +218,8 @@ def check_lemma1(n_trials: int, dim: int, seed: int) -> VerificationReport:
 
 def check_lemma2(n_trials: int, dim: int, k: int, seed: int) -> VerificationReport:
     """Sum bound sum_i |tr(Y_i D)|^2 <= tr(D)^2 for complete {Y_i}, positive D."""
-    _check_integer("dim", dim, 2, 8)
-    _check_integer("k", k, 1, 4)
+    check_integer("dim", dim, 2, 8)
+    check_integer("k", k, 1, 4)
 
     def evaluate(rng, count):
         y = stinespring_kraus(rng, count, dim, k)
@@ -340,17 +330,17 @@ def check_perturbation(
     relative): they check that the phase of x is immaterial. Growth ratios
     are taken only where the smaller growth exceeds 1e-12, so round-off
     (every growth at p0 = 1/2) gives none. Every delta must lie in
-    (0, pi/2) and every magnitude in [0, 0.05], on 1-D grids; any other
-    value, NaN included, raises ``DomainError``, as does a grid with no
-    feasible cell, whose message names the largest h (0.00996 for the
-    default grid at p0 0.99). The suite draws nothing, but its seed
-    is recorded, so it must be a non-negative integer like every suite's.
+    (0, pi/2) and every magnitude in [0, 0.05], on non-empty 1-D grids; any
+    other value, NaN included, raises ``DomainError``, as does a grid with
+    no feasible cell, whose message names the largest h (0.00996 for the
+    default grid at p0 0.99). The suite draws nothing, but its seed is
+    recorded, so it must be a non-negative integer like every suite's.
     """
-    _check_integer("seed", seed, 0)
+    check_integer("seed", seed, 0)
     mags = np.asarray(x_magnitudes, dtype=float)
     deltas = np.asarray(delta_grid, dtype=float)
-    if mags.ndim != 1 or deltas.ndim != 1:
-        raise DomainError("delta_grid and x_magnitudes must be 1-D sequences")
+    if mags.ndim != 1 or deltas.ndim != 1 or not (mags.size and deltas.size):
+        raise DomainError("delta_grid and x_magnitudes must be non-empty 1-D sequences")
     if not np.all((mags >= 0.0) & (mags <= 0.05)):
         raise DomainError("perturbation magnitudes must lie in [0, 0.05]")
     outside = ~((deltas > 0.0) & (deltas < HALF_PI))
@@ -548,7 +538,7 @@ def check_theorem3_isotropic(
     2 or 3 unbiased qubits and checks the per-qubit average output entropy
     against h2(1/2 + sqrt(d (1 - d))) at the per-qubit block distortion.
     """
-    _check_integer("n_qubits", n_qubits, 2, 3)
+    check_integer("n_qubits", n_qubits, 2, 3)
     dim = 2**n_qubits
     rho1 = DensityMatrix(np.eye(2, dtype=complex) / 2)
 

@@ -212,7 +212,7 @@ def random_channel(dim: int, k: int, seed: int) -> KrausChannel:
     """Random trace-preserving channel with k elements, deterministic per seed."""
     rng = np.random.default_rng(seed)
     kraus = stinespring_kraus(rng, 1, dim, k)[0]
-    return KrausChannel(tuple(kraus), trace_preserving=True)
+    return KrausChannel(tuple(kraus))
 
 
 def random_density(dim: int, seed: int) -> DensityMatrix:

@@ -184,7 +184,7 @@ def test_criterion_09_block_dominance():
             for a in pair.elements
             for b in pair.elements
         )
-        channel = KrausChannel(elements, trace_preserving=True)
+        channel = KrausChannel(elements)
         rho2 = DensityMatrix(np.kron(src.density().mat, src.density().mat))
         rate = 0.5 * quantum.average_entropy(channel, rho2)
         d = quantum.block_distortions([channel.elements], src.density())[0]
@@ -285,7 +285,7 @@ def test_criterion_12_entropy_exchange_claims():
     for trial in range(10000):
         k = trial % 4 + 1
         kraus = quantum.stinespring_kraus(rng, 1, 2, k)[0]
-        channel = KrausChannel(tuple(kraus), trace_preserving=True)
+        channel = KrausChannel(tuple(kraus))
         rho = reference.random_density(2, 10_000 + trial)
         out, weight = quantum.apply(channel, rho)
         gap = quantum.average_entropy(channel, rho) - reference.von_neumann_entropy(

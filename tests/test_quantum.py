@@ -13,6 +13,7 @@ from qubitrd import errors, quantum
 from qubitrd.errors import (
     AnnihilationError,
     ContractViolationError,
+    DimensionMismatchError,
     DomainError,
 )
 from qubitrd.quantum import DensityMatrix, KrausChannel
@@ -24,8 +25,8 @@ P1 = np.diag([0.0, 1.0]).astype(complex)
 
 RHO_73 = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
 MIXED = DensityMatrix(I2 / 2)
-DEPHASING = KrausChannel((P0, P1), trace_preserving=True)
-IDENTITY = KrausChannel((I2,), trace_preserving=True)
+DEPHASING = KrausChannel((P0, P1))
+IDENTITY = KrausChannel((I2,))
 
 # High-precision reference values for the binary entropy (40-digit evaluation).
 H2_03 = 0.8812908992306926182
@@ -46,9 +47,22 @@ def test_density_matrix_properties():
     assert RHO_73.dim == 2
 
 
-def test_kraus_channel_trace_preserving_claim():
-    with pytest.raises(ContractViolationError):
-        KrausChannel((P0,), trace_preserving=True)
+def test_kraus_channel_derives_trace_preserving():
+    # completeness is read off the elements within COMPLETENESS_TOL, never
+    # passed in
+    stinespring = quantum.stinespring_kraus(np.random.default_rng(5), 6, 4, 3)
+    for ch in [pair_channel(0.3, 0.7), DEPHASING, IDENTITY]:
+        assert ch.trace_preserving is True
+    for kraus in stinespring:
+        assert KrausChannel(tuple(kraus)).trace_preserving is True
+    assert KrausChannel((P0,)).trace_preserving is False
+    off = KrausChannel((P0 * math.sqrt(1.0 + 1e-9), P1))
+    assert off.trace_preserving is False
+    assert KrausChannel((P0 * math.sqrt(1.0 + 1e-11), P1)).trace_preserving is True
+    with pytest.raises(TypeError):
+        KrausChannel((P0, P1), trace_preserving=False)
+    with pytest.raises(AttributeError):  # read-only, like every field
+        DEPHASING.trace_preserving = False
     assert DEPHASING.k == 2 and DEPHASING.dim == 2
 
 
@@ -335,7 +349,7 @@ def test_entropy_exchange_dephasing_on_mixed():
 def test_entropy_exchange_unitary_channel_is_zero():
     for seed in range(20):
         u = quantum.stinespring_kraus(np.random.default_rng(seed), 1, 2, 1)[0, 0]
-        ch = KrausChannel((u,), trace_preserving=True)
+        ch = KrausChannel((u,))
         rho = reference.random_density(2, seed)
         assert quantum.entropy_exchange(rho, ch) <= 1e-10
 
@@ -377,7 +391,7 @@ def test_average_entropy_isotropic_pair():
     for theta in (0.2, 0.5, np.pi / 4):
         a1 = np.diag([np.cos(theta), np.sin(theta)]).astype(complex)
         a2 = np.diag([np.sin(theta), np.cos(theta)]).astype(complex)
-        ch = KrausChannel((a1, a2), trace_preserving=True)
+        ch = KrausChannel((a1, a2))
         expected = quantum.binary_entropy(np.cos(theta) ** 2)
         assert quantum.average_entropy(ch, MIXED) == pytest.approx(
             expected, abs=1e-12
@@ -385,8 +399,19 @@ def test_average_entropy_isotropic_pair():
 
 
 def test_average_entropy_requires_trace_preserving():
-    with pytest.raises(ContractViolationError):
+    # the message gives the completeness gap
+    with pytest.raises(ContractViolationError, match="by 1.000e\\+00$"):
         quantum.average_entropy(KrausChannel((P0,)), RHO_73)
+    off = KrausChannel((P0 * math.sqrt(1.0 + 1e-9), P1))
+    with pytest.raises(ContractViolationError, match="by 1.000e-09$"):
+        quantum.average_entropy(off, RHO_73)
+    # a NaN gap is no completeness, for the flag and the check alike
+    nan = KrausChannel((P0 * math.nan, P1))
+    assert nan.trace_preserving is False
+    with pytest.raises(ContractViolationError, match="by nan$"):
+        quantum.average_entropy(nan, RHO_73)
+    with pytest.raises(ContractViolationError, match="by nan$"):
+        quantum.block_distortions([nan.elements], RHO_73)
 
 
 def _choi_from_kraus(ch):
@@ -406,7 +431,7 @@ def test_marginal_channel_of_product_channel():
     elements = tuple(
         np.kron(a, b) for a in ch1.elements for b in ch2.elements
     )
-    joint = KrausChannel(elements, trace_preserving=True)
+    joint = KrausChannel(elements)
     got = reference.marginal_channel(joint, RHO_73, 1)
     assert np.allclose(got.mat, _choi_from_kraus(ch1).mat, atol=1e-10)
     got2 = reference.marginal_channel(joint, RHO_73, 2)
@@ -414,7 +439,7 @@ def test_marginal_channel_of_product_channel():
 
 
 def test_marginal_channel_of_identity():
-    ident4 = KrausChannel((np.eye(4, dtype=complex),), trace_preserving=True)
+    ident4 = KrausChannel((np.eye(4, dtype=complex),))
     for alpha in (1, 2):
         got = reference.marginal_channel(ident4, RHO_73, alpha)
         assert np.allclose(got.mat, _choi_from_kraus(IDENTITY).mat, atol=1e-12)
@@ -423,7 +448,7 @@ def test_marginal_channel_of_identity():
 def test_marginal_channel_of_swap_is_replacement():
     swap = np.zeros((4, 4), dtype=complex)
     swap[0, 0] = swap[3, 3] = swap[1, 2] = swap[2, 1] = 1.0
-    ch = KrausChannel((swap,), trace_preserving=True)
+    ch = KrausChannel((swap,))
     got = reference.marginal_channel(ch, RHO_73, 1)
     expected = np.zeros((4, 4), dtype=complex)
     expected[0:2, 0:2] = RHO_73.mat
@@ -432,7 +457,7 @@ def test_marginal_channel_of_swap_is_replacement():
 
 
 def test_marginal_channel_index_out_of_range():
-    ident4 = KrausChannel((np.eye(4, dtype=complex),), trace_preserving=True)
+    ident4 = KrausChannel((np.eye(4, dtype=complex),))
     with pytest.raises(DomainError):
         reference.marginal_channel(ident4, RHO_73, 3)
 
@@ -474,7 +499,7 @@ def test_choi_fidelity_matches_kraus_route():
 
 
 def test_block_distortion_identity():
-    ident4 = KrausChannel((np.eye(4, dtype=complex),), trace_preserving=True)
+    ident4 = KrausChannel((np.eye(4, dtype=complex),))
     assert quantum.block_distortions([ident4.elements], RHO_73)[0] == pytest.approx(
         0.0, abs=1e-12
     )
@@ -483,7 +508,7 @@ def test_block_distortion_identity():
 def test_block_distortion_product_channel():
     ch = reference.random_channel(2, 2, 55)
     elements = tuple(np.kron(a, b) for a in ch.elements for b in ch.elements)
-    joint = KrausChannel(elements, trace_preserving=True)
+    joint = KrausChannel(elements)
     assert quantum.block_distortions([joint.elements], RHO_73)[0] == pytest.approx(
         quantum.distortion(RHO_73, ch), abs=1e-10
     )
@@ -495,7 +520,7 @@ def test_block_distortion_two_qubit_dephasing():
         e = np.zeros((4, 4), dtype=complex)
         e[i, i] = 1.0
         elements.append(e)
-    ch = KrausChannel(tuple(elements), trace_preserving=True)
+    ch = KrausChannel(tuple(elements))
     assert quantum.block_distortions([ch.elements], RHO_73)[0] == pytest.approx(
         0.42, abs=1e-12
     )
@@ -519,7 +544,7 @@ def test_block_distortions_match_marginal_loop(n, rho):
     got = quantum.block_distortions(stack, rho)
     assert got.shape == (len(ks),)
     for m, k in enumerate(ks):
-        ch = KrausChannel(tuple(stack[m, :k]), trace_preserving=True)
+        ch = KrausChannel(tuple(stack[m, :k]))
         expected = np.mean(
             [
                 1.0 - reference.choi_entanglement_fidelity(
@@ -531,6 +556,15 @@ def test_block_distortions_match_marginal_loop(n, rho):
         assert abs(got[m] - expected) <= 1e-14
         # one channel as a one-set stack
         assert abs(quantum.block_distortions([ch.elements], rho)[0] - expected) <= 1e-14
+
+
+def test_block_distortions_take_a_plain_matrix():
+    # like average_entropies and distortion, a state may be its bare matrix
+    stack = _padded_random_stack(np.random.default_rng(4), 4, [2, 1, 3])
+    got = quantum.block_distortions(stack, RHO_73.mat)
+    assert got.tobytes() == quantum.block_distortions(stack, RHO_73).tobytes()
+    with pytest.raises(DimensionMismatchError):
+        quantum.block_distortions(stack, np.eye(4) / 4)
 
 
 def test_block_distortions_reject_incomplete_set():
@@ -723,7 +757,7 @@ def test_concavity_chain_on_random_channels():
     for trial in range(10000):
         k = trial % 4 + 1
         kraus = quantum.stinespring_kraus(rng, 1, 2, k)[0]
-        ch = KrausChannel(tuple(kraus), trace_preserving=True)
+        ch = KrausChannel(tuple(kraus))
         rho = reference.random_density(2, 9000 + trial)
         fid = quantum.entanglement_fidelity(rho, ch)
         assert -1e-12 <= fid <= 1 + 1e-10

@@ -28,7 +28,7 @@ def test_source_spec_validation():
 
 
 def test_kraus_pair_completeness():
-    # An incomplete set is rejected by KrausChannel itself (test_quantum).
+    # KrausChannel derives trace_preserving from the elements (test_quantum).
     pair = pair_channel(0.3, 0.7)
     assert pair.trace_preserving
     total = sum(a.conj().T @ a for a in pair.elements)
@@ -415,6 +415,33 @@ def test_isotropic_s1_on_arrays():
     for bad in (0.5 + 2e-12, -1.0, math.nan):
         with pytest.raises(DomainError):
             rd.isotropic_s1(np.array([0.1, bad]))
+
+
+@pytest.mark.parametrize(
+    "call, low, high, message",
+    [
+        (quantum.binary_entropy, 0.0, 1.0, "probability {} outside [0, 1]"),
+        (
+            lambda x: np.array(rd.s1_curve_point(x, SRC7)),
+            0.0,
+            math.pi / 4,
+            "theta must lie in [0, pi/4], got {}",
+        ),
+        (rd.isotropic_s1, 0.0, 0.5, "distortion must lie in [0, 1/2], got {}"),
+    ],
+    ids=["binary_entropy", "s1_curve_point", "isotropic_s1"],
+)
+def test_range_checks_clip_within_1e_12(call, low, high, message):
+    # every array range check: NaN and an entry 1e-11 outside raise with the
+    # caller's message, one 1e-13 outside is clipped to the end it passed
+    for bad in (math.nan, low - 1e-11, high + 1e-11):
+        for arg in (np.array([low, bad, high]), bad):
+            with pytest.raises(DomainError) as info:
+                call(arg)
+            assert str(info.value) == message.format(bad)
+    near = call(np.array([low - 1e-13, high + 1e-13]))
+    assert near.tobytes() == call(np.array([low, high])).tobytes()
+    assert np.array(call(high + 1e-13)).tobytes() == np.array(call(high)).tobytes()
 
 
 def test_sweep_solve_equals_solve_alpha_bit_for_bit():

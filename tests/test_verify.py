@@ -169,6 +169,13 @@ def test_perturbation_rejects_delta_outside_open_interval(delta):
         verify.check_perturbation((0.6, delta), (0.01,), SRC7, seed=0)
 
 
+@pytest.mark.parametrize("deltas, mags", [((), (0.01,)), ((0.5,), ())])
+def test_perturbation_rejects_an_empty_grid(deltas, mags):
+    # refused as empty, not as a grid with no feasible cell
+    with pytest.raises(DomainError, match="non-empty 1-D"):
+        verify.check_perturbation(deltas, mags, SRC7, 0)
+
+
 def test_perturbation_masks_infeasible_cells():
     # At p0 0.9 the cell (0.15, 0.02) is infeasible, its |x| longer than
     # the half-chord h of its delta: the cell is recorded, its 8 phases are
@@ -457,7 +464,7 @@ def test_blocks_tensor_square_on_curve():
             for a in pair.elements
             for b in pair.elements
         )
-        ch = KrausChannel(elements, trace_preserving=True)
+        ch = KrausChannel(elements)
         rho2 = DensityMatrix(np.kron(src.density().mat, src.density().mat))
         rate = 0.5 * quantum.average_entropy(ch, rho2)
         d = quantum.block_distortions([ch.elements], src.density())[0]
@@ -471,7 +478,7 @@ def test_blocks_complete_dephasing_reaches_max_distortion():
         e = np.zeros((4, 4), dtype=complex)
         e[i, i] = 1.0
         elements.append(e)
-    ch = KrausChannel(tuple(elements), trace_preserving=True)
+    ch = KrausChannel(tuple(elements))
     rho2 = DensityMatrix(np.kron(SRC7.density().mat, SRC7.density().mat))
     assert quantum.block_distortions([ch.elements], SRC7.density())[0] == pytest.approx(
         SRC7.d_max, abs=1e-12
@@ -535,15 +542,45 @@ def test_suites_reject_a_bad_seed(run, seed):
             ),
             "n_samples",
         ),
+        (lambda bad: verify.check_lemma2(10, bad, 2, 0), "dim"),
+        (lambda bad: verify.check_lemma2(bad, 2, 2, 0), "n_trials"),
+        (lambda bad: verify.check_lemma1(5, 2, bad), "seed"),
+        (lambda bad: verify.check_lemma2(5, 2, 2, bad), "seed"),
+        (lambda bad: verify.check_theorem1(5, bad, SRC7), "seed"),
+        (lambda bad: verify.random_channel_search(SRC7, 5, bad), "seed"),
+        (lambda bad: verify.check_theorem2_blocks(SRC7, 5, bad), "seed"),
+        (lambda bad: verify.check_theorem3_isotropic(2, 5, bad), "seed"),
+        (
+            lambda bad: verify.check_perturbation(
+                verify.DEFAULT_PERTURBATION_DELTAS,
+                verify.DEFAULT_PERTURBATION_MAGNITUDES,
+                SRC7,
+                bad,
+            ),
+            "seed",
+        ),
+        (lambda bad: verify.run_suite("lemma2", SRC7, 5, bad), "seed"),
+        (lambda bad: sweep_curve(SRC7, bad), "n_points"),
+        (
+            lambda bad: realization.simulate_stream(
+                realization.build_circuit(0.8, SRC7), 10, bad
+            ),
+            "seed",
+        ),
     ],
     ids=[
         "lemma1-dim", "lemma2-k", "lemma1-trials", "theorem1-trials",
         "search-trials", "blocks-trials", "isotropic-trials", "run_suite-trials",
-        "isotropic-qubits", "simulate-samples",
+        "isotropic-qubits", "simulate-samples", "lemma2-dim", "lemma2-trials",
+        "lemma1-seed", "lemma2-seed", "theorem1-seed", "search-seed", "blocks-seed",
+        "isotropic-seed", "perturbation-seed", "run_suite-seed", "sweep-points",
+        "simulate-seed",
     ],
 )
-@pytest.mark.parametrize("bad", [2.0, 2.5, "3"])
+@pytest.mark.parametrize("bad", [True, False, 2.0, 2.5, "3", None])
 def test_counts_must_be_integers(run, name, bad):
+    # every integer parameter takes one check (errors.check_integer): a bool
+    # is no count and no seed, however Python ranks it among the integers
     with pytest.raises(DomainError, match=name):
         run(bad)
     # NumPy integers are integers
@@ -576,7 +613,7 @@ def test_blocks_diagonal_marginal_is_diagonal():
                 reduced = reference.partial_trace(out, {alpha})
                 assert abs(reduced[0, 1]) <= 1e-14
         choi = reference.marginal_channel(
-            KrausChannel(elements, trace_preserving=True), SRC7.density(), 1
+            KrausChannel(elements), SRC7.density(), 1
         )
         for i in range(2):
             block = choi.block(i, i)
@@ -584,7 +621,7 @@ def test_blocks_diagonal_marginal_is_diagonal():
 
 
 def test_isotropic_identity_endpoint():
-    ch = KrausChannel((np.eye(4, dtype=complex),), trace_preserving=True)
+    ch = KrausChannel((np.eye(4, dtype=complex),))
     rho1 = DensityMatrix(np.eye(2, dtype=complex) / 2)
     assert quantum.block_distortions([ch.elements], rho1)[0] == pytest.approx(
         0.0, abs=1e-12
@@ -599,7 +636,7 @@ def test_isotropic_tensored_pair_on_curve():
     elements = tuple(
         np.kron(a, b) for a in pair.elements for b in pair.elements
     )
-    ch = KrausChannel(elements, trace_preserving=True)
+    ch = KrausChannel(elements)
     rho1 = DensityMatrix(np.eye(2, dtype=complex) / 2)
     rho2 = DensityMatrix(np.eye(4, dtype=complex) / 4)
     d = quantum.block_distortions([ch.elements], rho1)[0]
