@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -45,13 +44,6 @@ WEIGHT_FLOOR = 1e-14
 EIGENVALUE_FLOOR = 1e-14
 _TINY = 5e-324  # smallest positive (subnormal) double
 _LN2 = math.log(2.0)
-# h2's logarithms of one Python float: numpy's, whose bits math.log and
-# math.log1p do not always give, each turned into a float at once, so the
-# rest of the formula runs in float arithmetic.
-_FLOAT_LOGS = SimpleNamespace(
-    log=lambda x: float(np.log(x)),
-    log1p=lambda x: float(np.log1p(x)),
-)
 
 
 def _frozen(mat: np.ndarray) -> np.ndarray:
@@ -197,30 +189,33 @@ def binary_entropy(p):
     1 - p, so a caller who knows 1 - p in closed form passes that. Entries
     within 1e-12 outside [0, 1] are clipped; any other, NaN included,
     raises ``DomainError``. An int, a float, a ``np.float64`` or a 0-d
-    array gives a float, an array an array. The formula is written once,
-    over the functions of a namespace: numpy's on an array, and on a float
-    ``_FLOAT_LOGS``, whose logarithms are numpy's turned into floats, so a
-    float runs in float arithmetic and gets the bits of the same entry of
-    an array.
+    array gives a float, an array an array, by ``_h2_unchecked`` after the
+    check. A float runs the formula in float arithmetic on numpy's
+    logarithms (math's do not always give their bits), each turned into a
+    float at once, and gets the bits of the same entry of an array.
     """
-    if isinstance(p, (int, float)):
-        if not -1e-12 <= p <= 1 + 1e-12:
-            raise DomainError(f"probability {p} outside [0, 1]")
-        # min and max written as comparisons, which cost a fraction of the
-        # builtins' calls and pick the same operand
-        xp = _FLOAT_LOGS
-        p = 0.0 if p < 0.0 else 1.0 if p > 1.0 else float(p)
-        q = 1.0 - p
-        m = q if q < p else p
-        floored = _TINY if m < _TINY else m
-    else:
-        xp = np
-        p = _clipped(p, 0.0, 1.0, "probability {} outside [0, 1]")
-        m = np.minimum(p, 1.0 - p)
-        floored = np.maximum(m, _TINY)
-    nats = m * xp.log(floored) + (1.0 - m) * xp.log1p(-m)
-    h = 0.0 - nats / _LN2
-    return h if isinstance(h, np.ndarray) else float(h)
+    if not isinstance(p, (int, float)):
+        h = _h2_unchecked(_clipped(p, 0.0, 1.0, "probability {} outside [0, 1]"))
+        return h if isinstance(h, np.ndarray) else float(h)
+    if not -1e-12 <= p <= 1 + 1e-12:
+        raise DomainError(f"probability {p} outside [0, 1]")
+    # min and max written as comparisons, which cost a fraction of the
+    # builtins' calls and pick the same operand
+    p = 0.0 if p < 0.0 else 1.0 if p > 1.0 else float(p)
+    q = 1.0 - p
+    m = q if q < p else p
+    floored = _TINY if m < _TINY else m
+    nats = m * float(np.log(floored)) + (1.0 - m) * float(np.log1p(-m))
+    return 0.0 - nats / _LN2
+
+
+def _h2_unchecked(p):
+    """h2 in bits of each entry of a float array inside [0, 1], by the
+    formula of ``binary_entropy`` with no range check and no clip: for
+    arrays that the caller built inside [0, 1] itself."""
+    m = np.minimum(p, 1.0 - p)
+    nats = m * np.log(np.maximum(m, _TINY)) + (1.0 - m) * np.log1p(-m)
+    return 0.0 - nats / _LN2
 
 
 def entanglement_fidelity(rho, ch: KrausChannel) -> float:

@@ -34,15 +34,15 @@ the type-1 weight ``lambda1 = p0 cos^2 a + p1 cos^2(a + D)``, with
 ``lambda2 = 1 - lambda1``, and the side-channel rate h2(lambda1). R, r and
 lambda1 come from one kernel, ``_pair_figures``, on one set of squares,
 with the three h2 of R's two terms and of r taken in one pass: over arrays,
-one ``binary_entropy`` call on the stack of their arguments. A sweep is one
-record array with a column per ``CurvePoint`` field. It writes the angle
-and the figures over whole arrays by the formulas of a single point, so
-each of its rows equals ``r1_curve_point``'s bit for bit. Each formula is
-written once, in a kernel that takes the namespace of the functions it
-calls: numpy over arrays, or ``_FLOATS`` on the Python floats of one
-point, whose functions give numpy's bits. ``simulate`` reads every
-analytic figure off ``r1_curve_point``; the channel functionals of
-``quantum`` serve the tests as a cross-check.
+one unchecked h2 call on the stack of their arguments, which lie in [0, 1]
+by construction. A sweep is one record array with a column per
+``CurvePoint`` field. It writes the angle and the figures over whole arrays
+by the formulas of a single point, so each of its rows equals
+``r1_curve_point``'s bit for bit. Each formula is written once, in a kernel
+that takes the namespace of the functions it calls: numpy over arrays, or
+``_FLOATS`` on the Python floats of one point, whose functions give numpy's
+bits. ``simulate`` reads every analytic figure off ``r1_curve_point``; the
+channel functionals of ``quantum`` serve the tests as a cross-check.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, check_integer
-from .quantum import DensityMatrix, KrausChannel, _clipped, binary_entropy
+from .quantum import DensityMatrix, KrausChannel, _clipped, _h2_unchecked, binary_entropy
 
 HALF_PI = math.pi / 2
 # Delta values this close to 0 or pi/2 take the curve's exact limits.
@@ -122,8 +122,9 @@ class CurvePoint(NamedTuple):
     lambda1: float
 
 
-# The record of one sweep row: a float64 field per CurvePoint field.
-_CURVE_DTYPE = np.dtype([(name, np.float64) for name in CurvePoint._fields])
+# The record of one sweep row: a float64 field per CurvePoint field, as a
+# np.record dtype, which a recarray view keeps instead of rebuilding it.
+_CURVE_DTYPE = np.dtype((np.record, [(f, np.float64) for f in CurvePoint._fields]))
 
 
 def pair_channel(alpha: float, delta: float) -> KrausChannel:
@@ -136,15 +137,16 @@ def pair_channel(alpha: float, delta: float) -> KrausChannel:
 
 
 def _pair_weights(alpha, delta, p0, xp=np):
-    """The squares c1, c2, s1, s2 of cos alpha, cos(alpha + delta), sin alpha
-    and sin(alpha + delta), then lambda1 and lambda2, by the functions of
-    ``xp`` (numpy, or ``_FLOATS`` on floats). Each square is a product,
-    which rounds alike on Python floats and arrays."""
+    """p0 c1, p1 c2, p0 s1, p1 s2, then their sums lambda1 and lambda2, with
+    c1, c2, s1, s2 the squares of cos alpha, cos(alpha + delta), sin alpha
+    and sin(alpha + delta), by the functions of ``xp`` (numpy, or ``_FLOATS``
+    on floats). Each square is a product, which rounds alike on both."""
     p1 = 1.0 - p0
     beta = alpha + delta
     c1, c2, s1, s2 = xp.cos(alpha), xp.cos(beta), xp.sin(alpha), xp.sin(beta)
-    c1, c2, s1, s2 = c1 * c1, c2 * c2, s1 * s1, s2 * s2
-    return c1, c2, s1, s2, p0 * c1 + p1 * c2, p0 * s1 + p1 * s2
+    p0c1, p1c2 = p0 * (c1 * c1), p1 * (c2 * c2)
+    p0s1, p1s2 = p0 * (s1 * s1), p1 * (s2 * s2)
+    return p0c1, p1c2, p0s1, p1s2, p0c1 + p1c2, p0s1 + p1s2
 
 
 def _pair_figures(alpha, delta, p0, xp=np):
@@ -156,20 +158,21 @@ def _pair_figures(alpha, delta, p0, xp=np):
     closed-form arguments (p0 c1 is never below p1 c2), which keeps full
     precision at p0 near 1, where 1 - lambda1 would lose the digits of
     lambda2. Over arrays the three h2 arguments go through one
-    ``binary_entropy`` call on their (3, n) stack: h2 is elementwise, so
+    ``_h2_unchecked`` call on their (3, n) stack: h2 is elementwise, so
     every entry keeps the bits of its own call, and the dozen or so ufunc
-    passes of h2 are paid once, not three times. On floats, where a stack
-    would only add its cost, they take three calls.
+    passes of h2 are paid once, not three times. Each argument is a part of
+    a sum of non-negative parts over that sum, or the smaller of two such
+    sums, so it lies in [0, 1] and needs no range check. On floats, where a
+    stack would only add its cost, they take three ``binary_entropy`` calls.
     """
-    p1 = 1.0 - p0
-    _, c2, s1, s2, lam1, lam2 = _pair_weights(alpha, delta, p0, xp)
-    q1 = p1 * c2 / lam1
-    q2 = xp.minimum(p0 * s1, p1 * s2) / lam2
+    _, p1c2, p0s1, p1s2, lam1, lam2 = _pair_weights(alpha, delta, p0, xp)
+    q1 = p1c2 / lam1
+    q2 = xp.minimum(p0s1, p1s2) / lam2
     q_side = xp.minimum(lam1, lam2)
     if xp is _FLOATS:
         e1, e2, r = binary_entropy(q1), binary_entropy(q2), binary_entropy(q_side)
     else:
-        e1, e2, r = binary_entropy(np.array((q1, q2, q_side)))
+        e1, e2, r = _h2_unchecked(np.array((q1, q2, q_side)))
     return lam1 * e1 + lam2 * e2, r, lam1
 
 
@@ -262,9 +265,10 @@ def sweep_curve(src: SourceSpec, n_points: int) -> np.recarray:
     row, and ``curve.tolist()`` the rows as tuples of Python floats. Rows
     come ordered by ascending distortion; the rate is non-increasing along
     the sweep. The end rows are ``r1_curve_point``'s exact limits. The
-    interior columns are written from the closed forms over the whole
-    array (``_optimal_alpha``, ``_pair_figures``, whose three entropy
-    columns take one h2 pass over a (3, n_points - 2) stack), so
+    deltas are ``np.linspace(0, pi/2, n_points)`` bit for bit. The interior
+    columns are written from the closed forms over the whole array
+    (``_optimal_alpha``, ``_pair_figures``, whose three entropy columns take
+    one unchecked h2 pass over a (3, n_points - 2) stack), so
     ``tuple(curve[i])`` equals ``r1_curve_point`` at its delta bit for bit.
     ``n_points`` is an integer (a Python or NumPy one, not a bool) of at
     least 2; any other value raises ``DomainError``.
@@ -273,7 +277,7 @@ def sweep_curve(src: SourceSpec, n_points: int) -> np.recarray:
     p0 = src.p0
     curve = np.empty(n_points, dtype=_CURVE_DTYPE)
     curve[0] = r1_curve_point(0.0, src)
-    deltas = np.linspace(0.0, HALF_PI, n_points)[1:-1]
+    deltas = np.arange(1.0, n_points - 1) * (HALF_PI / (n_points - 1))
     alpha = _optimal_alpha(deltas, p0)
     inner = curve[1:-1]
     inner["delta"], inner["alpha"], inner["d"] = deltas, alpha, src.distortion(deltas)

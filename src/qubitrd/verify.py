@@ -155,11 +155,11 @@ class RateCurveInterpolator:
     the rate is the pair's average entropy at the closed-form optimal angle:
     ``_optimal_alpha`` and ``_pair_figures`` over the whole array, the two
     kernels a sweep runs on its interior rows. ``_pair_figures`` takes R's
-    two entropies and r's in one h2 call over their stack, so the r that
-    this call drops costs a third of that call, not a call of its own. A
-    delta within ``ENDPOINT_CUTOFF`` of 0 or pi/2 takes that end's rate
-    from ``r1_curve_point``, so h2(p0) at d <= 0 and exactly 0 from d_max
-    on. A NaN distortion raises ``DomainError``.
+    two entropies and r's in one unchecked h2 call over their stack, so the
+    r that this call drops costs a third of that call, not a call of its
+    own. A delta within ``ENDPOINT_CUTOFF`` of 0 or pi/2 takes that end's
+    rate from ``r1_curve_point``, so h2(p0) at d <= 0 and exactly 0 from
+    d_max on. A NaN distortion raises ``DomainError``.
 
     The class interpolates nothing. Its name, ``__init__(src)`` and the
     cached ``rate_curve_interpolator`` that builds it are kept for the
@@ -583,9 +583,10 @@ def run_suite(
     """Run one named suite (or ``all``) with its documented default shape.
 
     Not every suite reads every argument: ``lemma1``, ``lemma2`` and
-    ``isotropic`` ignore ``src``, and ``perturbation`` ignores ``trials``
-    (it runs its fixed grid of 160 trials).
+    ``isotropic`` ignore ``src``, and ``perturbation`` runs its fixed grid
+    of 160 trials, though ``trials`` is checked for it as for every suite.
     """
+    check_integer("n_trials", trials, 0)
     if name == "all":
         reports = []
         for suite in SUITE_NAMES:

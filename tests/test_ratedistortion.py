@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qubitrd import quantum, ratedistortion as rd, realization
+from qubitrd import cli, quantum, ratedistortion as rd, realization
 from qubitrd.errors import DomainError
 from qubitrd.ratedistortion import SourceSpec, pair_channel
 
@@ -391,20 +391,55 @@ def test_sweep_matches_per_point_solve(p0, n):
 
 @pytest.mark.parametrize("n", [101, 512])
 def test_sweep_takes_h2_over_whole_arrays(monkeypatch, n):
-    # R = h2(p0) and r at delta = 0, one call over the (3, n - 2) stack of
-    # the interior's three h2 arguments (the two terms of the average
-    # entropy, then r = h2(lambda1)), and r at delta = pi/2, whatever the
-    # number of points.
-    h2 = rd.binary_entropy
+    # R = h2(p0) and r at delta = 0, then one unchecked call over the
+    # (3, n - 2) stack of the interior's three h2 arguments (the two terms
+    # of the average entropy, then r = h2(lambda1)), and r at delta = pi/2,
+    # whatever the number of points. The end rows' floats take the checked
+    # h2; the stack, built inside [0, 1], takes none of its check.
     calls = []
 
-    def spy(p):
-        calls.append(np.ndim(p))
-        return h2(p)
+    def spy(name, h2):
+        def call(p):
+            calls.append((name, type(p), np.shape(p)))
+            return h2(p)
 
-    monkeypatch.setattr(rd, "binary_entropy", spy)
+        return call
+
+    monkeypatch.setattr(rd, "binary_entropy", spy("checked", rd.binary_entropy))
+    monkeypatch.setattr(rd, "_h2_unchecked", spy("unchecked", rd._h2_unchecked))
     assert len(rd.sweep_curve(SRC7, n)) == n
-    assert calls == [0, 0, 2, 0]
+    end = ("checked", float, ())
+    assert calls == [end, end, ("unchecked", np.ndarray, (3, n - 2)), end]
+
+
+@pytest.mark.parametrize("n", [2, 3, 101, 512, 4097, cli.MAX_POINTS])
+def test_sweep_grid_is_linspace(n):
+    # The sweep takes its interior deltas as i * (pi/2 / (n - 1)), which is
+    # what np.linspace computes, up to the largest grid the CLI accepts.
+    curve = rd.sweep_curve(SRC7, n)
+    assert curve.delta.tobytes() == np.linspace(0.0, math.pi / 2, n).tobytes()
+
+
+def test_pair_figures_h2_arguments_lie_in_unit_interval(monkeypatch):
+    # The three h2 arguments of an evaluation over arrays skip the range
+    # check of binary_entropy; over p0 from 1/2 to 1 - 1e-12 and delta from
+    # 1e-12 to pi/2 - 1e-12 that check could never fire.
+    stacks = []
+
+    def spy(q):
+        stacks.append(q)
+        return quantum._h2_unchecked(q)
+
+    monkeypatch.setattr(rd, "_h2_unchecked", spy)
+    edges = np.geomspace(1e-12, 1e-2, 60)
+    deltas = np.concatenate([edges, np.linspace(1e-2, math.pi / 2 - 1e-2, 400)])
+    deltas = np.concatenate([deltas, math.pi / 2 - edges[::-1]])
+    gaps = np.geomspace(1e-12, 0.1, 24)
+    for p0 in [0.5, *(0.5 + gaps).tolist(), *(1.0 - gaps[::-1]).tolist()]:
+        rd._pair_figures(rd._optimal_alpha(deltas, p0), deltas, p0)
+    q = np.array(stacks)
+    assert q.shape == (49, 3, deltas.size)
+    assert np.isfinite(q).all() and (q >= 0.0).all() and (q <= 1.0).all()
 
 
 def test_isotropic_s1_on_arrays():

@@ -393,20 +393,24 @@ def test_interpolator_membership_and_bounds():
 
 
 def test_reference_takes_one_h2_call_per_evaluation(monkeypatch):
-    # R's two entropies and r go through one call over their (3, n) stack,
-    # however many distortions an evaluation takes.
+    # R's two entropies and r go through one unchecked call over their
+    # (3, n) stack, however many distortions an evaluation takes, and no
+    # call of the checked h2.
     curve = verify.RateCurveInterpolator(SRC7)
-    h2 = rd.binary_entropy
     calls = []
 
-    def spy(p):
-        calls.append(np.shape(p))
-        return h2(p)
+    def spy(name, h2):
+        def call(p):
+            calls.append((name, np.shape(p)))
+            return h2(p)
 
-    monkeypatch.setattr(rd, "binary_entropy", spy)
+        return call
+
+    monkeypatch.setattr(rd, "binary_entropy", spy("checked", rd.binary_entropy))
+    monkeypatch.setattr(rd, "_h2_unchecked", spy("unchecked", rd._h2_unchecked))
     curve(np.linspace(0.0, SRC7.d_max, 50))
     curve(0.2)
-    assert calls == [(3, 50), (3,)]
+    assert calls == [("unchecked", (3, 50)), ("unchecked", (3,))]
 
 
 @pytest.mark.parametrize("p0", [0.5, 0.7, 0.9])
@@ -535,6 +539,7 @@ def test_suites_reject_a_bad_seed(run, seed):
         (lambda bad: verify.check_theorem2_blocks(SRC7, bad, 0), "n_trials"),
         (lambda bad: verify.check_theorem3_isotropic(2, bad, 0), "n_trials"),
         (lambda bad: verify.run_suite("lemma2", SRC7, bad, 0), "n_trials"),
+        (lambda bad: verify.run_suite("perturbation", SRC7, bad, 0), "n_trials"),
         (lambda bad: verify.check_theorem3_isotropic(bad, 10, 0), "n_qubits"),
         (
             lambda bad: realization.simulate_stream(
@@ -571,6 +576,7 @@ def test_suites_reject_a_bad_seed(run, seed):
     ids=[
         "lemma1-dim", "lemma2-k", "lemma1-trials", "theorem1-trials",
         "search-trials", "blocks-trials", "isotropic-trials", "run_suite-trials",
+        "run_suite-perturbation-trials",
         "isotropic-qubits", "simulate-samples", "lemma2-dim", "lemma2-trials",
         "lemma1-seed", "lemma2-seed", "theorem1-seed", "search-seed", "blocks-seed",
         "isotropic-seed", "perturbation-seed", "run_suite-seed", "sweep-points",
