@@ -171,8 +171,13 @@ def eigenvalue_entropy(eigs) -> np.ndarray:
 
 def _clipped(x, low: float, high: float, message: str) -> np.ndarray:
     """``x`` as a float array clipped to [low, high]; the first entry over 1e-12
-    outside, or NaN, raises ``DomainError(message.format(entry))``. Slow on a float."""
-    x = np.asarray(x, dtype=float)
+    outside, or NaN, raises ``DomainError(message.format(entry))``, and so do
+    ``None`` and strings or bytes (which numpy would parse as numbers) with
+    their repr as the entry. Slow on a float."""
+    raw, x = x, np.asarray(x)
+    if raw is None or x.dtype.kind in "US":
+        raise DomainError(message.format(repr(raw)))
+    x = x.astype(float, copy=False)
     inside = (x >= low - 1e-12) & (x <= high + 1e-12)
     if not inside.all():
         raise DomainError(message.format(x[~inside][0]))
@@ -189,19 +194,26 @@ def binary_entropy(p):
     1 - p, so a caller who knows 1 - p in closed form passes that. Entries
     within 1e-12 outside [0, 1] are clipped; any other, NaN included,
     raises ``DomainError``. An int, a float, a ``np.float64`` or a 0-d
-    array gives a float, an array an array, by ``_h2_unchecked`` after the
-    check. A float runs the formula in float arithmetic on numpy's
-    logarithms (math's do not always give their bits), each turned into a
-    float at once, and gets the bits of the same entry of an array.
+    array gives a float, an array an array. Both take the check and clip,
+    then the unchecked kernel of their kind: ``_h2_float`` on a float,
+    ``_h2_unchecked`` on an array, which get the same bits.
     """
     if not isinstance(p, (int, float)):
         h = _h2_unchecked(_clipped(p, 0.0, 1.0, "probability {} outside [0, 1]"))
         return h if isinstance(h, np.ndarray) else float(h)
     if not -1e-12 <= p <= 1 + 1e-12:
         raise DomainError(f"probability {p} outside [0, 1]")
-    # min and max written as comparisons, which cost a fraction of the
-    # builtins' calls and pick the same operand
-    p = 0.0 if p < 0.0 else 1.0 if p > 1.0 else float(p)
+    # min and max written as comparisons, here and in _h2_float, which cost
+    # a fraction of the builtins' calls and pick the same operand
+    return _h2_float(0.0 if p < 0.0 else 1.0 if p > 1.0 else float(p))
+
+
+def _h2_float(p: float) -> float:
+    """h2 in bits of a Python float inside [0, 1], by the formula of
+    ``binary_entropy`` with no range check and no clip: for arguments that
+    the caller built inside [0, 1] itself. It runs in float arithmetic on
+    numpy's logarithms (math's do not always give their bits), each turned
+    into a float at once, and gets the bits of ``_h2_unchecked``'s entry."""
     q = 1.0 - p
     m = q if q < p else p
     floored = _TINY if m < _TINY else m

@@ -33,9 +33,10 @@ exact limits. Every other quantity of a curve point is closed form in
 the type-1 weight ``lambda1 = p0 cos^2 a + p1 cos^2(a + D)``, with
 ``lambda2 = 1 - lambda1``, and the side-channel rate h2(lambda1). R, r and
 lambda1 come from one kernel, ``_pair_figures``, on one set of squares,
-with the three h2 of R's two terms and of r taken in one pass: over arrays,
-one unchecked h2 call on the stack of their arguments, which lie in [0, 1]
-by construction. A sweep is one record array with a column per
+with the three h2 of R's two terms and of r taken unchecked, since their
+arguments lie in [0, 1] by construction: over arrays in one pass, one
+``_h2_unchecked`` call on the stack of the three, and on floats by three
+``_h2_float`` calls. A sweep is one record array with a column per
 ``CurvePoint`` field. It writes the angle and the figures over whole arrays
 by the formulas of a single point, so each of its rows equals
 ``r1_curve_point``'s bit for bit. Each formula is written once, in a kernel
@@ -55,7 +56,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, check_integer
-from .quantum import DensityMatrix, KrausChannel, _clipped, _h2_unchecked, binary_entropy
+from .quantum import (
+    DensityMatrix,
+    KrausChannel,
+    _clipped,
+    _h2_float,
+    _h2_unchecked,
+    binary_entropy,
+)
 
 HALF_PI = math.pi / 2
 # Delta values this close to 0 or pi/2 take the curve's exact limits.
@@ -75,17 +83,27 @@ _FLOATS = SimpleNamespace(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SourceSpec:
-    """Biased qubit source diag(p0, p1) with the convention p0 >= p1."""
+    """Biased qubit source diag(p0, p1) with the convention p0 >= p1.
+
+    ``p0`` is a real number in [0.5, 1); anything else, a string, None, a
+    complex number or a 1-element array included, raises ``DomainError``.
+    It is kept as a Python float, so that one curve point runs on floats.
+    The ``__init__`` is written out, so that p0 is checked and stored once.
+    """
 
     p0: float
 
-    def __post_init__(self):
-        if not 0.5 <= self.p0 < 1.0:
-            raise DomainError(f"p0 must lie in [0.5, 1), got {self.p0}")
-        # Kept as a Python float, so that one curve point runs on floats.
-        object.__setattr__(self, "p0", float(self.p0))
+    def __init__(self, p0: float):
+        try:
+            inside = 0.5 <= p0 < 1.0
+            p0 = float(p0)
+        except (TypeError, ValueError):  # not a real number
+            inside = False
+        if not inside:
+            raise DomainError(f"p0 must lie in [0.5, 1), got {p0!r}")
+        object.__setattr__(self, "p0", p0)
 
     @property
     def p1(self) -> float:
@@ -163,14 +181,15 @@ def _pair_figures(alpha, delta, p0, xp=np):
     passes of h2 are paid once, not three times. Each argument is a part of
     a sum of non-negative parts over that sum, or the smaller of two such
     sums, so it lies in [0, 1] and needs no range check. On floats, where a
-    stack would only add its cost, they take three ``binary_entropy`` calls.
+    stack would only add its cost, they take three ``_h2_float`` calls, the
+    same formula with no check either.
     """
     _, p1c2, p0s1, p1s2, lam1, lam2 = _pair_weights(alpha, delta, p0, xp)
     q1 = p1c2 / lam1
     q2 = xp.minimum(p0s1, p1s2) / lam2
     q_side = xp.minimum(lam1, lam2)
     if xp is _FLOATS:
-        e1, e2, r = binary_entropy(q1), binary_entropy(q2), binary_entropy(q_side)
+        e1, e2, r = _h2_float(q1), _h2_float(q2), _h2_float(q_side)
     else:
         e1, e2, r = _h2_unchecked(np.array((q1, q2, q_side)))
     return lam1 * e1 + lam2 * e2, r, lam1
@@ -218,14 +237,19 @@ def solve_alpha(delta: float, src: SourceSpec) -> float:
     """Mixing angle minimizing the average output entropy at fixed delta.
 
     The closed form ``_optimal_alpha`` on Python floats, as a float, for
-    delta in the open interval (0, pi/2); any other delta raises
-    ``DomainError``. It is within a few ulps of the exact angle however
-    small delta is (to the subnormal spacing where the angle itself is
-    subnormal), and equals the entry of ``_optimal_alpha`` over an array
-    of deltas bit for bit.
+    delta in the open interval (0, pi/2); any other delta, or one that is
+    not a real number, raises ``DomainError``. It is within a few ulps of
+    the exact angle however small delta is (to the subnormal spacing where
+    the angle itself is subnormal), and equals the entry of
+    ``_optimal_alpha`` over an array of deltas bit for bit.
     """
-    if not 0.0 < delta < HALF_PI:
-        raise DomainError(f"delta must lie in (0, pi/2), got {delta}")
+    try:
+        inside = 0.0 < delta < HALF_PI
+        delta = float(delta)
+    except (TypeError, ValueError):  # not a real number
+        inside = False
+    if not inside:
+        raise DomainError(f"delta must lie in (0, pi/2), got {delta!r}")
     return float(_optimal_alpha(delta, src.p0, _FLOATS))
 
 
@@ -242,11 +266,17 @@ def r1_curve_point(delta: float, src: SourceSpec) -> CurvePoint:
     until delta is well past p0 - p1, so at p0 = 0.5000001 the delta = 0
     row has r = 0 and the next row of a 101-point sweep r near 1. At
     delta = pi/2, (0, pi/2 - delta) closes on alpha = 0, so (d_max, 0) has
-    lambda1 = p0.
+    lambda1 = p0. A delta more than 1e-12 outside [0, pi/2], NaN, or one
+    that is not a real number raises ``DomainError``.
     """
-    if not -1e-12 <= delta <= HALF_PI + 1e-12:
-        raise DomainError(f"delta must lie in [0, pi/2], got {delta}")
-    delta, p0 = float(delta), src.p0
+    try:
+        inside = -1e-12 <= delta <= HALF_PI + 1e-12
+        delta = float(delta)
+    except (TypeError, ValueError):  # not a real number
+        inside = False
+    if not inside:
+        raise DomainError(f"delta must lie in [0, pi/2], got {delta!r}")
+    p0 = src.p0
     if delta <= ENDPOINT_CUTOFF:
         alpha, lam1 = (math.pi / 4, 0.5) if p0 == 0.5 else (0.0, 1.0)
         return CurvePoint(0.0, alpha, 0.0, binary_entropy(p0), binary_entropy(lam1), lam1)

@@ -68,7 +68,8 @@ class StreamResult:
 def build_circuit(delta: float, src: SourceSpec) -> RealizationCircuit:
     """Assemble the entangling unitary of the curve's point at delta.
 
-    delta must lie in (0, pi/2). The circuit carries
+    delta must be a real number in (0, pi/2); any other raises
+    ``DomainError``. The circuit carries
     ``r1_curve_point(delta, src)`` and realizes that point's optimal pair
     (``pair_channel`` at its alpha and delta). The unitary
     [[A1, -A2], [A2, A1]] is built from the pair's elements: it rotates
@@ -76,8 +77,13 @@ def build_circuit(delta: float, src: SourceSpec) -> RealizationCircuit:
     respectively, so the induced operation on the source qubit is exactly
     that pair.
     """
-    if not 0.0 < delta < HALF_PI:
-        raise DomainError(f"delta must lie in (0, pi/2), got {delta}")
+    try:
+        inside = 0.0 < delta < HALF_PI
+        delta = float(delta)
+    except (TypeError, ValueError):  # not a real number
+        inside = False
+    if not inside:
+        raise DomainError(f"delta must lie in (0, pi/2), got {delta!r}")
     point = r1_curve_point(delta, src)
     channel = pair_channel(point.alpha, point.delta)
     a1, a2 = channel.elements

@@ -172,7 +172,8 @@ def test_binary_entropy_float_bits_on_seeded_draws():
 def test_binary_entropy_stack_keeps_each_rows_bits():
     # A curve evaluation takes its three h2 in one call over a (3, n) stack;
     # h2 is elementwise, so every entry of the stack equals, bit for bit,
-    # its row's own 1-D call and its own float call.
+    # its row's own 1-D call, its own float call and the unchecked float
+    # kernel that a single curve point calls.
     rng = np.random.default_rng(31)
     edges = [0.0, 5e-324, 2.2e-308, 1e-310, 1e-15, 0.5, 1.0]
     rows = [np.concatenate([rng.uniform(0.0, 0.5, 510), edges]) for _ in range(3)]
@@ -184,6 +185,9 @@ def test_binary_entropy_stack_keeps_each_rows_bits():
         assert quantum.binary_entropy(row).tobytes() == h.tobytes()
         floats = np.array([quantum.binary_entropy(p) for p in row.tolist()])
         assert floats.tobytes() == h.tobytes()
+        kernel = [quantum._h2_float(p) for p in row.tolist()]
+        assert all(type(k) is float for k in kernel)
+        assert np.array(kernel).tobytes() == h.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +27,46 @@ def test_source_spec_validation():
     src = SourceSpec(np.float64(0.7))
     assert type(src.p0) is float
     assert all(type(x) is float for x in rd.r1_curve_point(0.8, src))
+
+
+def test_source_spec_keeps_its_dataclass_behaviour():
+    # The __init__ is written out (p0 is checked and stored once); the class
+    # is still a frozen dataclass with one field.
+    src = SourceSpec(0.7)
+    assert repr(src) == "SourceSpec(p0=0.7)"
+    assert src == SourceSpec(p0=np.float64(0.7)) and src != SRC5
+    assert hash(src) == hash(SourceSpec(0.7))
+    assert [f.name for f in dataclasses.fields(src)] == ["p0"]
+    assert dataclasses.asdict(src) == {"p0": 0.7}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        src.p0 = 0.8
+    moved = dataclasses.replace(src, p0=np.float64(0.8))
+    assert moved == SourceSpec(0.8) and type(moved.p0) is float
+    with pytest.raises(DomainError):
+        dataclasses.replace(src, p0=0.4)
+
+
+# What a real-number argument must not be: a string, None, a complex number,
+# and one- or two-entry arrays, which no float() takes.
+NON_NUMBERS = ["0.7", None, 0.7 + 0j, np.array([0.7]), np.array([0.7, 0.8])]
+
+
+@pytest.mark.parametrize("bad", NON_NUMBERS, ids=["str", "None", "complex", "array1", "array2"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        SourceSpec,
+        lambda delta: rd.r1_curve_point(delta, SRC7),
+        lambda delta: rd.solve_alpha(delta, SRC7),
+        lambda delta: realization.build_circuit(delta, SRC7),
+    ],
+    ids=["SourceSpec", "r1_curve_point", "solve_alpha", "build_circuit"],
+)
+def test_non_numbers_raise_domain_error(call, bad):
+    # a clear DomainError naming the value, not the TypeError of a comparison
+    # or of float()
+    with pytest.raises(DomainError, match=re.escape(repr(bad))):
+        call(bad)
 
 
 def test_kraus_pair_completeness():
@@ -412,12 +454,50 @@ def test_sweep_takes_h2_over_whole_arrays(monkeypatch, n):
     assert calls == [end, end, ("unchecked", np.ndarray, (3, n - 2)), end]
 
 
+def test_point_takes_unchecked_float_h2(monkeypatch):
+    # An interior point takes its angle from one solve_alpha call, then its
+    # three h2 (the two terms of the average entropy, then r = h2(lambda1))
+    # from the unchecked float kernel, on arguments built inside [0, 1],
+    # with no checked call. The end rows take the checked h2 and no angle.
+    calls = []
+
+    def spy(name, fn):
+        def call(x, *rest):
+            calls.append((name, type(x)))
+            return fn(x, *rest)
+
+        return call
+
+    monkeypatch.setattr(rd, "binary_entropy", spy("checked", rd.binary_entropy))
+    monkeypatch.setattr(rd, "_h2_float", spy("unchecked", rd._h2_float))
+    monkeypatch.setattr(rd, "solve_alpha", spy("solve_alpha", rd.solve_alpha))
+    for src in (SRC5, SRC7, SourceSpec(1.0 - 1e-12)):
+        for delta in (1e-9, 0.8, math.pi / 2 - 1e-9):
+            calls.clear()
+            rd.r1_curve_point(delta, src)
+            assert calls == [("solve_alpha", float)] + [("unchecked", float)] * 3
+        calls.clear()
+        rd.r1_curve_point(0.0, src)
+        rd.r1_curve_point(math.pi / 2, src)
+        assert calls == [("checked", float)] * 3
+
+
 @pytest.mark.parametrize("n", [2, 3, 101, 512, 4097, cli.MAX_POINTS])
 def test_sweep_grid_is_linspace(n):
     # The sweep takes its interior deltas as i * (pi/2 / (n - 1)), which is
     # what np.linspace computes, up to the largest grid the CLI accepts.
     curve = rd.sweep_curve(SRC7, n)
     assert curve.delta.tobytes() == np.linspace(0.0, math.pi / 2, n).tobytes()
+
+
+def _interior_grid():
+    """49 p0 from 1/2 to 1 - 1e-12 and 520 deltas from 1e-12 to
+    pi/2 - 1e-12, dense in decades toward each end."""
+    edges = np.geomspace(1e-12, 1e-2, 60)
+    deltas = np.concatenate([edges, np.linspace(1e-2, math.pi / 2 - 1e-2, 400)])
+    deltas = np.concatenate([deltas, math.pi / 2 - edges[::-1]])
+    gaps = np.geomspace(1e-12, 0.1, 24)
+    return [0.5, *(0.5 + gaps).tolist(), *(1.0 - gaps[::-1]).tolist()], deltas
 
 
 def test_pair_figures_h2_arguments_lie_in_unit_interval(monkeypatch):
@@ -431,14 +511,33 @@ def test_pair_figures_h2_arguments_lie_in_unit_interval(monkeypatch):
         return quantum._h2_unchecked(q)
 
     monkeypatch.setattr(rd, "_h2_unchecked", spy)
-    edges = np.geomspace(1e-12, 1e-2, 60)
-    deltas = np.concatenate([edges, np.linspace(1e-2, math.pi / 2 - 1e-2, 400)])
-    deltas = np.concatenate([deltas, math.pi / 2 - edges[::-1]])
-    gaps = np.geomspace(1e-12, 0.1, 24)
-    for p0 in [0.5, *(0.5 + gaps).tolist(), *(1.0 - gaps[::-1]).tolist()]:
+    p0s, deltas = _interior_grid()
+    for p0 in p0s:
         rd._pair_figures(rd._optimal_alpha(deltas, p0), deltas, p0)
     q = np.array(stacks)
     assert q.shape == (49, 3, deltas.size)
+    assert np.isfinite(q).all() and (q >= 0.0).all() and (q <= 1.0).all()
+
+
+def test_pair_figures_float_h2_arguments_lie_in_unit_interval(monkeypatch):
+    # The float twin: a single point's three h2 arguments take _h2_float,
+    # which has no range check either; on the same grid, at solve_alpha's
+    # angle, each is a finite float inside [0, 1].
+    args = []
+
+    def spy(q):
+        args.append(q)
+        return quantum._h2_float(q)
+
+    monkeypatch.setattr(rd, "_h2_float", spy)
+    p0s, deltas = _interior_grid()
+    for p0 in p0s:
+        src = SourceSpec(p0)
+        for delta in deltas.tolist():
+            rd._pair_figures(rd.solve_alpha(delta, src), delta, p0, rd._FLOATS)
+    assert all(type(q) is float for q in args)
+    q = np.array(args)
+    assert q.shape == (49 * 3 * deltas.size,)
     assert np.isfinite(q).all() and (q >= 0.0).all() and (q <= 1.0).all()
 
 
@@ -452,7 +551,8 @@ def test_isotropic_s1_on_arrays():
             rd.isotropic_s1(np.array([0.1, bad]))
 
 
-@pytest.mark.parametrize(
+# Every array range check (quantum._clipped), by its caller's message.
+RANGE_CHECKS = pytest.mark.parametrize(
     "call, low, high, message",
     [
         (quantum.binary_entropy, 0.0, 1.0, "probability {} outside [0, 1]"),
@@ -466,6 +566,9 @@ def test_isotropic_s1_on_arrays():
     ],
     ids=["binary_entropy", "s1_curve_point", "isotropic_s1"],
 )
+
+
+@RANGE_CHECKS
 def test_range_checks_clip_within_1e_12(call, low, high, message):
     # every array range check: NaN and an entry 1e-11 outside raise with the
     # caller's message, one 1e-13 outside is clipped to the end it passed
@@ -477,6 +580,16 @@ def test_range_checks_clip_within_1e_12(call, low, high, message):
     near = call(np.array([low - 1e-13, high + 1e-13]))
     assert near.tobytes() == call(np.array([low, high])).tobytes()
     assert np.array(call(high + 1e-13)).tobytes() == np.array(call(high)).tobytes()
+
+
+@RANGE_CHECKS
+@pytest.mark.parametrize("bad", ["0.3", b"0.3", ["0.3", "0.2"], None], ids=["str", "bytes", "strs", "None"])
+def test_range_checks_refuse_strings_and_none(call, low, high, message, bad):
+    # numpy would parse the strings as numbers, and None as NaN; each raises
+    # with its own repr in the caller's message
+    with pytest.raises(DomainError) as info:
+        call(bad)
+    assert str(info.value) == message.format(repr(bad))
 
 
 def test_sweep_solve_equals_solve_alpha_bit_for_bit():
