@@ -36,6 +36,7 @@ from .errors import (
     DomainError,
     ShapeError,
 )
+from .errors import check_real, real_array
 
 STATE_TOL = 1e-10
 COMPLETENESS_TOL = 1e-10
@@ -171,13 +172,10 @@ def eigenvalue_entropy(eigs) -> np.ndarray:
 
 def _clipped(x, low: float, high: float, message: str) -> np.ndarray:
     """``x`` as a float array clipped to [low, high]; the first entry over 1e-12
-    outside, or NaN, raises ``DomainError(message.format(entry))``, and so do
-    ``None`` and strings or bytes (which numpy would parse as numbers) with
-    their repr as the entry. Slow on a float."""
-    raw, x = x, np.asarray(x)
-    if raw is None or x.dtype.kind in "US":
-        raise DomainError(message.format(repr(raw)))
-    x = x.astype(float, copy=False)
+    outside, or NaN, raises ``DomainError(message.format(entry))``, and so
+    does input that is not real (``errors.real_array``), with its repr as
+    the entry. Slow on a float."""
+    x = real_array(x, message)
     inside = (x >= low - 1e-12) & (x <= high + 1e-12)
     if not inside.all():
         raise DomainError(message.format(x[~inside][0]))
@@ -193,19 +191,19 @@ def binary_entropy(p):
     precision for a small m; a p near 1 has already lost the digits of
     1 - p, so a caller who knows 1 - p in closed form passes that. Entries
     within 1e-12 outside [0, 1] are clipped; any other, NaN included,
-    raises ``DomainError``. An int, a float, a ``np.float64`` or a 0-d
-    array gives a float, an array an array. Both take the check and clip,
-    then the unchecked kernel of their kind: ``_h2_float`` on a float,
-    ``_h2_unchecked`` on an array, which get the same bits.
+    raises ``DomainError``, as does a value that is not real. An int, a
+    float, a ``np.float64`` or a 0-d array gives a float, an array an array.
+    Both take the check and clip (``check_real`` on an int or a float,
+    ``_clipped`` on anything else), then the unchecked kernel of their kind:
+    ``_h2_float`` on a float, ``_h2_unchecked`` on an array (same bits).
     """
     if not isinstance(p, (int, float)):
         h = _h2_unchecked(_clipped(p, 0.0, 1.0, "probability {} outside [0, 1]"))
         return h if isinstance(h, np.ndarray) else float(h)
-    if not -1e-12 <= p <= 1 + 1e-12:
-        raise DomainError(f"probability {p} outside [0, 1]")
+    p = check_real(p, -1e-12, 1 + 1e-12, "probability {} outside [0, 1]")
     # min and max written as comparisons, here and in _h2_float, which cost
     # a fraction of the builtins' calls and pick the same operand
-    return _h2_float(0.0 if p < 0.0 else 1.0 if p > 1.0 else float(p))
+    return _h2_float(0.0 if p < 0.0 else 1.0 if p > 1.0 else p)
 
 
 def _h2_float(p: float) -> float:

@@ -32,11 +32,8 @@ exact limits. Every other quantity of a curve point is closed form in
 ``lambda1 h2(p0 cos^2 a / lambda1) + lambda2 h2(p0 sin^2 a / lambda2)``,
 the type-1 weight ``lambda1 = p0 cos^2 a + p1 cos^2(a + D)``, with
 ``lambda2 = 1 - lambda1``, and the side-channel rate h2(lambda1). R, r and
-lambda1 come from one kernel, ``_pair_figures``, on one set of squares,
-with the three h2 of R's two terms and of r taken unchecked, since their
-arguments lie in [0, 1] by construction: over arrays in one pass, one
-``_h2_unchecked`` call on the stack of the three, and on floats by three
-``_h2_float`` calls. A sweep is one record array with a column per
+lambda1 come from one kernel, ``_pair_figures``, whose three h2 take no
+range check. A sweep is one record array with a column per
 ``CurvePoint`` field. It writes the angle and the figures over whole arrays
 by the formulas of a single point, so each of its rows equals
 ``r1_curve_point``'s bit for bit. Each formula is written once, in a kernel
@@ -55,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, check_integer
+from .errors import check_integer, check_real
 from .quantum import (
     DensityMatrix,
     KrausChannel,
@@ -66,6 +63,10 @@ from .quantum import (
 )
 
 HALF_PI = math.pi / 2
+# The float ranges inside the open ends of p0's [0.5, 1) and delta's (0, pi/2).
+_P0_MAX = math.nextafter(1.0, 0.0)
+_DELTA_MIN, _DELTA_MAX = math.nextafter(0.0, 1.0), math.nextafter(HALF_PI, 0.0)
+_DELTA_MESSAGE = "delta must lie in [0, pi/2], got {}"
 # Delta values this close to 0 or pi/2 take the curve's exact limits.
 ENDPOINT_CUTOFF = 1e-12
 # The kernels' functions for one point on Python floats. math's sin and cos
@@ -87,22 +88,16 @@ _FLOATS = SimpleNamespace(
 class SourceSpec:
     """Biased qubit source diag(p0, p1) with the convention p0 >= p1.
 
-    ``p0`` is a real number in [0.5, 1); anything else, a string, None, a
-    complex number or a 1-element array included, raises ``DomainError``.
-    It is kept as a Python float, so that one curve point runs on floats.
-    The ``__init__`` is written out, so that p0 is checked and stored once.
+    ``p0`` is a real number whose float lies in [0.5, 1) (``check_real``);
+    anything else raises ``DomainError``. It is kept as that Python float,
+    so that one curve point runs on floats. The ``__init__`` is written
+    out, so that p0 is checked and stored once.
     """
 
     p0: float
 
     def __init__(self, p0: float):
-        try:
-            inside = 0.5 <= p0 < 1.0
-            p0 = float(p0)
-        except (TypeError, ValueError):  # not a real number
-            inside = False
-        if not inside:
-            raise DomainError(f"p0 must lie in [0.5, 1), got {p0!r}")
+        p0 = check_real(p0, 0.5, _P0_MAX, "p0 must lie in [0.5, 1), got {}")
         object.__setattr__(self, "p0", p0)
 
     @property
@@ -118,12 +113,20 @@ class SourceSpec:
         """Distortion 2 p0 p1 (1 - cos delta) at angle gap delta (float or array).
 
         Taken as 2 d_max sin^2(delta / 2), which equals it and does not cancel
-        at small delta, where 1 - cos delta loses every digit.
+        at small delta, where 1 - cos delta loses every digit. A real delta
+        within 1e-12 of [0, pi/2] is clipped to it (``check_real`` on an int
+        or a float, ``_clipped`` else); any other raises ``DomainError``.
         """
-        xp = _FLOATS if isinstance(delta, (int, float)) else np
-        s = xp.sin(0.5 * delta)
-        d = 2.0 * self.d_max * (s * s)
+        if isinstance(delta, (int, float)):
+            delta = check_real(delta, -1e-12, HALF_PI + 1e-12, _DELTA_MESSAGE)
+            return self._distortion(min(max(delta, 0.0), HALF_PI), _FLOATS)
+        d = self._distortion(_clipped(delta, 0.0, HALF_PI, _DELTA_MESSAGE))
         return d if isinstance(d, np.ndarray) else float(d)
+
+    def _distortion(self, delta, xp=np):
+        """``distortion`` unchecked, by ``xp``'s functions, for built deltas."""
+        s = xp.sin(0.5 * delta)
+        return 2.0 * self.d_max * (s * s)
 
     def density(self) -> DensityMatrix:
         return DensityMatrix(np.diag([self.p0, self.p1]).astype(complex))
@@ -237,19 +240,13 @@ def solve_alpha(delta: float, src: SourceSpec) -> float:
     """Mixing angle minimizing the average output entropy at fixed delta.
 
     The closed form ``_optimal_alpha`` on Python floats, as a float, for
-    delta in the open interval (0, pi/2); any other delta, or one that is
-    not a real number, raises ``DomainError``. It is within a few ulps of
-    the exact angle however small delta is (to the subnormal spacing where
-    the angle itself is subnormal), and equals the entry of
+    delta whose float (``check_real``) lies in (0, pi/2); any other delta,
+    or one that is not a real number, raises ``DomainError``. It is within
+    a few ulps of the exact angle however small delta is (to the subnormal
+    spacing where the angle itself is subnormal), and equals the entry of
     ``_optimal_alpha`` over an array of deltas bit for bit.
     """
-    try:
-        inside = 0.0 < delta < HALF_PI
-        delta = float(delta)
-    except (TypeError, ValueError):  # not a real number
-        inside = False
-    if not inside:
-        raise DomainError(f"delta must lie in (0, pi/2), got {delta!r}")
+    delta = check_real(delta, _DELTA_MIN, _DELTA_MAX, "delta must lie in (0, pi/2), got {}")
     return float(_optimal_alpha(delta, src.p0, _FLOATS))
 
 
@@ -266,16 +263,10 @@ def r1_curve_point(delta: float, src: SourceSpec) -> CurvePoint:
     until delta is well past p0 - p1, so at p0 = 0.5000001 the delta = 0
     row has r = 0 and the next row of a 101-point sweep r near 1. At
     delta = pi/2, (0, pi/2 - delta) closes on alpha = 0, so (d_max, 0) has
-    lambda1 = p0. A delta more than 1e-12 outside [0, pi/2], NaN, or one
-    that is not a real number raises ``DomainError``.
+    lambda1 = p0. A delta whose float (``check_real``) lies more than 1e-12
+    outside [0, pi/2], NaN, or one that is not real raises ``DomainError``.
     """
-    try:
-        inside = -1e-12 <= delta <= HALF_PI + 1e-12
-        delta = float(delta)
-    except (TypeError, ValueError):  # not a real number
-        inside = False
-    if not inside:
-        raise DomainError(f"delta must lie in [0, pi/2], got {delta!r}")
+    delta = check_real(delta, -1e-12, HALF_PI + 1e-12, _DELTA_MESSAGE)
     p0 = src.p0
     if delta <= ENDPOINT_CUTOFF:
         alpha, lam1 = (math.pi / 4, 0.5) if p0 == 0.5 else (0.0, 1.0)
@@ -284,7 +275,7 @@ def r1_curve_point(delta: float, src: SourceSpec) -> CurvePoint:
         return CurvePoint(HALF_PI, 0.0, src.d_max, 0.0, binary_entropy(p0), p0)
     alpha = solve_alpha(delta, src)
     figures = _pair_figures(alpha, delta, p0, _FLOATS)
-    return CurvePoint(delta, alpha, src.distortion(delta), *figures)
+    return CurvePoint(delta, alpha, src._distortion(delta, _FLOATS), *figures)
 
 
 def sweep_curve(src: SourceSpec, n_points: int) -> np.recarray:
@@ -297,11 +288,9 @@ def sweep_curve(src: SourceSpec, n_points: int) -> np.recarray:
     the sweep. The end rows are ``r1_curve_point``'s exact limits. The
     deltas are ``np.linspace(0, pi/2, n_points)`` bit for bit. The interior
     columns are written from the closed forms over the whole array
-    (``_optimal_alpha``, ``_pair_figures``, whose three entropy columns take
-    one unchecked h2 pass over a (3, n_points - 2) stack), so
-    ``tuple(curve[i])`` equals ``r1_curve_point`` at its delta bit for bit.
-    ``n_points`` is an integer (a Python or NumPy one, not a bool) of at
-    least 2; any other value raises ``DomainError``.
+    (``_optimal_alpha``, ``_pair_figures``), so ``tuple(curve[i])`` equals
+    ``r1_curve_point`` at its delta bit for bit. ``n_points`` is an integer
+    (Python or NumPy, not a bool) of at least 2; else ``DomainError``.
     """
     check_integer("n_points", n_points, 2)
     p0 = src.p0
@@ -310,7 +299,7 @@ def sweep_curve(src: SourceSpec, n_points: int) -> np.recarray:
     deltas = np.arange(1.0, n_points - 1) * (HALF_PI / (n_points - 1))
     alpha = _optimal_alpha(deltas, p0)
     inner = curve[1:-1]
-    inner["delta"], inner["alpha"], inner["d"] = deltas, alpha, src.distortion(deltas)
+    inner["delta"], inner["alpha"], inner["d"] = deltas, alpha, src._distortion(deltas)
     inner["R"], inner["r"], inner["lambda1"] = _pair_figures(alpha, deltas, p0)
     curve[-1] = r1_curve_point(HALF_PI, src)
     return curve.view(np.recarray)

@@ -22,9 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quantum
-from .errors import DomainError, InternalNumericError, check_integer
+from .errors import InternalNumericError, check_integer, check_real
 from .quantum import KrausChannel
-from .ratedistortion import HALF_PI, CurvePoint, SourceSpec, pair_channel, r1_curve_point
+from .ratedistortion import _DELTA_MAX, _DELTA_MIN, CurvePoint, SourceSpec
+from .ratedistortion import pair_channel, r1_curve_point
 
 # Outcomes are drawn and counted in chunks of this many samples, so the
 # memory a stream takes does not grow with its length: 512 KB of float64
@@ -68,8 +69,8 @@ class StreamResult:
 def build_circuit(delta: float, src: SourceSpec) -> RealizationCircuit:
     """Assemble the entangling unitary of the curve's point at delta.
 
-    delta must be a real number in (0, pi/2); any other raises
-    ``DomainError``. The circuit carries
+    delta must be a real number (``errors.check_real``) whose float lies in
+    (0, pi/2); any other raises ``DomainError``. The circuit carries
     ``r1_curve_point(delta, src)`` and realizes that point's optimal pair
     (``pair_channel`` at its alpha and delta). The unitary
     [[A1, -A2], [A2, A1]] is built from the pair's elements: it rotates
@@ -77,13 +78,7 @@ def build_circuit(delta: float, src: SourceSpec) -> RealizationCircuit:
     respectively, so the induced operation on the source qubit is exactly
     that pair.
     """
-    try:
-        inside = 0.0 < delta < HALF_PI
-        delta = float(delta)
-    except (TypeError, ValueError):  # not a real number
-        inside = False
-    if not inside:
-        raise DomainError(f"delta must lie in (0, pi/2), got {delta!r}")
+    delta = check_real(delta, _DELTA_MIN, _DELTA_MAX, "delta must lie in (0, pi/2), got {}")
     point = r1_curve_point(delta, src)
     channel = pair_channel(point.alpha, point.delta)
     a1, a2 = channel.elements
@@ -108,9 +103,7 @@ def simulate_stream(circ: RealizationCircuit, n_samples: int, seed: int) -> Stre
     float seed is never truncated into another seed's stream.
     """
     check_integer("n_samples", n_samples, 1)
-    check_integer("seed", seed, 0)
-    if seed >= 2**128:
-        raise DomainError(f"seed must lie in [0, 2**128), got {seed}")
+    check_integer("seed", seed, 0, 2**128 - 1)
     rng = np.random.Generator(np.random.Philox(key=seed))
     type1_count = 0
     for start in range(0, n_samples, SAMPLE_CHUNK):

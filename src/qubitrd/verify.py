@@ -8,24 +8,13 @@ than lost. Curve-dominance suites compare against the exact rate curve
 R1(d) (``RateCurveInterpolator``) with a violation tolerance of 1e-6;
 algebraic identities use 1e-9 or tighter.
 
-Every Monte Carlo suite draws and evaluates its trials in consecutive
-blocks of ``BLOCK_CHUNK``, and block b draws from its own stream
-``np.random.default_rng((seed, b))``, a counter-style keyed stream: a
-report depends on (seed, trials) only, and the full blocks of a run are
-those of every longer run with the same seed. Inside a block a suite draws
-each quantity for all of its trials in one stacked call. The block suites
-draw every trial's element count first and zero-pad their Kraus sets into
-(chunk, 4, 2^n, 2^n) stacks, then take the rates
-(``quantum.average_entropies``), the per-qubit block distortions
-(``quantum.block_distortions``, which also checks that every set is trace
-preserving) and the reference curve over each stack. Across blocks a
-suite keeps only a few floats per trial, so its memory is one block's
-draws plus those floats, whatever the trial count. The perturbation suite
-draws nothing. It is one array pass over its (delta, |x|, phase) grid: the
-closed-form angle over every delta at once, the closed-form weights over the
-whole (delta, |x|) grid (a point of a chord that shrinks as |x| grows, so a
-cell is infeasible when |x| exceeds the chord's half-length h), and one stack
-of Kraus sets for every feasible cell.
+Every Monte Carlo suite draws and evaluates its trials in keyed blocks
+(``_run_blocks``), so a report depends on (seed, trials) only, draws each
+quantity for a whole block in one call, and keeps a few floats a trial. The
+block suites zero-pad their Kraus sets into (chunk, 4, 2^n, 2^n) stacks
+and score each stack in one call of ``quantum.average_entropies`` and
+``quantum.block_distortions``. The perturbation suite draws nothing; it is
+one array pass over its (delta, |x|, phase) grid (``check_perturbation``).
 """
 
 from __future__ import annotations
@@ -38,7 +27,7 @@ from typing import Any
 import numpy as np
 
 from . import quantum
-from .errors import DomainError, check_integer
+from .errors import DomainError, check_integer, real_array
 from .quantum import DensityMatrix, complex_normal, stinespring_kraus
 from .ratedistortion import (
     ENDPOINT_CUTOFF,
@@ -159,7 +148,7 @@ class RateCurveInterpolator:
     r that this call drops costs a third of that call, not a call of its
     own. A delta within ``ENDPOINT_CUTOFF`` of 0 or pi/2 takes that end's
     rate from ``r1_curve_point``, so h2(p0) at d <= 0 and exactly 0 from
-    d_max on. A NaN distortion raises ``DomainError``.
+    d_max on. A NaN or one that is not real raises ``DomainError``.
 
     The class interpolates nothing. Its name, ``__init__(src)`` and the
     cached ``rate_curve_interpolator`` that builds it are kept for the
@@ -176,7 +165,7 @@ class RateCurveInterpolator:
         self._end_rates = (r1_curve_point(0.0, src).R, r1_curve_point(HALF_PI, src).R)
 
     def __call__(self, d):
-        d = np.asarray(d, dtype=float)
+        d = real_array(d, "distortion must be a real number, got {}")
         if np.isnan(d).any():
             raise DomainError("distortion must be a number, got nan")
         d = np.clip(d, 0.0, self.d_max)
@@ -330,15 +319,16 @@ def check_perturbation(
     relative): they check that the phase of x is immaterial. Growth ratios
     are taken only where the smaller growth exceeds 1e-12, so round-off
     (every growth at p0 = 1/2) gives none. Every delta must lie in
-    (0, pi/2) and every magnitude in [0, 0.05], on non-empty 1-D grids; any
-    other value, NaN included, raises ``DomainError``, as does a grid with
-    no feasible cell, whose message names the largest h (0.00996 for the
-    default grid at p0 0.99). The suite draws nothing, but its seed is
-    recorded, so it must be a non-negative integer like every suite's.
+    (0, pi/2) and every magnitude in [0, 0.05], on non-empty 1-D grids of
+    real numbers (``real_array``); any other value, NaN included, raises
+    ``DomainError``, as does a grid with no feasible cell, whose message
+    names the largest h (0.00996 for the default grid at p0 0.99). The
+    suite draws nothing, but its seed is recorded, so it must be a
+    non-negative integer like every suite's.
     """
     check_integer("seed", seed, 0)
-    mags = np.asarray(x_magnitudes, dtype=float)
-    deltas = np.asarray(delta_grid, dtype=float)
+    mags = real_array(x_magnitudes, "perturbation magnitudes must lie in [0, 0.05], got {}")
+    deltas = real_array(delta_grid, "delta must lie in (0, pi/2), got {}")
     if mags.ndim != 1 or deltas.ndim != 1 or not (mags.size and deltas.size):
         raise DomainError("delta_grid and x_magnitudes must be non-empty 1-D sequences")
     if not np.all((mags >= 0.0) & (mags <= 0.05)):
@@ -356,7 +346,7 @@ def check_perturbation(
     alpha = _optimal_alpha(deltas, p0)[:, np.newaxis]
     c1, c2 = np.cos(alpha), np.cos(alpha + delta)
     s1, s2 = np.sin(alpha), np.sin(alpha + delta)
-    d_target = src.distortion(delta)
+    d_target = src._distortion(delta)
     f2 = 1.0 - d_target
     t1, t2 = p0 * c1 + p1 * c2, p0 * s1 + p1 * s2
     theta = np.arctan2(t2, t1)

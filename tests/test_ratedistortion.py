@@ -1,11 +1,12 @@
 import dataclasses
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qubitrd import cli, quantum, ratedistortion as rd, realization
+from qubitrd import cli, quantum, ratedistortion as rd, realization, verify
 from qubitrd.errors import DomainError
 from qubitrd.ratedistortion import SourceSpec, pair_channel
 
@@ -46,27 +47,68 @@ def test_source_spec_keeps_its_dataclass_behaviour():
         dataclasses.replace(src, p0=0.4)
 
 
-# What a real-number argument must not be: a string, None, a complex number,
-# and one- or two-entry arrays, which no float() takes.
-NON_NUMBERS = ["0.7", None, 0.7 + 0j, np.array([0.7]), np.array([0.7, 0.8])]
+# What a real-number argument must not be: a string, None, a complex number
+# (even a NumPy one with zero imaginary part), a bool, a Fraction, NaN, a
+# value out of every range here, and one- or two-entry arrays where one
+# number is due.
+NON_NUMBERS = {
+    "str": "0.7",
+    "None": None,
+    "complex": 0.7 + 0j,
+    "array1": np.array([0.7]),
+    "array2": np.array([0.7, 0.8]),
+    "True": True,
+    "np_True": np.True_,
+    "np_complex": np.complex128(0.7),
+    "Fraction": Fraction(7, 10),
+    "nan": math.nan,
+    "out_of_range": 5.0,
+}
+# Every scalar entry point; the last two also take arrays, so an array is no
+# bad value for them.
+SCALAR_CALLS = {
+    "SourceSpec": (SourceSpec, False),
+    "r1_curve_point": (lambda delta: rd.r1_curve_point(delta, SRC7), False),
+    "solve_alpha": (lambda delta: rd.solve_alpha(delta, SRC7), False),
+    "build_circuit": (lambda delta: realization.build_circuit(delta, SRC7), False),
+    "distortion": (SRC7.distortion, True),
+    "binary_entropy": (quantum.binary_entropy, True),
+}
 
 
-@pytest.mark.parametrize("bad", NON_NUMBERS, ids=["str", "None", "complex", "array1", "array2"])
+@pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
 @pytest.mark.parametrize(
-    "call",
+    "call, bad",
     [
-        SourceSpec,
-        lambda delta: rd.r1_curve_point(delta, SRC7),
-        lambda delta: rd.solve_alpha(delta, SRC7),
-        lambda delta: realization.build_circuit(delta, SRC7),
+        pytest.param(call, bad, id=f"{call_id}-{bad_id}")
+        for call_id, (call, takes_arrays) in SCALAR_CALLS.items()
+        for bad_id, bad in NON_NUMBERS.items()
+        if not (takes_arrays and bad_id.startswith("array"))
     ],
-    ids=["SourceSpec", "r1_curve_point", "solve_alpha", "build_circuit"],
 )
 def test_non_numbers_raise_domain_error(call, bad):
     # a clear DomainError naming the value, not the TypeError of a comparison
-    # or of float()
+    # or of float(), nor a value computed from a truncated or parsed input
+    # (ComplexWarning is not raised as an error here, so a call that drops
+    # an imaginary part fails by its value)
     with pytest.raises(DomainError, match=re.escape(repr(bad))):
         call(bad)
+
+
+def test_long_double_is_judged_by_its_float():
+    # A long double just inside an open end rounds to that end: it is
+    # compared as the float it becomes, so it is refused, where comparing
+    # it first stored p0 = 1.0 or took delta = 0 as inside (0, pi/2).
+    below_one = np.nextafter(np.longdouble(1), np.longdouble(0))
+    above_zero = np.nextafter(np.longdouble(0), np.longdouble(1))
+    if below_one == np.nextafter(1.0, 0.0):
+        pytest.skip("long double is double on this platform")
+    assert float(below_one) == 1.0 and float(above_zero) == 0.0
+    with pytest.raises(DomainError, match="p0 must lie in"):
+        SourceSpec(below_one)
+    for call in (rd.solve_alpha, realization.build_circuit):
+        with pytest.raises(DomainError, match=r"delta must lie in \(0, pi/2\)"):
+            call(above_zero, SRC7)
 
 
 def test_kraus_pair_completeness():
@@ -552,20 +594,43 @@ def test_isotropic_s1_on_arrays():
 
 
 # Every array range check (quantum._clipped), by its caller's message.
-RANGE_CHECKS = pytest.mark.parametrize(
-    "call, low, high, message",
-    [
-        (quantum.binary_entropy, 0.0, 1.0, "probability {} outside [0, 1]"),
-        (
-            lambda x: np.array(rd.s1_curve_point(x, SRC7)),
-            0.0,
-            math.pi / 4,
-            "theta must lie in [0, pi/4], got {}",
-        ),
-        (rd.isotropic_s1, 0.0, 0.5, "distortion must lie in [0, 1/2], got {}"),
-    ],
-    ids=["binary_entropy", "s1_curve_point", "isotropic_s1"],
-)
+RANGE_CHECK_CASES = [
+    pytest.param(
+        quantum.binary_entropy, 0.0, 1.0, "probability {} outside [0, 1]", id="binary_entropy"
+    ),
+    pytest.param(
+        lambda x: np.array(rd.s1_curve_point(x, SRC7)),
+        0.0,
+        math.pi / 4,
+        "theta must lie in [0, pi/4], got {}",
+        id="s1_curve_point",
+    ),
+    pytest.param(
+        rd.isotropic_s1, 0.0, 0.5, "distortion must lie in [0, 1/2], got {}", id="isotropic_s1"
+    ),
+    pytest.param(
+        SRC7.distortion, 0.0, math.pi / 2, "delta must lie in [0, pi/2], got {}", id="distortion"
+    ),
+]
+RANGE_CHECKS = pytest.mark.parametrize("call, low, high, message", RANGE_CHECK_CASES)
+# The perturbation suite's two grids, which take no slack, so they clip
+# nothing, but pass the same real-number gate (errors.real_array).
+GRID_CASES = [
+    pytest.param(
+        lambda x: verify.check_perturbation(x, (0.01,), SRC7, 0),
+        0.0,
+        math.pi / 2,
+        "delta must lie in (0, pi/2), got {}",
+        id="perturbation_deltas",
+    ),
+    pytest.param(
+        lambda x: verify.check_perturbation((0.6,), x, SRC7, 0),
+        0.0,
+        0.05,
+        "perturbation magnitudes must lie in [0, 0.05], got {}",
+        id="perturbation_magnitudes",
+    ),
+]
 
 
 @RANGE_CHECKS
@@ -582,11 +647,26 @@ def test_range_checks_clip_within_1e_12(call, low, high, message):
     assert np.array(call(high + 1e-13)).tobytes() == np.array(call(high)).tobytes()
 
 
-@RANGE_CHECKS
-@pytest.mark.parametrize("bad", ["0.3", b"0.3", ["0.3", "0.2"], None], ids=["str", "bytes", "strs", "None"])
+@pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
+@pytest.mark.parametrize("call, low, high, message", RANGE_CHECK_CASES + GRID_CASES)
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "0.3",
+        b"0.3",
+        ["0.3", "0.2"],
+        None,
+        0.3 + 0.5j,
+        np.array([0.3 + 0j, 0.2]),
+        np.array([True, False]),
+    ],
+    ids=["str", "bytes", "strs", "None", "complex", "complex_array", "bool_array"],
+)
 def test_range_checks_refuse_strings_and_none(call, low, high, message, bad):
-    # numpy would parse the strings as numbers, and None as NaN; each raises
-    # with its own repr in the caller's message
+    # numpy would parse the strings as numbers, None as NaN, and cast the
+    # complex and bool arrays to floats (complex with a warning only, which
+    # is not raised as an error here, so the value path is what is tested);
+    # each raises with its own repr in the caller's message
     with pytest.raises(DomainError) as info:
         call(bad)
     assert str(info.value) == message.format(repr(bad))

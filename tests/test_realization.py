@@ -148,6 +148,12 @@ def test_simulate_stream_rejects_a_bad_seed(seed):
         realization.simulate_stream(circ, 10, seed)
 
 
+def test_simulate_stream_takes_every_seed_up_to_2_128():
+    # one integer check covers the whole key range: its top end is a key
+    circ = realization.build_circuit(0.8, SRC7)
+    assert realization.simulate_stream(circ, 10, 2**128 - 1).n_samples == 10
+
+
 def test_simulate_stream_takes_a_numpy_integer_seed():
     circ = realization.build_circuit(0.8, SRC7)
     assert realization.simulate_stream(circ, 1000, np.int64(3)) == (
