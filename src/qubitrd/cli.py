@@ -95,17 +95,13 @@ def _json_text(value: object) -> str:
     return json.dumps(value)
 
 
-def _value_text(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (float, dict, list, tuple)):
-        return _json_text(value)
-    return str(value)
-
-
 def _record_text(record: dict[str, object]) -> str:
-    """Render one record as ``key: value`` lines."""
-    return "".join(f"{key}: {_value_text(value)}\n" for key, value in record.items())
+    """Render one record as ``key: value`` lines: a string as it is, any
+    other value as ``_json_text``."""
+    return "".join(
+        f"{key}: {value if isinstance(value, str) else _json_text(value)}\n"
+        for key, value in record.items()
+    )
 
 
 def _emit(path: str | None, text: str) -> None:

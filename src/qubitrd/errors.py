@@ -48,8 +48,12 @@ def real_array(value, message: str) -> np.ndarray:
     """``value`` as a float array if it is real: if ``np.asarray(value)`` has
     dtype kind i, u or f. Anything else (None, a bool, a complex number even
     with zero imaginary part, a string, bytes, an object such as
-    ``Fraction``) raises ``DomainError(message.format(repr(value)))``."""
-    x = np.asarray(value)
+    ``Fraction``, a ragged nested sequence) raises
+    ``DomainError(message.format(repr(value)))``."""
+    try:
+        x = np.asarray(value)
+    except ValueError:  # numpy refuses a ragged nested sequence
+        raise DomainError(message.format(repr(value))) from None
     if x.dtype.kind not in "iuf":
         raise DomainError(message.format(repr(value)))
     return x.astype(float, copy=False)

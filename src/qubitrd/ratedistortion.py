@@ -114,12 +114,9 @@ class SourceSpec:
 
         Taken as 2 d_max sin^2(delta / 2), which equals it and does not cancel
         at small delta, where 1 - cos delta loses every digit. A real delta
-        within 1e-12 of [0, pi/2] is clipped to it (``check_real`` on an int
-        or a float, ``_clipped`` else); any other raises ``DomainError``.
+        within 1e-12 of [0, pi/2] is clipped to it (``_clipped``); any other
+        raises ``DomainError``. A scalar gives a Python float.
         """
-        if isinstance(delta, (int, float)):
-            delta = check_real(delta, -1e-12, HALF_PI + 1e-12, _DELTA_MESSAGE)
-            return self._distortion(min(max(delta, 0.0), HALF_PI), _FLOATS)
         d = self._distortion(_clipped(delta, 0.0, HALF_PI, _DELTA_MESSAGE))
         return d if isinstance(d, np.ndarray) else float(d)
 

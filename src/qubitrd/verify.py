@@ -14,7 +14,8 @@ quantity for a whole block in one call, and keeps a few floats a trial. The
 block suites zero-pad their Kraus sets into (chunk, 4, 2^n, 2^n) stacks
 and score each stack in one call of ``quantum.average_entropies`` and
 ``quantum.block_distortions``. The perturbation suite draws nothing; it is
-one array pass over its (delta, |x|, phase) grid (``check_perturbation``).
+one array pass over its one fixed (delta, |x|, phase) grid
+(``check_perturbation``).
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ MAX_RECORDED_FAILURES = 20
 # 256 x 4 x 8 x 8 complex entries (1 MB).
 MAX_KRAUS = 4
 BLOCK_CHUNK = 256
+# The perturbation suite's one grid: 10 deltas inside (0, pi/2) and two
+# magnitudes |x|, the second twice the first.
+PERTURBATION_DELTAS = np.linspace(0.15, HALF_PI - 0.15, 10)
+PERTURBATION_MAGNITUDES = np.array([0.01, 0.02])
 
 
 @dataclass(frozen=True)
@@ -280,12 +285,7 @@ def check_theorem1(n_trials: int, seed: int, src: SourceSpec) -> VerificationRep
     return _report("theorem1", seed, params, 0.0, excess, failures)
 
 
-def check_perturbation(
-    delta_grid,
-    x_magnitudes,
-    src: SourceSpec,
-    seed: int,
-) -> VerificationReport:
+def check_perturbation(src: SourceSpec, seed: int) -> VerificationReport:
     """Off-diagonal perturbations of the optimal pair at fixed distortion.
 
     Around each solved diagonal optimum, the pair is deformed by a complex
@@ -294,16 +294,17 @@ def check_perturbation(
     that the average output entropy never drops below the diagonal optimum
     (tolerance 1e-9).
 
-    Scaling data is recorded in the params: entropy growth per
-    (delta, |x|, phase) with the growth ratios between two magnitudes, and
+    The grid is fixed: the 10 deltas of ``PERTURBATION_DELTAS``, the two
+    magnitudes |x| = 0.01 and 0.02 of ``PERTURBATION_MAGNITUDES``, and 8
+    phases. Scaling data is recorded in the params: entropy growth per
+    (delta, |x|, phase) with the growth ratios of |x| = 0.02 over 0.01, and
     the corresponding weight-function shifts with their ratios. The weight
-    shifts scale quadratically in |x| (ratio near 4 for magnitudes 2x
-    apart). The entropy growth does not. Its |x|^2 coefficient tracks the
-    entropy's slope in alpha, dS/dalpha of the base pair, as the
-    ``ratedistortion`` module docstring gives it: it has the opposite sign
-    and vanishes where the slope does. So at the optimal angle the
-    growth is quartic (ratio near 16); away from it the growth of small |x|
-    is quadratic (ratio near 4).
+    shifts scale quadratically in |x| (ratio near 4). The entropy growth
+    does not. Its |x|^2 coefficient tracks the entropy's slope in alpha,
+    dS/dalpha of the base pair, as the ``ratedistortion`` module docstring
+    gives it: it has the opposite sign and vanishes where the slope does.
+    So at the optimal angle the growth is quartic (ratio near 16); away
+    from it the growth of small |x| is quadratic (ratio near 4).
 
     The suite is one array pass. The angles at every delta come from one
     call of the closed form over the array (``_optimal_alpha``), and the
@@ -318,24 +319,13 @@ def check_perturbation(
     growth depends on |x| only (their growths agree to within 3e-11
     relative): they check that the phase of x is immaterial. Growth ratios
     are taken only where the smaller growth exceeds 1e-12, so round-off
-    (every growth at p0 = 1/2) gives none. Every delta must lie in
-    (0, pi/2) and every magnitude in [0, 0.05], on non-empty 1-D grids of
-    real numbers (``real_array``); any other value, NaN included, raises
-    ``DomainError``, as does a grid with no feasible cell, whose message
-    names the largest h (0.00996 for the default grid at p0 0.99). The
-    suite draws nothing, but its seed is recorded, so it must be a
-    non-negative integer like every suite's.
+    (every growth at p0 = 1/2) gives none. A source with no feasible cell
+    (from p0 0.99 on) raises ``DomainError``, whose message names the
+    largest h (0.00996 at p0 0.99). The suite draws nothing, but its seed
+    is recorded, so it must be a non-negative integer like every suite's.
     """
     check_integer("seed", seed, 0)
-    mags = real_array(x_magnitudes, "perturbation magnitudes must lie in [0, 0.05], got {}")
-    deltas = real_array(delta_grid, "delta must lie in (0, pi/2), got {}")
-    if mags.ndim != 1 or deltas.ndim != 1 or not (mags.size and deltas.size):
-        raise DomainError("delta_grid and x_magnitudes must be non-empty 1-D sequences")
-    if not np.all((mags >= 0.0) & (mags <= 0.05)):
-        raise DomainError("perturbation magnitudes must lie in [0, 0.05]")
-    outside = ~((deltas > 0.0) & (deltas < HALF_PI))
-    if outside.any():
-        raise DomainError(f"delta must lie in (0, pi/2), got {deltas[outside][0]}")
+    deltas, mags = PERTURBATION_DELTAS, PERTURBATION_MAGNITUDES
     p0, p1 = src.p0, src.p1
     rho = src.density()
     phases = [2.0 * math.pi * i / 8 for i in range(8)]
@@ -419,27 +409,22 @@ def check_perturbation(
         {"delta": dl[a], "magnitude": ml[b]} for a, b in zip(*np.nonzero(~feasible))
     ]
 
-    ratios: list[dict[str, Any]] = []
-    shift_ratios: list[dict[str, Any]] = []
-    distinct = sorted({m for m in ml if m > 0})
-    if len(distinct) == 2:
-        lo, hi = (ml.index(m) for m in distinct)
-        rows, cols = np.nonzero((growth[:, lo] > 1e-12) & feasible[:, hi, np.newaxis])
-        ratio = growth[rows, hi, cols] / growth[rows, lo, cols]
-        ratios = [
-            {"delta": dl[d], "phase": phases[k], "ratio": r}
-            for d, k, r in zip(rows.tolist(), cols.tolist(), ratio.tolist())
-        ]
-        both = feasible[:, lo] & feasible[:, hi]
-        rows = np.flatnonzero(both & (lam_shift[:, lo] != 0))
-        shift_ratios = [
-            {"delta": dl[d], "lambda_ratio": lr, "mu_ratio": mr}
-            for d, lr, mr in zip(
-                rows.tolist(),
-                (lam_shift[rows, hi] / lam_shift[rows, lo]).tolist(),
-                (mu_shift[rows, hi] / mu_shift[rows, lo]).tolist(),
-            )
-        ]
+    # ratios of |x| = 0.02 (column 1) over |x| = 0.01 (column 0)
+    rows, cols = np.nonzero((growth[:, 0] > 1e-12) & feasible[:, 1, np.newaxis])
+    ratio = growth[rows, 1, cols] / growth[rows, 0, cols]
+    ratios = [
+        {"delta": dl[d], "phase": phases[k], "ratio": r}
+        for d, k, r in zip(rows.tolist(), cols.tolist(), ratio.tolist())
+    ]
+    rows = np.flatnonzero(feasible[:, 0] & feasible[:, 1] & (lam_shift[:, 0] != 0))
+    shift_ratios = [
+        {"delta": dl[d], "lambda_ratio": lr, "mu_ratio": mr}
+        for d, lr, mr in zip(
+            rows.tolist(),
+            (lam_shift[rows, 1] / lam_shift[rows, 0]).tolist(),
+            (mu_shift[rows, 1] / mu_shift[rows, 0]).tolist(),
+        )
+    ]
 
     params = {
         "p0": p0,
@@ -563,9 +548,6 @@ SUITE_NAMES = (
     "isotropic",
 )
 
-DEFAULT_PERTURBATION_DELTAS = tuple(np.linspace(0.15, HALF_PI - 0.15, 10))
-DEFAULT_PERTURBATION_MAGNITUDES = (0.01, 0.02)
-
 
 def run_suite(
     name: str, src: SourceSpec, trials: int, seed: int
@@ -573,8 +555,10 @@ def run_suite(
     """Run one named suite (or ``all``) with its documented default shape.
 
     Not every suite reads every argument: ``lemma1``, ``lemma2`` and
-    ``isotropic`` ignore ``src``, and ``perturbation`` runs its fixed grid
-    of 160 trials, though ``trials`` is checked for it as for every suite.
+    ``isotropic`` ignore ``src``, and ``perturbation`` runs its one grid
+    (``PERTURBATION_DELTAS`` by ``PERTURBATION_MAGNITUDES`` by 8 phases,
+    160 trials where every cell is feasible), though ``trials`` is checked
+    for it as for every suite.
     """
     check_integer("n_trials", trials, 0)
     if name == "all":
@@ -589,14 +573,7 @@ def run_suite(
     if name == "theorem1":
         return [check_theorem1(trials, seed, src)]
     if name == "perturbation":
-        return [
-            check_perturbation(
-                DEFAULT_PERTURBATION_DELTAS,
-                DEFAULT_PERTURBATION_MAGNITUDES,
-                src,
-                seed,
-            )
-        ]
+        return [check_perturbation(src, seed)]
     if name == "search":
         return [random_channel_search(src, trials, seed)]
     if name == "blocks":

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qubitrd import cli, quantum, ratedistortion as rd, realization, verify
+from qubitrd import cli, quantum, ratedistortion as rd, realization
 from qubitrd.errors import DomainError
 from qubitrd.ratedistortion import SourceSpec, pair_channel
 
@@ -49,8 +49,8 @@ def test_source_spec_keeps_its_dataclass_behaviour():
 
 # What a real-number argument must not be: a string, None, a complex number
 # (even a NumPy one with zero imaginary part), a bool, a Fraction, NaN, a
-# value out of every range here, and one- or two-entry arrays where one
-# number is due.
+# value out of every range here, a ragged nested sequence (which numpy
+# refuses), and one- or two-entry arrays where one number is due.
 NON_NUMBERS = {
     "str": "0.7",
     "None": None,
@@ -63,6 +63,7 @@ NON_NUMBERS = {
     "Fraction": Fraction(7, 10),
     "nan": math.nan,
     "out_of_range": 5.0,
+    "ragged": [0.7, [0.8]],
 }
 # Every scalar entry point; the last two also take arrays, so an array is no
 # bad value for them.
@@ -613,26 +614,6 @@ RANGE_CHECK_CASES = [
     ),
 ]
 RANGE_CHECKS = pytest.mark.parametrize("call, low, high, message", RANGE_CHECK_CASES)
-# The perturbation suite's two grids, which take no slack, so they clip
-# nothing, but pass the same real-number gate (errors.real_array).
-GRID_CASES = [
-    pytest.param(
-        lambda x: verify.check_perturbation(x, (0.01,), SRC7, 0),
-        0.0,
-        math.pi / 2,
-        "delta must lie in (0, pi/2), got {}",
-        id="perturbation_deltas",
-    ),
-    pytest.param(
-        lambda x: verify.check_perturbation((0.6,), x, SRC7, 0),
-        0.0,
-        0.05,
-        "perturbation magnitudes must lie in [0, 0.05], got {}",
-        id="perturbation_magnitudes",
-    ),
-]
-
-
 @RANGE_CHECKS
 def test_range_checks_clip_within_1e_12(call, low, high, message):
     # every array range check: NaN and an entry 1e-11 outside raise with the
@@ -648,7 +629,7 @@ def test_range_checks_clip_within_1e_12(call, low, high, message):
 
 
 @pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
-@pytest.mark.parametrize("call, low, high, message", RANGE_CHECK_CASES + GRID_CASES)
+@RANGE_CHECKS
 @pytest.mark.parametrize(
     "bad",
     [
@@ -659,14 +640,16 @@ def test_range_checks_clip_within_1e_12(call, low, high, message):
         0.3 + 0.5j,
         np.array([0.3 + 0j, 0.2]),
         np.array([True, False]),
+        [[0.3], [0.2, 0.3]],
     ],
-    ids=["str", "bytes", "strs", "None", "complex", "complex_array", "bool_array"],
+    ids=["str", "bytes", "strs", "None", "complex", "complex_array", "bool_array", "ragged"],
 )
 def test_range_checks_refuse_strings_and_none(call, low, high, message, bad):
     # numpy would parse the strings as numbers, None as NaN, and cast the
     # complex and bool arrays to floats (complex with a warning only, which
-    # is not raised as an error here, so the value path is what is tested);
-    # each raises with its own repr in the caller's message
+    # is not raised as an error here, so the value path is what is tested),
+    # and numpy's own ValueError refuses a ragged sequence; each raises
+    # DomainError with its own repr in the caller's message
     with pytest.raises(DomainError) as info:
         call(bad)
     assert str(info.value) == message.format(repr(bad))

@@ -133,47 +133,21 @@ def test_report_serialization_roundtrip():
     assert "passed: true" in text
 
 
-def test_perturbation_zero_magnitude_is_exact():
-    report = verify.check_perturbation((0.6,), (0.0,), SRC7, seed=0)
-    growths = [g["growth"] for g in report.params["growths"]]
-    assert max(abs(g) for g in growths) <= 1e-12
-
-
 def test_perturbation_growth_nonnegative_and_quartic():
-    report = verify.check_perturbation(
-        (0.4, 0.8, 1.2), (0.01, 0.02), SRC7, seed=0
-    )
+    report = verify.check_perturbation(SRC7, seed=0)
     assert report.passed
     assert report.worst_violation <= 1e-9
     # entropy growth at the optimum is quartic in |x| (the quadratic
     # coefficient cancels at the stationary angle), so doubling |x|
     # multiplies the growth by ~16
     ratios = [r["ratio"] for r in report.params["growth_ratios"]]
-    assert len(ratios) == 24
+    assert len(ratios) == 80
     assert all(14.0 <= r <= 22.0 for r in ratios)
     # the weight functions themselves are quadratic: ratio ~4
     shift_ratios = report.params["weight_shift_ratios"]
     assert all(3.0 <= r["lambda_ratio"] <= 5.0 for r in shift_ratios)
     assert all(3.0 <= r["mu_ratio"] <= 5.0 for r in shift_ratios)
     assert report.params["worst_distortion_drift"] <= 1e-12
-
-
-def test_perturbation_rejects_large_magnitude():
-    with pytest.raises(DomainError):
-        verify.check_perturbation((0.5,), (0.06,), SRC7, seed=0)
-
-
-@pytest.mark.parametrize("delta", [0.0, -0.1, math.pi / 2, 2.0])
-def test_perturbation_rejects_delta_outside_open_interval(delta):
-    with pytest.raises(DomainError):
-        verify.check_perturbation((0.6, delta), (0.01,), SRC7, seed=0)
-
-
-@pytest.mark.parametrize("deltas, mags", [((), (0.01,)), ((0.5,), ())])
-def test_perturbation_rejects_an_empty_grid(deltas, mags):
-    # refused as empty, not as a grid with no feasible cell
-    with pytest.raises(DomainError, match="non-empty 1-D"):
-        verify.check_perturbation(deltas, mags, SRC7, 0)
 
 
 def test_perturbation_masks_infeasible_cells():
@@ -220,14 +194,6 @@ def test_perturbation_rejects_a_grid_with_no_feasible_cell(p0):
     assert str(info.value).endswith({0.99: "is 0.00996", 0.999: "is 0.000989"}[p0])
 
 
-@pytest.mark.parametrize(
-    "deltas, mags", [((0.6,), ((0.01, 0.02),)), (((0.6, 0.8),), (0.01,)), (0.6, (0.01,))]
-)
-def test_perturbation_rejects_grids_that_are_not_1d(deltas, mags):
-    with pytest.raises(DomainError, match="1-D"):
-        verify.check_perturbation(deltas, mags, SRC7, seed=0)
-
-
 def test_perturbation_takes_no_ratio_of_round_off():
     # At the unbiased source every growth is round-off (within 6.1e-16 of
     # 0), so no ratio is taken; at p0 0.7 and 0.9 the smallest growths are
@@ -256,7 +222,7 @@ def test_perturbation_solves_every_angle_in_one_batch(monkeypatch):
     monkeypatch.setattr(verify, "_optimal_alpha", spy)
     monkeypatch.setattr(rd, "solve_alpha", forbidden)
     verify.run_suite("perturbation", SRC7, 1, seed=0)
-    assert calls == [len(verify.DEFAULT_PERTURBATION_DELTAS)]
+    assert calls == [len(verify.PERTURBATION_DELTAS)]
 
 
 def _oracle_weights(mp, p0, alpha, delta, x):
@@ -310,7 +276,7 @@ def _oracle_average_entropy(mp, p0, alpha, delta, x):
     return total
 
 
-@pytest.mark.parametrize("delta", [0.15, 0.6, 1.2])
+@pytest.mark.parametrize("delta", verify.PERTURBATION_DELTAS[[0, 3, 7]].tolist())
 def test_perturbation_growth_matches_mpmath_oracle(delta):
     mp = pytest.importorskip("mpmath")
     alpha = solve_alpha(delta, SRC7)
@@ -339,9 +305,10 @@ def test_perturbation_growth_matches_mpmath_oracle(delta):
             )
             assert residual != 0 and g_off * residual < 0
 
-        report = verify.check_perturbation((delta,), (0.01, 0.02), SRC7, seed=0)
-        assert len(report.params["growths"]) == 16
-        for g in report.params["growths"]:
+        report = verify.check_perturbation(SRC7, seed=0)
+        rows = [g for g in report.params["growths"] if g["delta"] == delta]
+        assert len(rows) == 16
+        for g in rows:
             x = mp.mpf(g["magnitude"]) * mp.expj(mp.mpf(g["phase"]))
             exact = growth(alpha, x)
             assert abs(g["growth"] - exact) <= 1e-8 * abs(exact)
@@ -513,12 +480,7 @@ def test_blocks_reports_the_worst_over_two_or_more_elements():
         lambda seed: verify.random_channel_search(SRC7, 5, seed),
         lambda seed: verify.check_theorem2_blocks(SRC7, 5, seed),
         lambda seed: verify.check_theorem3_isotropic(2, 5, seed),
-        lambda seed: verify.check_perturbation(
-            verify.DEFAULT_PERTURBATION_DELTAS,
-            verify.DEFAULT_PERTURBATION_MAGNITUDES,
-            SRC7,
-            seed,
-        ),
+        lambda seed: verify.check_perturbation(SRC7, seed),
     ],
     ids=["lemma1", "lemma2", "theorem1", "search", "blocks", "isotropic", "perturbation"],
 )
@@ -555,15 +517,7 @@ def test_suites_reject_a_bad_seed(run, seed):
         (lambda bad: verify.random_channel_search(SRC7, 5, bad), "seed"),
         (lambda bad: verify.check_theorem2_blocks(SRC7, 5, bad), "seed"),
         (lambda bad: verify.check_theorem3_isotropic(2, 5, bad), "seed"),
-        (
-            lambda bad: verify.check_perturbation(
-                verify.DEFAULT_PERTURBATION_DELTAS,
-                verify.DEFAULT_PERTURBATION_MAGNITUDES,
-                SRC7,
-                bad,
-            ),
-            "seed",
-        ),
+        (lambda bad: verify.check_perturbation(SRC7, bad), "seed"),
         (lambda bad: verify.run_suite("lemma2", SRC7, 5, bad), "seed"),
         (lambda bad: sweep_curve(SRC7, bad), "n_points"),
         (
@@ -762,7 +716,7 @@ RECORDED_PHASE0_GROWTHS = [
 
 def test_perturbation_replays_recorded_growths():
     deltas = np.linspace(0.15, math.pi / 2 - 0.15, 10)
-    report = verify.check_perturbation(deltas, (0.01, 0.02), SRC7, seed=42)
+    report = verify.check_perturbation(SRC7, seed=42)
     assert (report.n_trials, report.n_violations, report.passed) == (160, 0, True)
     assert report.failures == ()
     assert report.worst_violation == pytest.approx(-6.494139392909659e-08, rel=1e-6)
