@@ -136,8 +136,6 @@ def run_verify(args: argparse.Namespace) -> int:
     if trials < 1:
         raise DomainError(f"--trials must be at least 1, got {trials}")
     seed = 0 if args.seed is None else args.seed
-    if seed < 0:
-        raise DomainError(f"--seed must be non-negative, got {seed}")
     src = SourceSpec(DEFAULT_P0 if args.p0 is None else args.p0)
     reports = verify.run_suite(args.suite, src, trials, seed)
     if args.format == "csv":

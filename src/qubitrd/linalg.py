@@ -1,7 +1,8 @@
 """The matrix checks that ``quantum`` builds on.
 
-``as_matrix`` coerces input to a square complex matrix of dimension 1..16
-and ``is_hermitian`` tests hermiticity. Neither modifies its input.
+``as_complex`` reads input as a complex array, ``as_matrix`` coerces it to a
+square complex matrix of dimension 1..16 and ``is_hermitian`` tests
+hermiticity. None modifies its input.
 """
 
 from __future__ import annotations
@@ -14,9 +15,19 @@ MAX_DIM = 16
 HERMITIAN_TOL = 1e-10
 
 
+def as_complex(a) -> np.ndarray:
+    """``a`` as a complex array; what numpy cannot read as one (a ragged
+    nested sequence, a string that is no number) raises ``ShapeError``
+    naming it."""
+    try:
+        return np.asarray(a, dtype=complex)
+    except ValueError:
+        raise ShapeError(f"expected a complex array, got {a!r}") from None
+
+
 def as_matrix(a: np.ndarray) -> np.ndarray:
     """Coerce ``a`` to a square complex matrix of dimension 1..16."""
-    m = np.asarray(a, dtype=complex)
+    m = as_complex(a)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {m.shape}")
     if not 1 <= m.shape[0] <= MAX_DIM:

@@ -36,7 +36,7 @@ from .errors import (
     DomainError,
     ShapeError,
 )
-from .errors import check_real, real_array
+from .errors import real_array
 
 STATE_TOL = 1e-10
 COMPLETENESS_TOL = 1e-10
@@ -193,17 +193,12 @@ def binary_entropy(p):
     within 1e-12 outside [0, 1] are clipped; any other, NaN included,
     raises ``DomainError``, as does a value that is not real. An int, a
     float, a ``np.float64`` or a 0-d array gives a float, an array an array.
-    Both take the check and clip (``check_real`` on an int or a float,
-    ``_clipped`` on anything else), then the unchecked kernel of their kind:
-    ``_h2_float`` on a float, ``_h2_unchecked`` on an array (same bits).
+    Every input takes one route: ``_clipped``, then ``_h2_unchecked``. Code
+    that built its argument inside [0, 1] calls ``_h2_unchecked`` itself,
+    or ``_h2_float`` on one Python float (same bits).
     """
-    if not isinstance(p, (int, float)):
-        h = _h2_unchecked(_clipped(p, 0.0, 1.0, "probability {} outside [0, 1]"))
-        return h if isinstance(h, np.ndarray) else float(h)
-    p = check_real(p, -1e-12, 1 + 1e-12, "probability {} outside [0, 1]")
-    # min and max written as comparisons, here and in _h2_float, which cost
-    # a fraction of the builtins' calls and pick the same operand
-    return _h2_float(0.0 if p < 0.0 else 1.0 if p > 1.0 else p)
+    h = _h2_unchecked(_clipped(p, 0.0, 1.0, "probability {} outside [0, 1]"))
+    return h if isinstance(h, np.ndarray) else float(h)
 
 
 def _h2_float(p: float) -> float:
@@ -211,7 +206,8 @@ def _h2_float(p: float) -> float:
     ``binary_entropy`` with no range check and no clip: for arguments that
     the caller built inside [0, 1] itself. It runs in float arithmetic on
     numpy's logarithms (math's do not always give their bits), each turned
-    into a float at once, and gets the bits of ``_h2_unchecked``'s entry."""
+    into a float at once, and gets the bits of ``_h2_unchecked``'s entry;
+    its min is a comparison, a fraction of the builtin's cost."""
     q = 1.0 - p
     m = q if q < p else p
     floored = _TINY if m < _TINY else m
@@ -291,7 +287,7 @@ def average_entropies(kraus, state) -> np.ndarray:
     A_i rho is one flat GEMM over every element of the stack, and its
     product with A_i† is ``_times_adjoint``.
     """
-    kraus = np.asarray(kraus, dtype=complex)
+    kraus = linalg.as_complex(kraus)
     dim = kraus.shape[-1]
     state = _state_matrix(state)
     left = (kraus.reshape(-1, dim) @ state).reshape(kraus.shape)
@@ -397,7 +393,7 @@ def block_distortions(kraus, rho) -> np.ndarray:
     elements are padded with zero elements, which change nothing. Every set
     must be complete within ``COMPLETENESS_TOL``; rho may be a plain matrix.
     """
-    kraus = np.asarray(kraus, dtype=complex)
+    kraus = linalg.as_complex(kraus)
     if kraus.ndim != 4 or kraus.shape[-1] != kraus.shape[-2]:
         raise ShapeError(f"expected a (N, k, dim, dim) stack, got shape {kraus.shape}")
     dim = kraus.shape[-1]

@@ -32,8 +32,8 @@ exact limits. Every other quantity of a curve point is closed form in
 ``lambda1 h2(p0 cos^2 a / lambda1) + lambda2 h2(p0 sin^2 a / lambda2)``,
 the type-1 weight ``lambda1 = p0 cos^2 a + p1 cos^2(a + D)``, with
 ``lambda2 = 1 - lambda1``, and the side-channel rate h2(lambda1). R, r and
-lambda1 come from one kernel, ``_pair_figures``, whose three h2 take no
-range check. A sweep is one record array with a column per
+lambda1 come from one kernel, ``_pair_figures``. No h2 here is checked:
+each argument is built in [0, 1]. A sweep is one record array with a column per
 ``CurvePoint`` field. It writes the angle and the figures over whole arrays
 by the formulas of a single point, so each of its rows equals
 ``r1_curve_point``'s bit for bit. Each formula is written once, in a kernel
@@ -59,7 +59,6 @@ from .quantum import (
     _clipped,
     _h2_float,
     _h2_unchecked,
-    binary_entropy,
 )
 
 HALF_PI = math.pi / 2
@@ -227,9 +226,10 @@ def s1_curve_point(theta, src: SourceSpec):
     # 1 - (p0 c + p1 s)^2 / weight, without the cancellation near t = pi/4
     gap = c - s
     d = p0 * p1 * gap * gap / weight
-    entropy = binary_entropy(p1 * s * s / weight)
+    # p1 s^2 / weight <= 1: weight is that same rounded product plus p0 c^2
+    entropy = _h2_unchecked(p1 * s * s / weight)
     if d.ndim == 0:
-        return float(d), entropy
+        return float(d), float(entropy)
     return d, entropy
 
 
@@ -241,7 +241,8 @@ def solve_alpha(delta: float, src: SourceSpec) -> float:
     or one that is not a real number, raises ``DomainError``. It is within
     a few ulps of the exact angle however small delta is (to the subnormal
     spacing where the angle itself is subnormal), and equals the entry of
-    ``_optimal_alpha`` over an array of deltas bit for bit.
+    ``_optimal_alpha`` over an array of deltas bit for bit, which is what
+    ``r1_curve_point`` calls after its own delta check.
     """
     delta = check_real(delta, _DELTA_MIN, _DELTA_MAX, "delta must lie in (0, pi/2), got {}")
     return float(_optimal_alpha(delta, src.p0, _FLOATS))
@@ -250,10 +251,10 @@ def solve_alpha(delta: float, src: SourceSpec) -> float:
 def r1_curve_point(delta: float, src: SourceSpec) -> CurvePoint:
     """Rate-distortion sample at one delta, in closed form.
 
-    Takes the optimal mixing angle from ``solve_alpha`` (closed form),
-    then the distortion 2 p0 p1 (1 - cos delta), the average output entropy
-    of the pair and its type-1 weight lambda1 from their closed forms. The
-    endpoints call no ``solve_alpha``; each column there is its exact limit. As delta -> 0,
+    Takes the optimal mixing angle from ``_optimal_alpha`` on floats, then
+    the distortion 2 p0 p1 (1 - cos delta), the average output entropy of
+    the pair and its type-1 weight lambda1 from their closed forms. The
+    endpoints solve no angle; each column there is its exact limit. As delta -> 0,
     alpha / delta -> p1 / (p0 - p1), so (0, h2(p0)) has alpha = 0 and
     lambda1 = 1, except at p0 = 1/2, where alpha = pi/4 - delta/2 gives
     pi/4 and 1/2. The limit jumps there: alpha stays near pi/4 - delta/2
@@ -266,11 +267,11 @@ def r1_curve_point(delta: float, src: SourceSpec) -> CurvePoint:
     delta = check_real(delta, -1e-12, HALF_PI + 1e-12, _DELTA_MESSAGE)
     p0 = src.p0
     if delta <= ENDPOINT_CUTOFF:
-        alpha, lam1 = (math.pi / 4, 0.5) if p0 == 0.5 else (0.0, 1.0)
-        return CurvePoint(0.0, alpha, 0.0, binary_entropy(p0), binary_entropy(lam1), lam1)
+        alpha, r, lam1 = (math.pi / 4, 1.0, 0.5) if p0 == 0.5 else (0.0, 0.0, 1.0)
+        return CurvePoint(0.0, alpha, 0.0, _h2_float(p0), r, lam1)
     if delta >= HALF_PI - ENDPOINT_CUTOFF:
-        return CurvePoint(HALF_PI, 0.0, src.d_max, 0.0, binary_entropy(p0), p0)
-    alpha = solve_alpha(delta, src)
+        return CurvePoint(HALF_PI, 0.0, src.d_max, 0.0, _h2_float(p0), p0)
+    alpha = _optimal_alpha(delta, p0, _FLOATS)
     figures = _pair_figures(alpha, delta, p0, _FLOATS)
     return CurvePoint(delta, alpha, src._distortion(delta, _FLOATS), *figures)
 
@@ -307,6 +308,8 @@ def isotropic_s1(d):
 
     h2(1/2 + sqrt(d (1 - d))) for d in [0, 1/2], of a float or of each entry
     of an array; other entries (beyond 1e-12, or NaN) raise ``DomainError``.
+    On the clipped d the h2 argument lies in [1/2, 1] and takes no check.
     """
     d = _clipped(d, 0.0, 0.5, "distortion must lie in [0, 1/2], got {}")
-    return binary_entropy(0.5 + np.sqrt(d * (1.0 - d)))
+    h = _h2_unchecked(0.5 + np.sqrt(d * (1.0 - d)))
+    return h if isinstance(h, np.ndarray) else float(h)

@@ -60,9 +60,9 @@ def test_span_tracer_installs_and_undoes():
 def test_traced_layer_metrics_compute(name):
     # The traced run divides solve_alpha calls by the r1_curve_point calls
     # that returned, so a sweep must still return at least one through it.
-    # A sweep's only curve points are its two endpoints, which take exact
-    # limits and solve nothing, so its ratio is 0; a lone interior point
-    # solves its angle.
+    # No curve point calls solve_alpha: an end row takes its exact limits,
+    # and an interior point checks its delta and calls the angle kernel
+    # itself, so the ratio is 0 on both workloads.
     wl = workloads.WORKLOADS[name](1)
     inputs = [0.7] if name == "curve" else next(wl.cycles())[:2]
     recorder = spans.Recorder()
@@ -78,7 +78,7 @@ def test_traced_layer_metrics_compute(name):
     assert point.calls - point.errors >= 1
     metrics = run.layer_metrics(name, stats, [recorded], None, None, 1)
     ratio = metrics[f"{name}.ratedistortion.solve_alpha.calls_per_point"][0]
-    assert ratio == 0.0 if name == "curve" else ratio > 0
+    assert ratio == 0.0
 
 
 def test_dominance_suites_build_the_traced_curve_object():

@@ -128,6 +128,17 @@ def test_config_validation(capsys, flags):
 
 @pytest.mark.parametrize(
     "argv",
+    [["verify", "lemma1", "--seed", "-1"], ["simulate", "--delta", "0.8", "--seed", "-1"]],
+    ids=["verify", "simulate"],
+)
+def test_negative_seed_takes_the_library_check(capsys, argv):
+    # The CLI passes the seed on; the library's integer check rejects it.
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: seed must be an integer")
+
+
+@pytest.mark.parametrize(
+    "argv",
     [
         ["curve", "r1", "--seed", "9"],
         ["curve", "s1", "--trials", "5"],

@@ -15,6 +15,7 @@ from qubitrd.errors import (
     ContractViolationError,
     DimensionMismatchError,
     DomainError,
+    ShapeError,
 )
 from qubitrd.quantum import DensityMatrix, KrausChannel
 from qubitrd.ratedistortion import SourceSpec, pair_channel, solve_alpha
@@ -41,6 +42,28 @@ def test_density_matrix_validation():
         DensityMatrix(np.array([[1.2, 0], [0, -0.2]], dtype=complex))
     with pytest.raises(ContractViolationError):
         DensityMatrix(np.array([[0.5, 0.4], [0.1, 0.5]], dtype=complex))
+
+
+RAGGED_STACK = [[[[1, 0], [0, 1]]], [[1]]]
+
+
+@pytest.mark.parametrize(
+    ("build", "given"),
+    [
+        (DensityMatrix, [[1, 0], [0]]),
+        (DensityMatrix, "ab"),
+        (lambda m: KrausChannel((m,)), [[1, 0], [0]]),
+        (lambda k: quantum.block_distortions(k, I2 / 2), RAGGED_STACK),
+        (lambda k: quantum.average_entropies(k, I2 / 2), RAGGED_STACK),
+    ],
+    ids=["density", "density-str", "kraus", "block_distortions", "average_entropies"],
+)
+def test_unreadable_matrix_input_raises_shape_error(build, given):
+    # Input numpy cannot read as a complex array raises ShapeError, a
+    # ValueError, naming the input, not numpy's own ValueError.
+    with pytest.raises(ShapeError) as exc:
+        build(given)
+    assert repr(given) in str(exc.value)
 
 
 def test_density_matrix_properties():

@@ -366,20 +366,38 @@ def test_r1_endpoints_are_exact_limits(p0):
     assert rd.sweep_curve(src, 11)[-1].tolist() == end
 
 
-def test_r1_endpoints_solve_nothing(monkeypatch):
+def _route_calls(monkeypatch):
+    """The list that records every call of the checked h2, the two unchecked
+    h2 kernels and the angle kernel, as (name, type, shape) of its first
+    argument. ratedistortion holds no name of the checked h2, so the spy on
+    quantum's sees any call of it."""
+    assert not hasattr(rd, "binary_entropy")
     calls = []
-    solve_alpha = rd.solve_alpha
 
-    def spy(delta, src):
-        calls.append(delta)
-        return solve_alpha(delta, src)
+    def spy(name, fn):
+        def call(x, *rest):
+            calls.append((name, type(x), np.shape(x)))
+            return fn(x, *rest)
 
-    monkeypatch.setattr(rd, "solve_alpha", spy)
+        return call
+
+    monkeypatch.setattr(quantum, "binary_entropy", spy("checked", quantum.binary_entropy))
+    for name in ("_h2_float", "_h2_unchecked", "_optimal_alpha"):
+        monkeypatch.setattr(rd, name, spy(name, getattr(rd, name)))
+    return calls
+
+
+def test_r1_endpoints_solve_nothing(monkeypatch):
+    # An end row takes h2(p0) from the unchecked float kernel, its other
+    # columns are constants, and it solves no angle.
+    calls = _route_calls(monkeypatch)
     for delta in (0.0, 1e-13, math.pi / 2 - 1e-13, math.pi / 2):
+        calls.clear()
         rd.r1_curve_point(delta, SRC7)
-    assert calls == []
+        assert calls == [("_h2_float", float, ())]
+    calls.clear()
     rd.r1_curve_point(0.8, SRC7)
-    assert calls == [0.8]
+    assert calls[0] == ("_optimal_alpha", float, ())
 
 
 @pytest.mark.parametrize("p0", [0.6, 0.7, 0.9, 0.99])
@@ -476,53 +494,61 @@ def test_sweep_matches_per_point_solve(p0, n):
 
 @pytest.mark.parametrize("n", [101, 512])
 def test_sweep_takes_h2_over_whole_arrays(monkeypatch, n):
-    # R = h2(p0) and r at delta = 0, then one unchecked call over the
+    # R = h2(p0) at delta = 0 from the float kernel, the interior's angles
+    # in one call over the array, then one unchecked h2 call over the
     # (3, n - 2) stack of the interior's three h2 arguments (the two terms
-    # of the average entropy, then r = h2(lambda1)), and r at delta = pi/2,
-    # whatever the number of points. The end rows' floats take the checked
-    # h2; the stack, built inside [0, 1], takes none of its check.
-    calls = []
-
-    def spy(name, h2):
-        def call(p):
-            calls.append((name, type(p), np.shape(p)))
-            return h2(p)
-
-        return call
-
-    monkeypatch.setattr(rd, "binary_entropy", spy("checked", rd.binary_entropy))
-    monkeypatch.setattr(rd, "_h2_unchecked", spy("unchecked", rd._h2_unchecked))
+    # of the average entropy, then r = h2(lambda1)), and r = h2(p0) at
+    # delta = pi/2, whatever the number of points. Every argument is built
+    # inside [0, 1], so none takes the checked h2.
+    calls = _route_calls(monkeypatch)
     assert len(rd.sweep_curve(SRC7, n)) == n
-    end = ("checked", float, ())
-    assert calls == [end, end, ("unchecked", np.ndarray, (3, n - 2)), end]
+    end = ("_h2_float", float, ())
+    assert calls == [
+        end,
+        ("_optimal_alpha", np.ndarray, (n - 2,)),
+        ("_h2_unchecked", np.ndarray, (3, n - 2)),
+        end,
+    ]
 
 
 def test_point_takes_unchecked_float_h2(monkeypatch):
-    # An interior point takes its angle from one solve_alpha call, then its
-    # three h2 (the two terms of the average entropy, then r = h2(lambda1))
-    # from the unchecked float kernel, on arguments built inside [0, 1],
-    # with no checked call. The end rows take the checked h2 and no angle.
-    calls = []
-
-    def spy(name, fn):
-        def call(x, *rest):
-            calls.append((name, type(x)))
-            return fn(x, *rest)
-
-        return call
-
-    monkeypatch.setattr(rd, "binary_entropy", spy("checked", rd.binary_entropy))
-    monkeypatch.setattr(rd, "_h2_float", spy("unchecked", rd._h2_float))
-    monkeypatch.setattr(rd, "solve_alpha", spy("solve_alpha", rd.solve_alpha))
+    # An interior point takes its angle from one call of the angle kernel
+    # on its checked delta, then its three h2 (the two terms of the average
+    # entropy, then r = h2(lambda1)) from the unchecked float kernel, on
+    # arguments built inside [0, 1], with no checked call. An end row
+    # takes one unchecked h2, of p0, and no angle.
+    calls = _route_calls(monkeypatch)
+    h2 = ("_h2_float", float, ())
     for src in (SRC5, SRC7, SourceSpec(1.0 - 1e-12)):
         for delta in (1e-9, 0.8, math.pi / 2 - 1e-9):
             calls.clear()
             rd.r1_curve_point(delta, src)
-            assert calls == [("solve_alpha", float)] + [("unchecked", float)] * 3
+            assert calls == [("_optimal_alpha", float, ())] + [h2] * 3
         calls.clear()
         rd.r1_curve_point(0.0, src)
         rd.r1_curve_point(math.pi / 2, src)
-        assert calls == [("checked", float)] * 3
+        assert calls == [h2] * 2
+
+
+@pytest.mark.parametrize(
+    ("curve", "arg"),
+    [
+        (lambda t: rd.s1_curve_point(t, SRC7)[1], 0.3),
+        (lambda t: rd.s1_curve_point(t, SRC7)[1], np.linspace(0.0, math.pi / 4, 201)),
+        (rd.isotropic_s1, 0.1),
+        (rd.isotropic_s1, np.linspace(0.0, 0.5, 50)),
+    ],
+    ids=["s1-float", "s1-array", "isotropic-float", "isotropic-array"],
+)
+def test_entropy_curves_take_one_unchecked_h2(monkeypatch, curve, arg):
+    # The filter curve and the isotropic curve check their own argument,
+    # then build the h2 argument inside [0, 1] and take one unchecked h2
+    # over it; a float still gives a Python float.
+    calls = _route_calls(monkeypatch)
+    h = curve(arg)
+    assert [name for name, _, _ in calls] == ["_h2_unchecked"]
+    assert calls[0][2] == np.shape(arg)
+    assert type(h) is (float if np.ndim(arg) == 0 else np.ndarray)
 
 
 @pytest.mark.parametrize("n", [2, 3, 101, 512, 4097, cli.MAX_POINTS])
@@ -582,6 +608,52 @@ def test_pair_figures_float_h2_arguments_lie_in_unit_interval(monkeypatch):
     q = np.array(args)
     assert q.shape == (49 * 3 * deltas.size,)
     assert np.isfinite(q).all() and (q >= 0.0).all() and (q <= 1.0).all()
+
+
+def test_s1_h2_argument_lies_in_unit_interval(monkeypatch):
+    # s1's h2 argument p1 s^2 / weight skips the range check: weight is
+    # p0 c^2 plus that same rounded product, so over p0 from 1/2 to
+    # 1 - 1e-12 and theta over [0, pi/4], ends and their decades included,
+    # it is a finite number inside [0, 1].
+    args = []
+
+    def spy(q):
+        args.append(q)
+        return quantum._h2_unchecked(q)
+
+    monkeypatch.setattr(rd, "_h2_unchecked", spy)
+    p0s, _ = _interior_grid()
+    edges = np.geomspace(1e-16, 1e-2, 60)
+    thetas = np.concatenate(
+        [[0.0], edges, np.linspace(1e-2, math.pi / 4 - 1e-2, 400), math.pi / 4 - edges[::-1]]
+    )
+    thetas = np.append(thetas, math.pi / 4)
+    for p0 in p0s:
+        rd.s1_curve_point(thetas, SourceSpec(p0))
+    q = np.array(args)
+    assert q.shape == (49, thetas.size)
+    assert np.isfinite(q).all() and (q >= 0.0).all() and (q <= 1.0).all()
+
+
+def test_isotropic_h2_argument_lies_in_unit_interval(monkeypatch):
+    # isotropic_s1's h2 argument 1/2 + sqrt(d (1 - d)) skips the range
+    # check: over d in [0, 1/2], ends and their decades included, and the
+    # entries within 1e-12 outside that the clip moves onto the ends, it
+    # lies in [1/2, 1].
+    args = []
+
+    def spy(q):
+        args.append(q)
+        return quantum._h2_unchecked(q)
+
+    monkeypatch.setattr(rd, "_h2_unchecked", spy)
+    edges = np.geomspace(1e-17, 1e-2, 80)
+    d = np.concatenate([[0.0], edges, np.linspace(1e-2, 0.49, 10001), 0.5 - edges[::-1]])
+    d = np.concatenate([d, [np.nextafter(0.5, 0.0), 0.5, -1e-12, 0.5 + 1e-12]])
+    rd.isotropic_s1(d)
+    (q,) = args
+    assert q.shape == d.shape
+    assert np.isfinite(q).all() and (q >= 0.5).all() and (q <= 1.0).all()
 
 
 def test_isotropic_s1_on_arrays():

@@ -184,13 +184,13 @@ def test_simulate_stream_matches_curve_point():
 def test_simulate_solves_its_angle_once(capsys, monkeypatch):
     # the circuit carries its curve point, so the stream solves nothing
     calls = []
-    solve = ratedistortion.solve_alpha
+    solve = ratedistortion._optimal_alpha
 
-    def counted(delta, src):
+    def counted(delta, p0, xp):
         calls.append(delta)
-        return solve(delta, src)
+        return solve(delta, p0, xp)
 
-    monkeypatch.setattr(ratedistortion, "solve_alpha", counted)
+    monkeypatch.setattr(ratedistortion, "_optimal_alpha", counted)
     realization.simulate_stream(realization.build_circuit(0.8, SRC7), 10, seed=0)
     assert calls == [0.8]
     calls.clear()

@@ -373,7 +373,7 @@ def test_reference_takes_one_h2_call_per_evaluation(monkeypatch):
 
         return call
 
-    monkeypatch.setattr(rd, "binary_entropy", spy("checked", rd.binary_entropy))
+    monkeypatch.setattr(quantum, "binary_entropy", spy("checked", quantum.binary_entropy))
     monkeypatch.setattr(rd, "_h2_unchecked", spy("unchecked", rd._h2_unchecked))
     curve(np.linspace(0.0, SRC7.d_max, 50))
     curve(0.2)
