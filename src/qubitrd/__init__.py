@@ -63,7 +63,6 @@ _EXPORTS = {
             "pair_channel",
             "r1_curve_point",
             "s1_curve_point",
-            "solve_alpha",
             "sweep_curve",
         ),
         "ratedistortion",
@@ -82,7 +81,6 @@ _EXPORTS = {
             "check_theorem2_blocks",
             "check_theorem3_isotropic",
             "random_channel_search",
-            "rate_curve_interpolator",
         ),
         "verify",
     ),

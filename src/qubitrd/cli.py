@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, default=default, help="random seed")
     ver.add_argument("--trials", type=int, help="trials per suite")
     sim.add_argument("--samples", type=int, default=100000, help="stream samples")
-    sim.add_argument("--delta", type=float, required=True, help="operating angle")
+    sim.add_argument("--delta", type=float, required=True, help="angle gap in [0, pi/2]")
     for cmd in (curve, ver, sim):
         cmd.add_argument("--out", default=None, help="output path (default: stdout)")
         cmd.add_argument("--format", choices=("csv", "json"), default="csv")

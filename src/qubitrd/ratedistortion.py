@@ -62,9 +62,9 @@ from .quantum import (
 )
 
 HALF_PI = math.pi / 2
-# The float ranges inside the open ends of p0's [0.5, 1) and delta's (0, pi/2).
+# The largest floats inside the open ends of p0's [0.5, 1) and of the reals.
 _P0_MAX = math.nextafter(1.0, 0.0)
-_DELTA_MIN, _DELTA_MAX = math.nextafter(0.0, 1.0), math.nextafter(HALF_PI, 0.0)
+_FLOAT_MAX = math.nextafter(math.inf, 0.0)
 _DELTA_MESSAGE = "delta must lie in [0, pi/2], got {}"
 # Delta values this close to 0 or pi/2 take the curve's exact limits.
 ENDPOINT_CUTOFF = 1e-12
@@ -147,7 +147,11 @@ _CURVE_DTYPE = np.dtype((np.record, [(f, np.float64) for f in CurvePoint._fields
 def pair_channel(alpha: float, delta: float) -> KrausChannel:
     """The diagonal pair diag(cos a, cos(a + D)), diag(sin a, sin(a + D)) at
     mixing angle ``alpha`` and angle gap ``delta``, as a trace-preserving
-    channel."""
+    channel. Each angle is a real number with a finite float
+    (``check_real``); NaN, an infinity or a value that is not real raises
+    ``DomainError``."""
+    alpha = check_real(alpha, -_FLOAT_MAX, _FLOAT_MAX, "alpha must be a finite real, got {}")
+    delta = check_real(delta, -_FLOAT_MAX, _FLOAT_MAX, "delta must be a finite real, got {}")
     a1 = np.diag([math.cos(alpha), math.cos(alpha + delta)]).astype(complex)
     a2 = np.diag([math.sin(alpha), math.sin(alpha + delta)]).astype(complex)
     return KrausChannel((a1, a2))
@@ -233,21 +237,6 @@ def s1_curve_point(theta, src: SourceSpec):
     return d, entropy
 
 
-def solve_alpha(delta: float, src: SourceSpec) -> float:
-    """Mixing angle minimizing the average output entropy at fixed delta.
-
-    The closed form ``_optimal_alpha`` on Python floats, as a float, for
-    delta whose float (``check_real``) lies in (0, pi/2); any other delta,
-    or one that is not a real number, raises ``DomainError``. It is within
-    a few ulps of the exact angle however small delta is (to the subnormal
-    spacing where the angle itself is subnormal), and equals the entry of
-    ``_optimal_alpha`` over an array of deltas bit for bit, which is what
-    ``r1_curve_point`` calls after its own delta check.
-    """
-    delta = check_real(delta, _DELTA_MIN, _DELTA_MAX, "delta must lie in (0, pi/2), got {}")
-    return float(_optimal_alpha(delta, src.p0, _FLOATS))
-
-
 def r1_curve_point(delta: float, src: SourceSpec) -> CurvePoint:
     """Rate-distortion sample at one delta, in closed form.
 
@@ -263,6 +252,10 @@ def r1_curve_point(delta: float, src: SourceSpec) -> CurvePoint:
     delta = pi/2, (0, pi/2 - delta) closes on alpha = 0, so (d_max, 0) has
     lambda1 = p0. A delta whose float (``check_real``) lies more than 1e-12
     outside [0, pi/2], NaN, or one that is not real raises ``DomainError``.
+    That is the package's one rule for a scalar delta: ``build_circuit``
+    (hence ``simulate --delta``) leaves the check to this call. The point's
+    ``alpha`` is the public optimal angle, within a few ulps of the exact
+    one however small an interior delta is.
     """
     delta = check_real(delta, -1e-12, HALF_PI + 1e-12, _DELTA_MESSAGE)
     p0 = src.p0

@@ -22,10 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quantum
-from .errors import InternalNumericError, check_integer, check_real
+from .errors import InternalNumericError, check_integer
 from .quantum import KrausChannel
-from .ratedistortion import _DELTA_MAX, _DELTA_MIN, CurvePoint, SourceSpec
-from .ratedistortion import pair_channel, r1_curve_point
+from .ratedistortion import CurvePoint, SourceSpec, pair_channel, r1_curve_point
 
 # Outcomes are drawn and counted in chunks of this many samples, so the
 # memory a stream takes does not grow with its length: 512 KB of float64
@@ -69,16 +68,17 @@ class StreamResult:
 def build_circuit(delta: float, src: SourceSpec) -> RealizationCircuit:
     """Assemble the entangling unitary of the curve's point at delta.
 
-    delta must be a real number (``errors.check_real``) whose float lies in
-    (0, pi/2); any other raises ``DomainError``. The circuit carries
-    ``r1_curve_point(delta, src)`` and realizes that point's optimal pair
-    (``pair_channel`` at its alpha and delta). The unitary
+    The circuit carries ``r1_curve_point(delta, src)``, which checks delta:
+    a real number whose float lies within 1e-12 of [0, pi/2]; any other
+    raises ``DomainError``. It realizes that point's optimal pair
+    (``pair_channel`` at its alpha and delta), so at the ends it realizes
+    the end rows: the identity code (delta = 0) and measure-and-prepare
+    (delta = pi/2). The unitary
     [[A1, -A2], [A2, A1]] is built from the pair's elements: it rotates
     within the two even/odd parity planes by alpha and alpha + delta
     respectively, so the induced operation on the source qubit is exactly
     that pair.
     """
-    delta = check_real(delta, _DELTA_MIN, _DELTA_MAX, "delta must lie in (0, pi/2), got {}")
     point = r1_curve_point(delta, src)
     channel = pair_channel(point.alpha, point.delta)
     a1, a2 = channel.elements

@@ -157,7 +157,8 @@ class RateCurveInterpolator:
 
     The class interpolates nothing. Its name, ``__init__(src)`` and the
     cached ``rate_curve_interpolator`` that builds it are kept for the
-    benchmark in ``perfbench/`` alone: its warm-up calls
+    benchmark in ``perfbench/`` alone, which reads them from this module
+    (``qubitrd`` does not export them): its warm-up calls
     ``rate_curve_interpolator``, its traced run clears and reads that
     cache and hooks ``__init__``, and it divides by the number of builds,
     so the dominance suites build the object through

@@ -24,7 +24,6 @@ from qubitrd.ratedistortion import (
     isotropic_s1,
     pair_channel,
     r1_curve_point,
-    solve_alpha,
     sweep_curve,
 )
 
@@ -53,7 +52,7 @@ def test_criterion_02_symmetric_root():
     src = SourceSpec(0.5)
     worst = 0.0
     for delta in np.linspace(0.02, math.pi / 2 - 0.02, 50):
-        alpha = solve_alpha(float(delta), src)
+        alpha = r1_curve_point(float(delta), src).alpha
         worst = max(worst, abs(alpha - (math.pi / 4 - float(delta) / 2)))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and elapsed < 1.0
@@ -68,7 +67,7 @@ def test_criterion_03_distortion_identity():
         src = SourceSpec(p0)
         rho = src.density()
         for delta in np.linspace(0.02, math.pi / 2 - 0.02, 50):
-            alpha = solve_alpha(float(delta), src)
+            alpha = r1_curve_point(float(delta), src).alpha
             pair = pair_channel(alpha, float(delta))
             d = quantum.distortion(rho, pair)
             closed = 2 * p0 * (1 - p0) * (1 - math.cos(float(delta)))
@@ -269,7 +268,7 @@ def test_criterion_12_entropy_exchange_claims():
         src = SourceSpec(p0)
         rho = src.density()
         for delta in np.linspace(0.1, math.pi / 2 - 0.1, 9):
-            alpha = solve_alpha(float(delta), src)
+            alpha = r1_curve_point(float(delta), src).alpha
             pair = pair_channel(alpha, float(delta))
             for element in pair.elements:
                 worst_exchange = max(

@@ -47,22 +47,22 @@ def test_verify_workload_perturbation_passes_at_every_p0():
 
 
 def test_span_tracer_installs_and_undoes():
-    original = qubitrd.ratedistortion.solve_alpha
+    original = qubitrd.ratedistortion.r1_curve_point
     undo = spans.install(spans.Recorder(), qubitrd)
     try:
-        assert qubitrd.ratedistortion.solve_alpha is not original
+        assert qubitrd.ratedistortion.r1_curve_point is not original
     finally:
         undo()
-    assert qubitrd.ratedistortion.solve_alpha is original
+    assert qubitrd.ratedistortion.r1_curve_point is original
 
 
 @pytest.mark.parametrize("name", ["curve", "point"])
 def test_traced_layer_metrics_compute(name):
-    # The traced run divides solve_alpha calls by the r1_curve_point calls
-    # that returned, so a sweep must still return at least one through it.
-    # No curve point calls solve_alpha: an end row takes its exact limits,
-    # and an interior point checks its delta and calls the angle kernel
-    # itself, so the ratio is 0 on both workloads.
+    # The traced run divides the spans it names ratedistortion.solve_alpha
+    # by the r1_curve_point calls that returned, so a sweep must still
+    # return at least one through it. The package has no solve_alpha (the
+    # public angle is r1_curve_point's alpha), so the tracer records no such
+    # span and the ratio is 0 on both workloads.
     wl = workloads.WORKLOADS[name](1)
     inputs = [0.7] if name == "curve" else next(wl.cycles())[:2]
     recorder = spans.Recorder()

@@ -298,6 +298,22 @@ def test_simulate_takes_the_optimal_angle_at_small_delta(capsys):
 def test_simulate_domain_error(capsys):
     code, _ = _run(capsys, ["simulate", "--p0", "0.5", "--delta", "2.0"])
     assert code == 2
+    # one delta rule, r1_curve_point's: NaN or 0.1 beyond either end
+    for delta in ("nan", "-0.1", repr(math.pi / 2 + 0.1)):
+        assert cli.main(["simulate", "--delta", delta]) == 2
+        assert "delta must lie in [0, pi/2]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delta", ["0", "1.5707963267948966"])
+def test_simulate_takes_both_ends_of_the_delta_range(capsys, delta):
+    argv = ["simulate", "--p0", "0.7", "--delta", delta, "--samples", "1000", "--seed", "3"]
+    code, out = _run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    record = json.loads(out)
+    point = r1_curve_point(float(delta), SourceSpec(0.7))
+    assert record["alpha"] == point.alpha == 0.0
+    assert record["analytic_lambda1"] == point.lambda1
+    assert record["analytic_classical_rate"] == point.r
 
 
 @pytest.mark.parametrize("p0, code", [("0.96", 0), ("0.9875", 0), ("0.99", 2)])
@@ -454,3 +470,67 @@ def test_unknown_attribute_raises():
         qubitrd.bogus
     with pytest.raises(ImportError):
         from qubitrd import bogus  # noqa: F401
+
+
+# The private names a package module takes from another one, as
+# (module, owner.name). Everything else crosses a module boundary by a
+# public name.
+PRIVATE_CROSSINGS = {
+    ("ratedistortion", "quantum._clipped"),
+    ("ratedistortion", "quantum._h2_float"),
+    ("ratedistortion", "quantum._h2_unchecked"),
+    ("verify", "ratedistortion._optimal_alpha"),
+    ("verify", "ratedistortion._pair_figures"),
+    ("verify", "quantum._distortion_terms"),
+    ("verify", "SourceSpec._distortion"),
+}
+# NamedTuple's own API, whose names start with an underscore
+NAMEDTUPLE_API = {"_asdict", "_field_defaults", "_fields", "_make", "_replace"}
+
+
+def _is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_modules_take_only_the_listed_private_names_of_another():
+    # `from .m import _x`, `m._x` on an imported package module, and
+    # `obj._x` where _x is a method of a class another module defines
+    # (`src._distortion`); not `self._x`, nor NamedTuple's `_fields`. A
+    # private attribute of any other kind is listed under its own receiver,
+    # so that it fails here until it is named.
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in Path(qubitrd.__file__).parent.glob("*.py")
+    }
+    methods = {}  # private method name -> (module, class)
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and _is_private(item.name):
+                        methods[item.name] = (module, node.name)
+    found = set()
+    for module, tree in trees.items():
+        aliases = {}  # local name -> package module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        aliases[alias.asname or alias.name] = alias.name
+                    elif _is_private(alias.name):
+                        found.add((module, f"{node.module}.{alias.name}"))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)):
+                continue
+            receiver, name = node.value.id, node.attr
+            if not _is_private(name) or receiver in ("self", "cls") or name in NAMEDTUPLE_API:
+                continue
+            if receiver in aliases:
+                found.add((module, f"{aliases[receiver]}.{name}"))
+            elif name in methods:
+                owner, cls = methods[name]
+                if owner != module:
+                    found.add((module, f"{cls}.{name}"))
+            else:
+                found.add((module, f"{receiver}.{name}"))
+    assert found == PRIVATE_CROSSINGS

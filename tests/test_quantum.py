@@ -9,16 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from qubitrd import errors, quantum
+from qubitrd import errors, linalg, quantum, realization
 from qubitrd.errors import (
     AnnihilationError,
     ContractViolationError,
     DimensionMismatchError,
     DomainError,
+    InternalNumericError,
     ShapeError,
 )
 from qubitrd.quantum import DensityMatrix, KrausChannel
-from qubitrd.ratedistortion import SourceSpec, pair_channel, solve_alpha
+from qubitrd.ratedistortion import SourceSpec, pair_channel, r1_curve_point
 
 I2 = np.eye(2, dtype=complex)
 P0 = np.diag([1.0, 0.0]).astype(complex)
@@ -347,7 +348,7 @@ def test_distortion_of_solved_pair_matches_mpmath(p0, delta):
     mp = pytest.importorskip("mpmath")
     src = SourceSpec(p0)
     rho = src.density()
-    pair = pair_channel(solve_alpha(delta, src), delta)
+    pair = pair_channel(r1_curve_point(delta, src).alpha, delta)
     single = np.stack(pair.elements)
     double = np.stack([np.kron(a, b) for a in pair.elements for b in pair.elements])
     p = np.diagonal(rho.mat).real
@@ -817,3 +818,70 @@ def test_reference_route_imports_only_containers():
     assert from_package
     for module, name in from_package:
         assert name in allowed.get(module, ()), f"{module}.{name}"
+
+
+def _circuit_of_incomplete_pair(monkeypatch):
+    # a pair whose elements 0.5 I, 0.5 I sum to I / 2, so U†U = I / 2
+    half = KrausChannel((0.5 * I2, 0.5 * I2))
+    monkeypatch.setattr(realization, "pair_channel", lambda alpha, delta: half)
+    realization.build_circuit(0.8, SourceSpec(0.7))
+
+
+RHO7 = np.diag([0.7, 0.3])
+
+
+# One call per validation branch that no other test takes, with the error
+# type and the exact message it documents.
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda mp: DensityMatrix(np.eye(3) / 3),
+            ShapeError, "dimension 3 is not a power of 2", id="density-dim",
+        ),
+        pytest.param(
+            lambda mp: KrausChannel(()),
+            ContractViolationError, "channel needs at least one element", id="kraus-empty",
+        ),
+        pytest.param(
+            lambda mp: KrausChannel((I2, np.eye(4))),
+            DimensionMismatchError, "all elements must share one dimension", id="kraus-dims",
+        ),
+        pytest.param(
+            lambda mp: quantum.apply(KrausChannel((I2,)), np.eye(4) / 4),
+            DimensionMismatchError, "state dimension 4 != channel dimension 2",
+            id="state-dim",
+        ),
+        pytest.param(
+            lambda mp: quantum.distortion(np.eye(4) / 4, KrausChannel((np.eye(4),))),
+            DimensionMismatchError, "rho must be a single-qubit state", id="distortion-rho",
+        ),
+        pytest.param(
+            lambda mp: quantum.block_distortions(np.zeros((2, 2, 2)), RHO7),
+            ShapeError, "expected a (N, k, dim, dim) stack, got shape (2, 2, 2)",
+            id="blocks-shape",
+        ),
+        pytest.param(
+            lambda mp: quantum.block_distortions(np.zeros((1, 1, 3, 3)), RHO7),
+            ShapeError, "channel dimension 3 is not a power of 2", id="blocks-dim",
+        ),
+        pytest.param(
+            lambda mp: quantum.block_distortions(np.zeros((1, 1, 16, 16)), RHO7),
+            DomainError, "block distortions are supported for n <= 3, got n=4",
+            id="blocks-n",
+        ),
+        pytest.param(
+            lambda mp: linalg.as_matrix(np.zeros((2, 3))),
+            ShapeError, "expected a square matrix, got shape (2, 3)", id="as-matrix",
+        ),
+        pytest.param(
+            _circuit_of_incomplete_pair,
+            InternalNumericError, "assembled circuit deviates from unitary by 5.000e-01",
+            id="circuit-unitary",
+        ),
+    ],
+)
+def test_validation_branches_raise_their_documented_errors(monkeypatch, call, error, message):
+    with pytest.raises(error) as info:
+        call(monkeypatch)
+    assert str(info.value) == message

@@ -49,8 +49,9 @@ def test_source_spec_keeps_its_dataclass_behaviour():
 
 # What a real-number argument must not be: a string, None, a complex number
 # (even a NumPy one with zero imaginary part), a bool, a Fraction, NaN, a
-# value out of every range here, a ragged nested sequence (which numpy
-# refuses), and one- or two-entry arrays where one number is due.
+# value out of every bounded range here, an infinity, a ragged nested
+# sequence (which numpy refuses), and one- or two-entry arrays where one
+# number is due.
 NON_NUMBERS = {
     "str": "0.7",
     "None": None,
@@ -63,17 +64,21 @@ NON_NUMBERS = {
     "Fraction": Fraction(7, 10),
     "nan": math.nan,
     "out_of_range": 5.0,
+    "inf": math.inf,
     "ragged": [0.7, [0.8]],
 }
-# Every scalar entry point; the last two also take arrays, so an array is no
-# bad value for them.
+# Every scalar entry point, with the values above that are no bad value for
+# it: distortion and binary_entropy also take arrays, and pair_channel
+# takes an angle of any finite size.
+ARRAYS = ("array1", "array2")
 SCALAR_CALLS = {
-    "SourceSpec": (SourceSpec, False),
-    "r1_curve_point": (lambda delta: rd.r1_curve_point(delta, SRC7), False),
-    "solve_alpha": (lambda delta: rd.solve_alpha(delta, SRC7), False),
-    "build_circuit": (lambda delta: realization.build_circuit(delta, SRC7), False),
-    "distortion": (SRC7.distortion, True),
-    "binary_entropy": (quantum.binary_entropy, True),
+    "SourceSpec": (SourceSpec, ()),
+    "r1_curve_point": (lambda delta: rd.r1_curve_point(delta, SRC7), ()),
+    "build_circuit": (lambda delta: realization.build_circuit(delta, SRC7), ()),
+    "distortion": (SRC7.distortion, ARRAYS),
+    "binary_entropy": (quantum.binary_entropy, ARRAYS),
+    "pair_channel_alpha": (lambda alpha: pair_channel(alpha, 0.8), ("out_of_range",)),
+    "pair_channel_delta": (lambda delta: pair_channel(0.3, delta), ("out_of_range",)),
 }
 
 
@@ -82,9 +87,9 @@ SCALAR_CALLS = {
     "call, bad",
     [
         pytest.param(call, bad, id=f"{call_id}-{bad_id}")
-        for call_id, (call, takes_arrays) in SCALAR_CALLS.items()
+        for call_id, (call, not_bad) in SCALAR_CALLS.items()
         for bad_id, bad in NON_NUMBERS.items()
-        if not (takes_arrays and bad_id.startswith("array"))
+        if bad_id not in not_bad
     ],
 )
 def test_non_numbers_raise_domain_error(call, bad):
@@ -97,9 +102,9 @@ def test_non_numbers_raise_domain_error(call, bad):
 
 
 def test_long_double_is_judged_by_its_float():
-    # A long double just inside an open end rounds to that end: it is
-    # compared as the float it becomes, so it is refused, where comparing
-    # it first stored p0 = 1.0 or took delta = 0 as inside (0, pi/2).
+    # A long double just inside an end rounds to that end and is judged as
+    # the float it becomes: as a p0 it is 1.0 and refused (comparing it
+    # first stored p0 = 1.0), and as a delta it is 0.0, the end row's delta.
     below_one = np.nextafter(np.longdouble(1), np.longdouble(0))
     above_zero = np.nextafter(np.longdouble(0), np.longdouble(1))
     if below_one == np.nextafter(1.0, 0.0):
@@ -107,9 +112,9 @@ def test_long_double_is_judged_by_its_float():
     assert float(below_one) == 1.0 and float(above_zero) == 0.0
     with pytest.raises(DomainError, match="p0 must lie in"):
         SourceSpec(below_one)
-    for call in (rd.solve_alpha, realization.build_circuit):
-        with pytest.raises(DomainError, match=r"delta must lie in \(0, pi/2\)"):
-            call(above_zero, SRC7)
+    end_row = rd.r1_curve_point(0.0, SRC7)
+    assert rd.r1_curve_point(above_zero, SRC7) == end_row
+    assert realization.build_circuit(above_zero, SRC7).point == end_row
 
 
 def test_kraus_pair_completeness():
@@ -176,7 +181,7 @@ def _slope(alpha, delta, p0):
 
 def test_stationarity_symmetric_root():
     for delta in np.linspace(0.05, math.pi / 2 - 0.05, 25).tolist():
-        assert abs(_slope(rd.solve_alpha(delta, SRC5), delta, 0.5)) <= 1e-10
+        assert abs(_slope(rd.r1_curve_point(delta, SRC5).alpha, delta, 0.5)) <= 1e-10
 
 
 def test_stationarity_brackets_root():
@@ -184,7 +189,7 @@ def test_stationarity_brackets_root():
     # the angle is a minimum of the average entropy.
     for p0 in (0.5, 0.7, 0.9):
         for delta in (0.3, 0.8, 1.3):
-            root = rd.solve_alpha(delta, SourceSpec(p0))
+            root = rd.r1_curve_point(delta, SourceSpec(p0)).alpha
             top = math.pi / 2 - delta
             assert _slope(0.5 * root, delta, p0) < 0 < _slope(0.5 * (root + top), delta, p0)
 
@@ -210,18 +215,18 @@ def test_stationarity_matches_finite_difference():
 
         residual = _slope(alpha, delta, p0)
         assert abs(residual - fd(alpha)) <= 1e-6 * max(1.0, abs(residual))
-        assert abs(fd(rd.solve_alpha(delta, src))) <= 2e-8
+        assert abs(fd(rd.r1_curve_point(delta, src).alpha)) <= 2e-8
 
 
 def test_solve_alpha_symmetric():
     for delta in np.linspace(0.03, math.pi / 2 - 0.03, 50):
-        alpha = rd.solve_alpha(float(delta), SRC5)
+        alpha = rd.r1_curve_point(float(delta), SRC5).alpha
         assert abs(alpha - (math.pi / 4 - float(delta) / 2)) <= 1e-9
 
 
 def test_solve_alpha_continuous_and_monotone():
     deltas = np.linspace(5e-3, math.pi / 2 - 5e-3, 200)
-    alphas = [rd.solve_alpha(float(d), SRC7) for d in deltas]
+    alphas = [rd.r1_curve_point(float(d), SRC7).alpha for d in deltas]
     jumps = np.abs(np.diff(alphas))
     assert np.max(jumps) < 0.05
     # rises from the corner, peaks, then falls back toward zero
@@ -235,7 +240,7 @@ def test_solve_alpha_minimizes_average_entropy():
     rho5, rho7 = SRC5.density(), SRC7.density()
     for src, rho in ((SRC5, rho5), (SRC7, rho7)):
         for delta in (0.2, 0.6, 1.0, 1.4):
-            root = rd.solve_alpha(delta, src)
+            root = rd.r1_curve_point(delta, src).alpha
             best = quantum.average_entropy(pair_channel(root, delta), rho)
             hi = math.pi / 2 - delta
             for alpha in rng.uniform(hi * 1e-3, hi * (1 - 1e-3), 50):
@@ -258,7 +263,7 @@ def test_isotropic_angle_is_the_guess_exactly():
     for n in (512, 4097):
         for pt in rd.sweep_curve(SRC5, n)[1:-1]:
             assert pt.alpha == 0.5 * (math.pi / 2 - pt.delta)
-    assert rd.solve_alpha(0.3, SRC5) == 0.5 * (math.pi / 2 - 0.3)
+    assert rd.r1_curve_point(0.3, SRC5).alpha == 0.5 * (math.pi / 2 - 0.3)
 
 
 def _oracle_alpha(mp, p0, delta):
@@ -282,7 +287,7 @@ def test_solver_survives_deltas_far_below_any_grid():
     deltas = np.array([tiny, 1e-300, 1e-200, 1e-160])
     for p0 in (0.5000001, 0.7, 0.9, 1.0 - 1e-12):
         alphas = rd._optimal_alpha(deltas, p0)
-        expected = [rd.solve_alpha(float(d), SourceSpec(p0)) for d in deltas]
+        expected = [rd._optimal_alpha(d, p0, rd._FLOATS) for d in deltas.tolist()]
         assert alphas.tobytes() == np.array(expected).tobytes()
         assert np.all(np.isfinite(alphas))
         assert np.all((alphas >= 0.0) & (alphas < math.pi / 2 - deltas))
@@ -291,7 +296,7 @@ def test_solver_survives_deltas_far_below_any_grid():
         assert abs(alphas[0] - exact[0]) <= 4 * tiny
         for alpha, want in zip(alphas[1:].tolist(), exact[1:]):
             assert abs(alpha - want) <= 1e-15 * want + tiny
-    assert rd.solve_alpha(tiny, SourceSpec(0.5000001)) > 0.0
+    assert rd._optimal_alpha(tiny, 0.5000001, rd._FLOATS) > 0.0
 
 
 @pytest.mark.parametrize("n", [512, 4097])
@@ -405,7 +410,7 @@ def test_small_delta_angle_tends_to_its_limit_slope(p0):
     # The delta = 0 row takes alpha = 0 because alpha / delta tends to
     # p1 / (p0 - p1), not to an interior angle.
     p1 = 1.0 - p0
-    alpha = rd.solve_alpha(1e-4, SourceSpec(p0))
+    alpha = rd.r1_curve_point(1e-4, SourceSpec(p0)).alpha
     assert alpha / 1e-4 == pytest.approx(p1 / (p0 - p1), rel=1e-6)
 
 
@@ -480,8 +485,8 @@ def test_sweep_is_one_record_array(p0):
     + [(1.0 - 1e-12, 512)],
 )
 def test_sweep_matches_per_point_solve(p0, n):
-    # The sweep solves its interior angles together with solve_alpha's
-    # update and takes d, R, lambda1 and r over the whole array; a single
+    # The sweep takes its interior angles from r1_curve_point's closed form
+    # over the whole array and takes d, R, lambda1 and r over the whole array; a single
     # point runs the same kernels on Python floats, with math's sin and cos
     # (numpy's bits: test_float_kernels_equal_array_kernels_bit_for_bit)
     # and numpy's log1p. Every square is a product and h2 has one formula,
@@ -590,8 +595,8 @@ def test_pair_figures_h2_arguments_lie_in_unit_interval(monkeypatch):
 
 def test_pair_figures_float_h2_arguments_lie_in_unit_interval(monkeypatch):
     # The float twin: a single point's three h2 arguments take _h2_float,
-    # which has no range check either; on the same grid, at solve_alpha's
-    # angle, each is a finite float inside [0, 1].
+    # which has no range check either; on the same grid, at the float
+    # kernel's angle, each is a finite float inside [0, 1].
     args = []
 
     def spy(q):
@@ -601,9 +606,9 @@ def test_pair_figures_float_h2_arguments_lie_in_unit_interval(monkeypatch):
     monkeypatch.setattr(rd, "_h2_float", spy)
     p0s, deltas = _interior_grid()
     for p0 in p0s:
-        src = SourceSpec(p0)
         for delta in deltas.tolist():
-            rd._pair_figures(rd.solve_alpha(delta, src), delta, p0, rd._FLOATS)
+            alpha = rd._optimal_alpha(delta, p0, rd._FLOATS)
+            rd._pair_figures(alpha, delta, p0, rd._FLOATS)
     assert all(type(q) is float for q in args)
     q = np.array(args)
     assert q.shape == (49 * 3 * deltas.size,)
@@ -736,11 +741,11 @@ def test_sweep_solve_equals_solve_alpha_bit_for_bit():
         src = SourceSpec(1.0 - 10.0 ** rng.uniform(-12.0, math.log10(0.5)))
         deltas = np.exp(rng.uniform(math.log(1e-8), math.log(math.pi / 2 - 1e-8), 100))
         alphas = rd._optimal_alpha(deltas, src.p0)
-        expected = [rd.solve_alpha(float(d), src) for d in deltas]
+        expected = [rd.r1_curve_point(float(d), src).alpha for d in deltas]
         assert alphas.tobytes() == np.array(expected).tobytes()
     for p0 in [0.5, *ANGLE_P0S]:
         alphas = rd._optimal_alpha(ANGLE_DELTAS, p0)
-        expected = [rd.solve_alpha(d, SourceSpec(p0)) for d in ANGLE_DELTAS.tolist()]
+        expected = [rd.r1_curve_point(d, SourceSpec(p0)).alpha for d in ANGLE_DELTAS.tolist()]
         assert alphas.tobytes() == np.array(expected).tobytes()
     # The benchmark's point pool: r1_curve_point equals the array route (the
     # angle kernel on each one-row array, then the closed forms over arrays
@@ -830,7 +835,7 @@ ORACLE_ROOTS = [
 @pytest.mark.parametrize("p0, delta", ORACLE_ROOTS)
 def test_solve_alpha_matches_mpmath_root(p0, delta):
     mp = pytest.importorskip("mpmath")
-    alpha = rd.solve_alpha(delta, SourceSpec(p0))
+    alpha = rd.r1_curve_point(delta, SourceSpec(p0)).alpha
     with mp.workdps(50):
         p0_, delta_ = mp.mpf(p0), mp.mpf(delta)
         lo, hi = mp.mpf(0), mp.pi / 2 - delta_
@@ -893,7 +898,7 @@ SMALL_DELTAS = np.geomspace(1e-12, 1e-6, 401)[1:]
 
 @pytest.mark.parametrize("p0", [0.5000001, 0.501, 0.55, 0.7, 0.9, 0.99, 0.999999])
 def test_small_delta_angles_match_mpmath(p0):
-    # The array kernel, solve_alpha, r1_curve_point and build_circuit give
+    # The array kernel, the float kernel, r1_curve_point and build_circuit give
     # the same angle, within 1e-15 relative of the 50-digit one; sweeps need
     # no inset in delta to stay right.
     mp = pytest.importorskip("mpmath")
@@ -901,7 +906,7 @@ def test_small_delta_angles_match_mpmath(p0):
     alphas = rd._optimal_alpha(SMALL_DELTAS, p0)
     with mp.workdps(50):
         for delta, alpha in zip(SMALL_DELTAS.tolist(), alphas.tolist()):
-            assert rd.solve_alpha(delta, src) == alpha
+            assert rd._optimal_alpha(delta, p0, rd._FLOATS) == alpha
             assert rd.r1_curve_point(delta, src).alpha == alpha
             assert realization.build_circuit(delta, src).point.alpha == alpha
             exact = _oracle_alpha(mp, p0, delta)
@@ -910,8 +915,8 @@ def test_small_delta_angles_match_mpmath(p0):
 
 @pytest.mark.parametrize("p0", [0.5000001, 0.501, 0.7, 0.9, 0.99, 0.999999])
 def test_angles_match_mpmath_over_the_delta_range(p0):
-    # delta from 1e-12 (through solve_alpha: r1_curve_point takes the end
-    # row there) to pi/2 - 1e-8, geometric near both ends, and every 8th
+    # delta from 1e-12 (through the float kernel: r1_curve_point takes the
+    # end row there) to pi/2 - 1e-8, geometric near both ends, and every 8th
     # interior row of a 4097-point sweep, whose every row equals
     # r1_curve_point at its delta bit for bit.
     mp = pytest.importorskip("mpmath")
@@ -926,7 +931,7 @@ def test_angles_match_mpmath_over_the_delta_range(p0):
     rows = rd.sweep_curve(src, 4097)[1:-1]
     points = [rd.r1_curve_point(delta, src) for delta in rows.delta.tolist()]
     assert rows.tobytes() == np.array(points).tobytes()
-    angles = [(d, rd.solve_alpha(d, src)) for d in deltas[:1]]
+    angles = [(d, rd._optimal_alpha(d, p0, rd._FLOATS)) for d in deltas[:1]]
     angles += [(d, rd.r1_curve_point(d, src).alpha) for d in deltas[1:]]
     angles += zip(rows.delta[::8].tolist(), rows.alpha[::8].tolist())
     with mp.workdps(50):

@@ -30,9 +30,27 @@ def test_circuit_unitarity():
         assert gap <= 1e-12
 
 
-def test_circuit_rejects_endpoint_delta():
-    for bad in (0.0, math.pi / 2, 2.0, -0.3):
-        with pytest.raises(DomainError):
+def test_circuit_realizes_end_rows():
+    # delta takes r1_curve_point's one check, so the two ends of [0, pi/2]
+    # are circuits too: the identity code at delta = 0 (every outcome type 1
+    # unless p0 = 1/2) and measure-and-prepare at pi/2 (lambda1 = p0).
+    for src in (SRC5, SRC7, SourceSpec(0.9)):
+        for end in (0.0, math.pi / 2):
+            circ = realization.build_circuit(end, src)
+            point = r1_curve_point(end, src)
+            assert circ.point == point
+            gap = np.max(np.abs(circ.unitary.conj().T @ circ.unitary - np.eye(4)))
+            assert gap <= 1e-12
+            pair = pair_channel(point.alpha, point.delta)
+            for got, want in zip(circ.channel.elements, pair.elements):
+                assert np.array_equal(got, want)
+            stream = realization.simulate_stream(circ, 1000, seed=3)
+            assert stream.analytic_lambda1 == point.lambda1
+        assert r1_curve_point(math.pi / 2, src).lambda1 == src.p0
+    stream = realization.simulate_stream(realization.build_circuit(0.0, SRC7), 1000, seed=3)
+    assert stream.type1_count == 1000 and stream.analytic_classical_rate == 0.0
+    for bad in (2.0, -0.3, math.pi / 2 + 0.1, -0.1, math.nan):
+        with pytest.raises(DomainError, match=r"delta must lie in \[0, pi/2\]"):
             realization.build_circuit(bad, SRC5)
 
 

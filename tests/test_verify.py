@@ -15,7 +15,6 @@ from qubitrd.ratedistortion import (
     isotropic_s1,
     pair_channel,
     r1_curve_point,
-    solve_alpha,
     sweep_curve,
 )
 
@@ -216,11 +215,7 @@ def test_perturbation_solves_every_angle_in_one_batch(monkeypatch):
         calls.append(len(deltas))
         return optimal_alpha(deltas, p0)
 
-    def forbidden(delta, src):
-        raise AssertionError("solve_alpha called")
-
     monkeypatch.setattr(verify, "_optimal_alpha", spy)
-    monkeypatch.setattr(rd, "solve_alpha", forbidden)
     verify.run_suite("perturbation", SRC7, 1, seed=0)
     assert calls == [len(verify.PERTURBATION_DELTAS)]
 
@@ -279,7 +274,7 @@ def _oracle_average_entropy(mp, p0, alpha, delta, x):
 @pytest.mark.parametrize("delta", verify.PERTURBATION_DELTAS[[0, 3, 7]].tolist())
 def test_perturbation_growth_matches_mpmath_oracle(delta):
     mp = pytest.importorskip("mpmath")
-    alpha = solve_alpha(delta, SRC7)
+    alpha = r1_curve_point(delta, SRC7).alpha
     with mp.workdps(60):
 
         def growth(a, x):
@@ -323,7 +318,7 @@ def test_perturbation_default_grid_matches_mpmath_oracle(p0):
     mp = pytest.importorskip("mpmath")
     src = SourceSpec(p0)
     params = verify.run_suite("perturbation", src, 1, seed=0)[0].params
-    alphas = {d: solve_alpha(d, src) for d in params["deltas"]}
+    alphas = {d: r1_curve_point(d, src).alpha for d in params["deltas"]}
     with mp.workdps(50):
         base = {d: _oracle_average_entropy(mp, p0, a, d, 0) for d, a in alphas.items()}
         for g in params["growths"]:
