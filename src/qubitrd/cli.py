@@ -39,7 +39,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import ContractViolationError, DomainError, ToolkitError
-from .ratedistortion import SourceSpec, s1_curve_point, sweep_curve
+from .ratedistortion import CurvePoint, SourceSpec, s1_curve_point, sweep_curve
 
 CURVE_KINDS = ("s1", "r1")
 # verify.SUITE_NAMES and "all", written out so that the parser needs no
@@ -122,7 +122,7 @@ def run_curve(args: argparse.Namespace) -> int:
         d, entropy = s1_curve_point(thetas, src)
         rows = np.column_stack([thetas, d, entropy]).tolist()
     else:
-        header = ["delta", "alpha", "d", "R", "r", "lambda1"]
+        header = list(CurvePoint._fields)
         rows = sweep_curve(src, args.points).tolist()
     text = _csv(header, rows) if args.format == "csv" else _json_rows(header, rows)
     _emit(args.out, text)

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and its integer check and
-real-number checks (``check_integer``, ``real_array``, ``check_real``)."""
+"""Exception types shared across the package, and its input checks:
+``check_integer``, ``real_array``, ``clipped_real`` and ``check_real``."""
 
 import math
 import numbers
@@ -57,6 +57,18 @@ def real_array(value, message: str) -> np.ndarray:
     if x.dtype.kind not in "iuf":
         raise DomainError(message.format(repr(value)))
     return x.astype(float, copy=False)
+
+
+def clipped_real(x, low: float, high: float, message: str) -> np.ndarray:
+    """``x`` as a float array clipped to [low, high]; the first entry over 1e-12
+    outside, or NaN, raises ``DomainError(message.format(entry))``, and so
+    does input that is not real (``real_array``), with its repr as the
+    entry. Slow on a float."""
+    x = real_array(x, message)
+    inside = (x >= low - 1e-12) & (x <= high + 1e-12)
+    if not inside.all():
+        raise DomainError(message.format(x[~inside][0]))
+    return np.minimum(np.maximum(x, low), high)
 
 
 def check_real(value, low: float, high: float, message: str) -> float:

@@ -5,8 +5,10 @@ A quantum operation is a set of elements {A_i} acting as
 ``sum_i A_i† A_i = I``. On top of that this module provides the paper's
 three quantities: entanglement fidelity with the induced distortion
 ``1 - F_e``, entropy exchange, and the average conditional output entropy,
-each one way. ``average_entropies`` and ``block_distortions`` score a whole
-(N, k, dim, dim) stack of Kraus sets in one call; ``average_entropy`` and
+each one way. Each reads a state once, through ``_state``, which takes a
+bare matrix through ``DensityMatrix``'s checks, and a stack of Kraus sets
+through ``_kraus_stack``. ``average_entropies`` and ``block_distortions``
+score a whole (N, k, dim, dim) stack in one call; ``average_entropy`` and
 ``distortion`` are their one-set case. ``block_distortions``, the per-qubit
 distortion of multi-qubit operations at a single-qubit rho, takes 1 - F_e as
 the sum of squares sum_i ||(A_i - tr(rho A_i) I) rho^{1/2}||_F^2 / tr E(rho),
@@ -35,8 +37,8 @@ from .errors import (
     DimensionMismatchError,
     DomainError,
     ShapeError,
+    clipped_real,
 )
-from .errors import real_array
 
 STATE_TOL = 1e-10
 COMPLETENESS_TOL = 1e-10
@@ -53,6 +55,12 @@ def _frozen(mat: np.ndarray) -> np.ndarray:
     return out
 
 
+def _require_power_of_2(dim: int, name: str) -> None:
+    """Raise ``ShapeError`` unless the dimension ``dim`` is a power of 2."""
+    if dim < 1 or dim & (dim - 1):
+        raise ShapeError(f"{name} {dim} is not a power of 2")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, positive semidefinite, unit-trace matrix on n qubits."""
@@ -61,8 +69,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = linalg.as_matrix(self.mat)
-        if 2 ** (m.shape[0].bit_length() - 1) != m.shape[0]:
-            raise ShapeError(f"dimension {m.shape[0]} is not a power of 2")
+        _require_power_of_2(m.shape[0], "dimension")
         if not linalg.is_hermitian(m):
             raise ContractViolationError("density matrix must be Hermitian")
         eigs = np.linalg.eigvalsh(m)
@@ -123,18 +130,23 @@ class KrausChannel:
         return len(self.elements)
 
 
-def _state_matrix(rho) -> np.ndarray:
-    return rho.mat if isinstance(rho, DensityMatrix) else linalg.as_matrix(rho)
+def _state(rho, dim: int) -> np.ndarray:
+    """The matrix of the state rho, a ``DensityMatrix`` or input that passes its
+    checks, of dimension ``dim``; another raises ``DimensionMismatchError``."""
+    rho = rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
+    if rho.dim != dim:
+        raise DimensionMismatchError(f"state dimension {rho.dim} != channel dimension {dim}")
+    return rho.mat
 
 
-def _channel_state(ch: KrausChannel, rho) -> np.ndarray:
-    """The matrix of rho, which must have the channel's dimension."""
-    m = _state_matrix(rho)
-    if m.shape[0] != ch.dim:
-        raise DimensionMismatchError(
-            f"state dimension {m.shape[0]} != channel dimension {ch.dim}"
-        )
-    return m
+def _kraus_stack(kraus) -> np.ndarray:
+    """``kraus`` as a complex (N, k, dim, dim) stack, dim a power of 2 as a
+    ``DensityMatrix``'s; any other shape raises ``ShapeError``."""
+    kraus = linalg.as_complex(kraus)
+    if kraus.ndim != 4 or kraus.shape[-1] != kraus.shape[-2]:
+        raise ShapeError(f"expected a (N, k, dim, dim) stack, got shape {kraus.shape}")
+    _require_power_of_2(kraus.shape[-1], "channel dimension")
+    return kraus
 
 
 def _nonzero_weight(weight: float) -> float:
@@ -150,7 +162,7 @@ def apply(ch: KrausChannel, rho) -> tuple[np.ndarray, float]:
     The normalized state is ``out / weight``. For subnormalized operations the
     weight is the probability that this operation occurs.
     """
-    m = _channel_state(ch, rho)
+    m = _state(rho, ch.dim)
     out = np.zeros_like(m)
     for a in ch.elements:
         out += a @ m @ a.conj().T
@@ -170,18 +182,6 @@ def eigenvalue_entropy(eigs) -> np.ndarray:
     return 0.0 - np.sum(eigs * np.log2(eigs), axis=-1)
 
 
-def _clipped(x, low: float, high: float, message: str) -> np.ndarray:
-    """``x`` as a float array clipped to [low, high]; the first entry over 1e-12
-    outside, or NaN, raises ``DomainError(message.format(entry))``, and so
-    does input that is not real (``errors.real_array``), with its repr as
-    the entry. Slow on a float."""
-    x = real_array(x, message)
-    inside = (x >= low - 1e-12) & (x <= high + 1e-12)
-    if not inside.all():
-        raise DomainError(message.format(x[~inside][0]))
-    return np.minimum(np.maximum(x, low), high)
-
-
 def binary_entropy(p):
     """Binary entropy h2(p) in bits, of a float or of each entry of an array.
 
@@ -193,11 +193,11 @@ def binary_entropy(p):
     within 1e-12 outside [0, 1] are clipped; any other, NaN included,
     raises ``DomainError``, as does a value that is not real. An int, a
     float, a ``np.float64`` or a 0-d array gives a float, an array an array.
-    Every input takes one route: ``_clipped``, then ``_h2_unchecked``. Code
+    Every input takes one route: ``clipped_real``, then ``_h2_unchecked``. Code
     that built its argument inside [0, 1] calls ``_h2_unchecked`` itself,
     or ``_h2_float`` on one Python float (same bits).
     """
-    h = _h2_unchecked(_clipped(p, 0.0, 1.0, "probability {} outside [0, 1]"))
+    h = _h2_unchecked(clipped_real(p, 0.0, 1.0, "probability {} outside [0, 1]"))
     return h if isinstance(h, np.ndarray) else float(h)
 
 
@@ -239,26 +239,22 @@ def distortion(rho, ch: KrausChannel) -> float:
     near 1. The set need not be trace preserving; a weight tr(E(rho)) at or
     below ``WEIGHT_FLOOR`` raises ``AnnihilationError``.
     """
-    m = _channel_state(ch, rho)
-    if m.shape[0] != 2:
+    m = _state(rho, ch.dim)
+    if ch.dim != 2:
         raise DimensionMismatchError("rho must be a single-qubit state")
     squares, weight = _distortion_terms(np.stack(ch.elements)[np.newaxis], m)
     return float(squares[0] / _nonzero_weight(weight[0]))
 
 
-def exchange_matrix(rho, ch: KrausChannel) -> np.ndarray:
-    """The k x k matrix W with W_ij = tr(A_i rho A_j†) / tr(E(rho))."""
-    a = np.stack(ch.elements)
-    w = np.einsum("iab,bc,jac->ij", a, _channel_state(ch, rho), a.conj())
-    return w / _nonzero_weight(float(np.trace(w).real))
-
-
 def entropy_exchange(rho, ch: KrausChannel) -> float:
-    """Entropy generated in the environment: S(W) in bits.
-
-    Zero whenever the channel has a single operation element.
+    """Entropy generated in the environment: S(W) in bits, of the k x k matrix
+    W_ij = tr(A_i rho A_j†) / tr(E(rho)). Zero whenever the channel has a
+    single operation element.
     """
-    return float(eigenvalue_entropy(np.linalg.eigvalsh(exchange_matrix(rho, ch))))
+    a = np.stack(ch.elements)
+    w = np.einsum("iab,bc,jac->ij", a, _state(rho, ch.dim), a.conj())
+    w = w / _nonzero_weight(float(np.trace(w).real))
+    return float(eigenvalue_entropy(np.linalg.eigvalsh(w)))
 
 
 def average_entropy(ch: KrausChannel, rho) -> float:
@@ -272,7 +268,7 @@ def average_entropy(ch: KrausChannel, rho) -> float:
     kraus = np.stack(ch.elements)[np.newaxis]
     if not ch.trace_preserving:
         _require_complete(kraus)
-    return float(average_entropies(kraus, _channel_state(ch, rho))[0])
+    return float(_average_entropies(kraus, _state(rho, ch.dim))[0])
 
 
 def average_entropies(kraus, state) -> np.ndarray:
@@ -284,12 +280,16 @@ def average_entropies(kraus, state) -> np.ndarray:
     dim 2, ``eigvalsh`` above), and eigenvalues at or below
     ``EIGENVALUE_FLOOR`` count as 0 (``eigenvalue_entropy``). Completeness
     is not checked here: ``block_distortions`` checks it on the same stack.
-    A_i rho is one flat GEMM over every element of the stack, and its
-    product with A_i† is ``_times_adjoint``.
+    The state is read by ``_state``. A_i rho is one flat GEMM over the
+    stack, and its product with A_i† is ``_times_adjoint``.
     """
-    kraus = linalg.as_complex(kraus)
+    kraus = _kraus_stack(kraus)
+    return _average_entropies(kraus, _state(state, kraus.shape[-1]))
+
+
+def _average_entropies(kraus: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """``average_entropies`` of a checked stack at a checked state matrix."""
     dim = kraus.shape[-1]
-    state = _state_matrix(state)
     left = (kraus.reshape(-1, dim) @ state).reshape(kraus.shape)
     cond = _times_adjoint(left, kraus)
     lam = np.einsum("nkii->nk", cond).real
@@ -391,22 +391,14 @@ def block_distortions(kraus, rho) -> np.ndarray:
     ``tests/reference.py`` takes the same quantity one qubit and one channel
     at a time, through the marginal map's Choi matrix. Sets with fewer
     elements are padded with zero elements, which change nothing. Every set
-    must be complete within ``COMPLETENESS_TOL``; rho may be a plain matrix.
+    must be complete within ``COMPLETENESS_TOL``; rho is read by ``_state``.
     """
-    kraus = linalg.as_complex(kraus)
-    if kraus.ndim != 4 or kraus.shape[-1] != kraus.shape[-2]:
-        raise ShapeError(f"expected a (N, k, dim, dim) stack, got shape {kraus.shape}")
-    dim = kraus.shape[-1]
-    n = dim.bit_length() - 1
-    if 2**n != dim:
-        raise ShapeError(f"channel dimension {dim} is not a power of 2")
+    kraus = _kraus_stack(kraus)
+    n = kraus.shape[-1].bit_length() - 1
     if not 1 <= n <= 3:
         raise DomainError(f"block distortions are supported for n <= 3, got n={n}")
-    rho = _state_matrix(rho)
-    if rho.shape[0] != 2:
-        raise DimensionMismatchError("rho must be a single-qubit state")
     _require_complete(kraus)
-    squares, weight = _distortion_terms(kraus, rho)
+    squares, weight = _distortion_terms(kraus, _state(rho, 2))
     return squares / weight / n
 
 

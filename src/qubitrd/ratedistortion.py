@@ -52,14 +52,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import check_integer, check_real
-from .quantum import (
-    DensityMatrix,
-    KrausChannel,
-    _clipped,
-    _h2_float,
-    _h2_unchecked,
-)
+from .errors import check_integer, check_real, clipped_real
+from .quantum import DensityMatrix, KrausChannel, _h2_float, _h2_unchecked
 
 HALF_PI = math.pi / 2
 # The largest floats inside the open ends of p0's [0.5, 1) and of the reals.
@@ -113,10 +107,10 @@ class SourceSpec:
 
         Taken as 2 d_max sin^2(delta / 2), which equals it and does not cancel
         at small delta, where 1 - cos delta loses every digit. A real delta
-        within 1e-12 of [0, pi/2] is clipped to it (``_clipped``); any other
+        within 1e-12 of [0, pi/2] is clipped to it (``clipped_real``); any other
         raises ``DomainError``. A scalar gives a Python float.
         """
-        d = self._distortion(_clipped(delta, 0.0, HALF_PI, _DELTA_MESSAGE))
+        d = self._distortion(clipped_real(delta, 0.0, HALF_PI, _DELTA_MESSAGE))
         return d if isinstance(d, np.ndarray) else float(d)
 
     def _distortion(self, delta, xp=np):
@@ -223,7 +217,7 @@ def s1_curve_point(theta, src: SourceSpec):
     a float, giving floats, or an array, giving arrays; entries beyond
     1e-12 outside [0, pi/4], or NaN, raise ``DomainError``.
     """
-    t = _clipped(theta, 0.0, math.pi / 4, "theta must lie in [0, pi/4], got {}")
+    t = clipped_real(theta, 0.0, math.pi / 4, "theta must lie in [0, pi/4], got {}")
     p0, p1 = src.p0, src.p1
     c, s = np.cos(t), np.sin(t)
     weight = p0 * c * c + p1 * s * s
@@ -303,6 +297,6 @@ def isotropic_s1(d):
     of an array; other entries (beyond 1e-12, or NaN) raise ``DomainError``.
     On the clipped d the h2 argument lies in [1/2, 1] and takes no check.
     """
-    d = _clipped(d, 0.0, 0.5, "distortion must lie in [0, 1/2], got {}")
+    d = clipped_real(d, 0.0, 0.5, "distortion must lie in [0, 1/2], got {}")
     h = _h2_unchecked(0.5 + np.sqrt(d * (1.0 - d)))
     return h if isinstance(h, np.ndarray) else float(h)

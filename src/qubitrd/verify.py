@@ -250,7 +250,7 @@ def check_theorem1(n_trials: int, seed: int, src: SourceSpec) -> VerificationRep
     """
     p0, p1 = src.p0, src.p1
     sq = np.array([math.sqrt(p0), math.sqrt(p1)])
-    rho = np.diag([p0, p1]).astype(complex)
+    rho = src.density()
     tolerances = {
         "entropy_gap": 1e-8,
         "weight_gap": 1e-9,
@@ -265,10 +265,10 @@ def check_theorem1(n_trials: int, seed: int, src: SourceSpec) -> VerificationRep
         d_mats[:, [0, 1], [0, 1]] = svals / sq
         # every A, then every D, as one-element sets
         stack = np.concatenate([a, d_mats])[:, np.newaxis]
-        squares, weight = quantum._distortion_terms(stack, rho)
+        squares, weight = quantum._distortion_terms(stack, rho.mat)
         dist = squares / weight
         entropy = quantum.average_entropies(stack, rho) / weight
-        comm = d_mats @ rho - rho @ d_mats
+        comm = d_mats @ rho.mat - rho.mat @ d_mats
         fields = {
             "entropy_gap": np.abs(entropy[:count] - entropy[count:]),
             "weight_gap": np.abs(weight[:count] - weight[count:]),
@@ -486,7 +486,7 @@ def check_theorem2_blocks(
     """
     curve = rate_curve_interpolator(src)
     rho1 = src.density()
-    rho2 = np.kron(rho1.mat, rho1.mat)
+    rho2 = DensityMatrix(np.kron(rho1.mat, rho1.mat))
 
     def evaluate(rng, count):
         ks = rng.integers(1, MAX_KRAUS + 1, count)
@@ -517,6 +517,7 @@ def check_theorem3_isotropic(
     check_integer("n_qubits", n_qubits, 2, 3)
     dim = 2**n_qubits
     rho1 = DensityMatrix(np.eye(2, dtype=complex) / 2)
+    rho = DensityMatrix(np.eye(dim, dtype=complex) / dim)
 
     def evaluate(rng, count):
         ks = rng.integers(1, MAX_KRAUS + 1, count)
@@ -524,7 +525,7 @@ def check_theorem3_isotropic(
         for k in range(1, MAX_KRAUS + 1):
             trials = np.flatnonzero(ks == k)
             kraus[trials, :k] = stinespring_kraus(rng, trials.size, dim, k)
-        rate = quantum.average_entropies(kraus, np.eye(dim) / dim) / n_qubits
+        rate = quantum.average_entropies(kraus, rho) / n_qubits
         d = quantum.block_distortions(kraus, rho1)
         return _isotropic_reference(d) - rate, {"k": ks, "d": d, "rate": rate}
 

@@ -476,7 +476,6 @@ def test_unknown_attribute_raises():
 # (module, owner.name). Everything else crosses a module boundary by a
 # public name.
 PRIVATE_CROSSINGS = {
-    ("ratedistortion", "quantum._clipped"),
     ("ratedistortion", "quantum._h2_float"),
     ("ratedistortion", "quantum._h2_unchecked"),
     ("verify", "ratedistortion._optimal_alpha"),

@@ -587,12 +587,72 @@ def test_block_distortions_match_marginal_loop(n, rho):
 
 
 def test_block_distortions_take_a_plain_matrix():
-    # like average_entropies and distortion, a state may be its bare matrix
+    # like every functional, block_distortions takes a state as its bare
+    # matrix, which passes DensityMatrix's checks, and gives the same bits
     stack = _padded_random_stack(np.random.default_rng(4), 4, [2, 1, 3])
     got = quantum.block_distortions(stack, RHO_73.mat)
     assert got.tobytes() == quantum.block_distortions(stack, RHO_73).tobytes()
     with pytest.raises(DimensionMismatchError):
         quantum.block_distortions(stack, np.eye(4) / 4)
+
+
+# Every public functional of a state, at a state rho of one qubit: a random
+# three-element channel and a stack of four random three-element sets.
+RANDOM_CHANNEL = KrausChannel(
+    tuple(quantum.stinespring_kraus(np.random.default_rng(5), 1, 2, 3)[0])
+)
+RANDOM_STACK = quantum.stinespring_kraus(np.random.default_rng(6), 4, 2, 3)
+STATE_FUNCTIONALS = {
+    "apply": lambda rho: quantum.apply(RANDOM_CHANNEL, rho),
+    "distortion": lambda rho: quantum.distortion(rho, RANDOM_CHANNEL),
+    "entanglement_fidelity": lambda rho: quantum.entanglement_fidelity(rho, RANDOM_CHANNEL),
+    "entropy_exchange": lambda rho: quantum.entropy_exchange(rho, RANDOM_CHANNEL),
+    "average_entropy": lambda rho: quantum.average_entropy(RANDOM_CHANNEL, rho),
+    "average_entropies": lambda rho: quantum.average_entropies(RANDOM_STACK, rho),
+    "block_distortions": lambda rho: quantum.block_distortions(RANDOM_STACK, rho),
+}
+# Bare 2x2 matrices that are no state: each breaks one check of DensityMatrix.
+NOT_STATES = {
+    "negative-eigenvalue": [[0.5, 0.7], [0.7, 0.5]],
+    "non-hermitian": [[1, 5], [0, 0]],
+    "trace": [[0.7, 0.0], [0.0, 0.4]],
+}
+
+
+@pytest.mark.parametrize("bad", NOT_STATES.values(), ids=NOT_STATES.keys())
+@pytest.mark.parametrize("functional", STATE_FUNCTIONALS.values(), ids=STATE_FUNCTIONALS.keys())
+def test_functionals_check_a_bare_state_as_a_density_matrix(functional, bad):
+    # a bare matrix takes DensityMatrix's checks: the negative eigenvalue of
+    # the first gave average_entropy an entropy of -0.3156 when it took none
+    with pytest.raises(ContractViolationError):
+        functional(bad)
+
+
+def _bits(value):
+    # the bytes of a float, an array, or each of a tuple of them
+    parts = value if isinstance(value, tuple) else (value,)
+    return [np.asarray(part).tobytes() for part in parts]
+
+
+@pytest.mark.parametrize("functional", STATE_FUNCTIONALS.values(), ids=STATE_FUNCTIONALS.keys())
+def test_functionals_give_a_bare_state_the_bits_of_its_density_matrix(functional):
+    for rho in (RHO_73, DensityMatrix(np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]]))):
+        assert _bits(functional(rho.mat)) == _bits(functional(rho))
+
+
+@pytest.mark.parametrize(
+    "kraus, state, error",
+    [
+        (np.eye(2), I2 / 2, ShapeError),
+        (np.zeros((1, 1, 2, 3)), I2 / 2, ShapeError),
+        (np.zeros((1, 1, 3, 3)), I2 / 2, ShapeError),
+        (np.zeros((1, 1, 4, 4)), I2 / 2, DimensionMismatchError),
+    ],
+    ids=["2-d", "non-square", "dim-3", "dim-4-at-qubit"],
+)
+def test_average_entropies_reject_a_stack_that_does_not_fit(kraus, state, error):
+    with pytest.raises(error):
+        quantum.average_entropies(kraus, state)
 
 
 def test_block_distortions_reject_incomplete_set():
@@ -745,7 +805,10 @@ def test_padded_stack_equals_its_unpadded_sets(dim):
 
 @pytest.mark.parametrize("dim", [2, 4])
 def test_average_entropies_takes_eigvalsh_above_dim_2_on_live_elements(dim, monkeypatch):
-    # one eigvalsh call on the live elements only, and none on 2x2 outputs
+    # one eigvalsh call on the live elements only, and none on 2x2 outputs;
+    # the state is a DensityMatrix built before the spy, which the gate
+    # passes as it is, so only the kernel's calls count
+    state = DensityMatrix(np.eye(dim) / dim)
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -756,7 +819,7 @@ def test_average_entropies_takes_eigvalsh_above_dim_2_on_live_elements(dim, monk
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     ks = [1, 2, 3, 4, 2]
     stack = _padded_random_stack(np.random.default_rng(7), dim, ks)
-    quantum.average_entropies(stack, np.eye(dim) / dim)
+    quantum.average_entropies(stack, state)
     assert calls == ([] if dim == 2 else [(sum(ks), dim, dim)])
 
 
